@@ -7,7 +7,7 @@ use crate::engine::trace::TraceConfig;
 use rootcast_atlas::{FleetParams, PipelineConfig};
 use rootcast_attack::{AttackSchedule, BotnetParams, DEFAULT_LEGIT_TOTAL_QPS};
 use rootcast_dns::{Letter, Name};
-use rootcast_netsim::{SimDuration, SimTime};
+use rootcast_netsim::{fnv1a, SimDuration, SimTime};
 use rootcast_topology::TopologyParams;
 use std::fmt;
 
@@ -211,12 +211,7 @@ impl ScenarioConfig {
             "seed={};topology={:?};fleet={:?};botnet={:?};nl={}",
             self.seed, self.topology, self.fleet, self.botnet, self.include_nl
         );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a(repr.as_bytes())
     }
 
     /// Check every invariant a run depends on. Called by

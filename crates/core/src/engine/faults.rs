@@ -6,10 +6,10 @@
 //! able to rehearse those failure modes on purpose. A [`FaultPlan`] on
 //! the scenario config schedules faults declaratively; the
 //! [`FaultInjector`] applies each one at its instant, reverts it when
-//! its window closes, and emits every injection and recovery through
-//! the [`Instrumentation`](crate::engine::Instrumentation) observer so
-//! [`RunStats`](crate::engine::RunStats) records exactly what was done
-//! to the run.
+//! its window closes, and appends every injection and recovery to the
+//! fault ledger ([`FaultState::ledger`], frozen into
+//! [`SimOutput::faults`](crate::sim::SimOutput::faults)) so the output
+//! records exactly what was done to the run.
 //!
 //! ## Determinism contract
 //!
@@ -158,8 +158,7 @@ impl fmt::Display for FaultAction {
     }
 }
 
-/// One applied fault transition, as reported through the observer and
-/// accumulated on [`RunStats`](crate::engine::RunStats).
+/// One applied fault transition: an entry of the run's fault ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InjectedFault {
     pub at: SimTime,
@@ -205,6 +204,9 @@ pub struct FaultState {
     rssac_factor: BTreeMap<Letter, f64>,
     /// Active probe-fleet faults, keyed by plan index.
     probe_faults: BTreeMap<usize, ProbeFault>,
+    /// Every transition the injector applied, in order: the run's
+    /// injected-fault ledger.
+    pub ledger: Vec<InjectedFault>,
 }
 
 impl FaultState {
@@ -427,7 +429,7 @@ impl Subsystem for FaultInjector {
                     }
                 }
             });
-            world.obs.on_fault(t, &record);
+            world.faults.ledger.push(record);
         }
         Vec::new()
     }
@@ -437,7 +439,7 @@ impl Subsystem for FaultInjector {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::{NoopInstrumentation, StatsCollector};
+    use crate::engine::instrument::NoopInstrumentation;
     use rootcast_netsim::SimRng;
 
     fn world_fixture<'a>(
@@ -469,7 +471,7 @@ mod tests {
             },
         );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = StatsCollector::default();
+        let mut obs = NoopInstrumentation;
         let mut world = world_fixture(&cfg, &rngf, &mut obs);
         let b = world.letters.iter().position(|&l| l == Letter::B).unwrap();
         let lax = world.services[b].site_by_code("LAX").unwrap();
@@ -482,11 +484,11 @@ mod tests {
         inj.tick(&mut world, SimTime::from_mins(15));
         assert!(world.services[b].site(lax).announced);
 
-        let stats = obs.finish();
-        assert_eq!(stats.faults.len(), 2);
-        assert_eq!(stats.faults[0].action, FaultAction::Inject);
-        assert_eq!(stats.faults[1].action, FaultAction::Recover);
-        assert!(stats.faults[0].description.contains("site-crash B/LAX"));
+        let ledger = &world.faults.ledger;
+        assert_eq!(ledger.len(), 2);
+        assert_eq!(ledger[0].action, FaultAction::Inject);
+        assert_eq!(ledger[1].action, FaultAction::Recover);
+        assert!(ledger[0].description.contains("site-crash B/LAX"));
     }
 
     #[test]
@@ -503,12 +505,11 @@ mod tests {
             },
         );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = StatsCollector::default();
+        let mut obs = NoopInstrumentation;
         let mut world = world_fixture(&cfg, &rngf, &mut obs);
         let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
         inj.tick(&mut world, SimTime::from_mins(1));
-        let stats = obs.finish();
-        assert!(stats.faults[0].description.contains("unknown site"));
+        assert!(world.faults.ledger[0].description.contains("unknown site"));
     }
 
     #[test]

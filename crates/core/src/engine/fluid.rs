@@ -249,7 +249,9 @@ impl Subsystem for FluidTraffic {
 
         // Per-letter load and queue-depth instrumentation.
         for (i, svc) in world.services.iter().enumerate() {
-            let Some(letter) = svc.letter else { continue };
+            if svc.letter.is_none() {
+                continue;
+            }
             let offered_total: f64 = offered[i].iter().sum();
             let served_total: f64 = svc.served_total();
             world
@@ -260,16 +262,12 @@ impl Subsystem for FluidTraffic {
                 world.metrics.min_gauge(keys::WORST_SERVED_RATIO, ratio);
                 world.metrics.observe(keys::SERVED_RATIO, ratio);
             }
-            world
-                .obs
-                .on_letter_load(t, letter, offered_total, served_total);
             for site in svc.sites() {
                 let delay = site.queue_delay();
                 if !delay.is_zero() {
                     world
                         .metrics
                         .observe(keys::QUEUE_DELAY_MS, delay.as_secs_f64() * 1e3);
-                    world.obs.on_queue_depth(t, letter, &site.spec.code, delay);
                 }
             }
         }
@@ -291,7 +289,6 @@ impl Subsystem for FluidTraffic {
                             letter: (b'A' + letter as u8) as char,
                             changes: changes.len(),
                         });
-                    world.obs.on_policy_transition(t, letter, &changes);
                 }
                 world.observe_routes(t, i);
             }

@@ -1,179 +1,125 @@
-//! Run instrumentation: an observer trait the engine and subsystems
-//! call into, plus the default collector behind [`RunStats`].
+//! Run instrumentation: two span hooks that `sim::run`, `engine::drive`
+//! and the subsystems call around their work, and the [`SpanRecorder`]
+//! that aggregates them.
 //!
-//! Hooks are no-ops by default, so a custom observer implements only
-//! what it cares about. Instrumentation lives *outside* simulation
-//! state — observers see the run but cannot influence it, so a run's
-//! outputs are identical whether or not anything is listening.
+//! Spans nest by static name, so a path reads `drive/probes/execute`.
+//! Instrumentation lives *outside* simulation state — observers see the
+//! run but cannot influence it, so a run's outputs are identical
+//! whether or not anything is listening. What happened lives in the
+//! metrics registry and when it happened in the event trace; spans say
+//! where the wall time went.
 
-use crate::engine::faults::InjectedFault;
-use rootcast_anycast::RoutingChanges;
-use rootcast_dns::Letter;
-use rootcast_netsim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-use std::time::Duration;
+use crate::engine::profile::{SpanProfile, SpanStat};
+use std::time::Instant;
 
-/// Observer hooks for a simulation run.
-///
-/// All methods have empty default bodies. Wall-clock durations are
-/// host-side measurements (they vary run to run); everything else is
-/// deterministic simulation state.
+/// Observer hooks for a simulation run: enter and exit a named span.
+/// Every `enter` is matched by an `exit` of the same name, innermost
+/// first.
 pub trait Instrumentation {
-    /// A driver phase (`build_world`, `drive`, `finalize`) began.
-    /// Phases nest like a stack; every start is matched by an
-    /// [`on_phase_end`](Instrumentation::on_phase_end) with the same name.
-    fn on_phase_start(&mut self, _phase: &'static str) {}
-
-    /// The innermost open driver phase ended.
-    fn on_phase_end(&mut self, _phase: &'static str) {}
-
-    /// A subsystem finished its tick at simulated time `t`, having
-    /// consumed `wall` of host time.
-    fn on_subsystem_tick(&mut self, _subsystem: &'static str, _t: SimTime, _wall: Duration) {}
-
-    /// Per-letter load for the fluid window ending at `t`: total
-    /// offered q/s across the letter's sites and the fraction served
-    /// after facility and ingress losses.
-    fn on_letter_load(
-        &mut self,
-        _t: SimTime,
-        _letter: Letter,
-        _offered_qps: f64,
-        _served_qps: f64,
-    ) {
-    }
-
-    /// Ingress queue depth (as queueing delay) of one site after the
-    /// fluid window ending at `t`. Only called for non-empty queues.
-    fn on_queue_depth(&mut self, _t: SimTime, _letter: Letter, _site: &str, _delay: SimDuration) {}
-
-    /// A stress policy changed routing (withdrawal / re-announcement).
-    fn on_policy_transition(&mut self, _t: SimTime, _letter: Letter, _changes: &RoutingChanges) {}
-
-    /// The fault injector applied a transition (injection or recovery)
-    /// from the scenario's [`FaultPlan`](crate::engine::FaultPlan).
-    fn on_fault(&mut self, _t: SimTime, _fault: &InjectedFault) {}
+    fn enter(&mut self, span: &'static str);
+    fn exit(&mut self, span: &'static str);
 }
 
 /// The do-nothing observer.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopInstrumentation;
 
-impl Instrumentation for NoopInstrumentation {}
-
-/// Wall-time and counter summary of one subsystem over a run.
-#[derive(Debug, Default, Clone)]
-pub struct SubsystemStats {
-    pub ticks: u64,
-    pub wall: Duration,
+impl Instrumentation for NoopInstrumentation {
+    fn enter(&mut self, _span: &'static str) {}
+    fn exit(&mut self, _span: &'static str) {}
 }
 
-/// Aggregated run statistics, exposed on
-/// [`SimOutput`](crate::sim::SimOutput) by [`run`](crate::sim::run).
-#[derive(Debug, Default, Clone)]
-pub struct RunStats {
-    /// Host wall time per driver phase (`build_world`, `drive`,
-    /// `finalize`), accumulated over matched start/end pairs.
-    pub phases: BTreeMap<&'static str, Duration>,
-    /// Per-subsystem tick counts and host wall time.
-    pub subsystems: BTreeMap<&'static str, SubsystemStats>,
-    /// Peak offered load seen by any single letter, q/s.
-    pub peak_offered_qps: f64,
-    /// Lowest served/offered ratio seen by any letter in any window.
-    pub worst_served_ratio: f64,
-    /// Deepest ingress queue seen, as (letter, site code, delay).
-    pub deepest_queue: Option<(Letter, String, SimDuration)>,
-    /// Total routing transitions driven by stress policies.
-    pub policy_transitions: u64,
-    /// Every fault transition the injector applied, in order — the
-    /// run's injected-fault ledger.
-    pub faults: Vec<InjectedFault>,
+/// One node of the live span tree.
+#[derive(Debug)]
+struct Node {
+    stat: SpanStat,
+    children: Vec<usize>,
 }
 
-impl RunStats {
-    /// Total host wall time across all subsystem ticks.
-    pub fn total_wall(&self) -> Duration {
-        self.subsystems.values().map(|s| s.wall).sum()
-    }
-
-    /// Total ticks across all subsystems.
-    pub fn total_ticks(&self) -> u64 {
-        self.subsystems.values().map(|s| s.ticks).sum()
-    }
+/// The span observer [`run`](crate::sim::run) always installs: count,
+/// total and max wall time per span path. Once a path has been seen,
+/// entering and exiting it again allocates nothing.
+#[derive(Debug)]
+pub struct SpanRecorder {
+    epoch: Instant,
+    /// `nodes[0]` is the unnamed root every top-level span hangs off.
+    nodes: Vec<Node>,
+    /// Open spans, innermost last: (node, start in ns since `epoch`).
+    open: Vec<(usize, u64)>,
 }
 
-/// The default observer: accumulates [`RunStats`].
-#[derive(Debug, Clone)]
-pub struct StatsCollector {
-    stats: RunStats,
-    /// Open driver phases: (name, start instant).
-    open_phases: Vec<(&'static str, std::time::Instant)>,
-}
-
-impl Default for StatsCollector {
-    fn default() -> Self {
-        StatsCollector {
-            stats: RunStats {
-                worst_served_ratio: 1.0,
-                ..RunStats::default()
-            },
-            open_phases: Vec::new(),
+impl Default for SpanRecorder {
+    fn default() -> SpanRecorder {
+        SpanRecorder {
+            epoch: Instant::now(),
+            nodes: vec![Node {
+                stat: SpanStat::new("", None),
+                children: Vec::new(),
+            }],
+            open: Vec::new(),
         }
     }
 }
 
-impl StatsCollector {
-    pub fn finish(self) -> RunStats {
-        self.stats
-    }
-}
-
-impl Instrumentation for StatsCollector {
-    fn on_phase_start(&mut self, phase: &'static str) {
-        self.open_phases.push((phase, std::time::Instant::now()));
+impl SpanRecorder {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn on_phase_end(&mut self, phase: &'static str) {
-        if let Some((name, started)) = self.open_phases.pop() {
-            debug_assert_eq!(name, phase, "phase markers must nest");
-            *self.stats.phases.entry(name).or_default() += started.elapsed();
-        }
+    /// [`Instrumentation::enter`] at a given clock reading, in ns since
+    /// the recorder was created.
+    pub(crate) fn enter_at(&mut self, span: &'static str, now_ns: u64) {
+        let parent = self.open.last().map_or(0, |&(node, _)| node);
+        let found = self.nodes[parent]
+            .children
+            .iter()
+            .copied()
+            .find(|&c| self.nodes[c].stat.name == span);
+        let node = found.unwrap_or_else(|| {
+            let idx = self.nodes.len();
+            let parent_stat = parent.checked_sub(1);
+            self.nodes.push(Node {
+                stat: SpanStat::new(span, parent_stat),
+                children: Vec::new(),
+            });
+            self.nodes[parent].children.push(idx);
+            idx
+        });
+        self.open.push((node, now_ns));
     }
 
-    fn on_subsystem_tick(&mut self, subsystem: &'static str, _t: SimTime, wall: Duration) {
-        let s = self.stats.subsystems.entry(subsystem).or_default();
-        s.ticks += 1;
-        s.wall += wall;
-    }
-
-    fn on_letter_load(&mut self, _t: SimTime, _letter: Letter, offered_qps: f64, served_qps: f64) {
-        if offered_qps > self.stats.peak_offered_qps {
-            self.stats.peak_offered_qps = offered_qps;
-        }
-        if offered_qps > 0.0 {
-            let ratio = served_qps / offered_qps;
-            if ratio < self.stats.worst_served_ratio {
-                self.stats.worst_served_ratio = ratio;
+    /// [`Instrumentation::exit`] at a given clock reading.
+    pub(crate) fn exit_at(&mut self, span: &'static str, now_ns: u64) {
+        match self.open.pop() {
+            Some((node, start)) => {
+                debug_assert_eq!(self.nodes[node].stat.name, span, "spans must nest");
+                self.nodes[node].stat.record(now_ns.saturating_sub(start));
             }
+            None => debug_assert!(false, "exit {span:?} without an enter"),
         }
     }
 
-    fn on_queue_depth(&mut self, _t: SimTime, letter: Letter, site: &str, delay: SimDuration) {
-        let deeper = match &self.stats.deepest_queue {
-            Some((_, _, best)) => delay > *best,
-            None => true,
-        };
-        if deeper {
-            self.stats.deepest_queue = Some((letter, site.to_string(), delay));
+    /// Freeze the aggregate. Spans still open are closed at the current
+    /// instant, so the profile stays well-formed.
+    pub fn finish(mut self) -> SpanProfile {
+        let now = self.now_ns();
+        while let Some(&(node, _)) = self.open.last() {
+            let name = self.nodes[node].stat.name;
+            self.exit_at(name, now);
         }
+        SpanProfile::new(self.nodes.into_iter().skip(1).map(|n| n.stat).collect())
+    }
+}
+
+impl Instrumentation for SpanRecorder {
+    fn enter(&mut self, span: &'static str) {
+        let now = self.now_ns();
+        self.enter_at(span, now);
     }
 
-    fn on_policy_transition(&mut self, _t: SimTime, _letter: Letter, changes: &RoutingChanges) {
-        self.stats.policy_transitions += changes.len() as u64;
-    }
-
-    fn on_fault(&mut self, _t: SimTime, fault: &InjectedFault) {
-        self.stats.faults.push(fault.clone());
+    fn exit(&mut self, span: &'static str) {
+        let now = self.now_ns();
+        self.exit_at(span, now);
     }
 }
 
@@ -181,63 +127,90 @@ impl Instrumentation for StatsCollector {
 mod tests {
     use super::*;
 
+    /// Enter `path`'s spans at `start` and exit them all at `end`.
+    fn span(rec: &mut SpanRecorder, path: &[&'static str], start: u64, end: u64) {
+        for &name in path {
+            rec.enter_at(name, start);
+        }
+        for &name in path.iter().rev() {
+            rec.exit_at(name, end);
+        }
+    }
+
     #[test]
     fn collector_accumulates_ticks_and_extremes() {
-        let mut c = StatsCollector::default();
-        c.on_subsystem_tick("fluid", SimTime::from_mins(1), Duration::from_micros(5));
-        c.on_subsystem_tick("fluid", SimTime::from_mins(2), Duration::from_micros(7));
-        c.on_subsystem_tick("probes", SimTime::from_mins(1), Duration::from_micros(3));
-        c.on_letter_load(SimTime::from_mins(1), Letter::K, 1000.0, 900.0);
-        c.on_letter_load(SimTime::from_mins(2), Letter::K, 5000.0, 1000.0);
-        c.on_queue_depth(
-            SimTime::from_mins(2),
-            Letter::K,
-            "AMS",
-            SimDuration::from_millis(1500),
+        let mut rec = SpanRecorder::default();
+        rec.enter_at("drive", 0);
+        span(&mut rec, &["fluid"], 0, 5_000);
+        span(&mut rec, &["fluid"], 5_000, 12_000);
+        span(&mut rec, &["probes"], 12_000, 15_000);
+        rec.exit_at("drive", 20_000);
+        let spans = rec.finish();
+        let fluid = spans.get("drive/fluid").expect("fluid span");
+        assert_eq!(
+            (fluid.count, fluid.total_ns, fluid.max_ns),
+            (2, 12_000, 7_000)
         );
-        c.on_queue_depth(
-            SimTime::from_mins(3),
-            Letter::K,
-            "NRT",
-            SimDuration::from_millis(200),
-        );
-        let stats = c.finish();
-        assert_eq!(stats.subsystems["fluid"].ticks, 2);
-        assert_eq!(stats.subsystems["probes"].ticks, 1);
-        assert_eq!(stats.total_ticks(), 3);
-        assert_eq!(stats.subsystems["fluid"].wall, Duration::from_micros(12));
-        assert_eq!(stats.peak_offered_qps, 5000.0);
-        assert!((stats.worst_served_ratio - 0.2).abs() < 1e-12);
-        let (l, site, d) = stats.deepest_queue.unwrap();
-        assert_eq!((l, site.as_str()), (Letter::K, "AMS"));
-        assert_eq!(d, SimDuration::from_millis(1500));
+        assert_eq!(spans.get("drive/probes").map(|s| s.count), Some(1));
+        assert_eq!(spans.get("drive").map(|s| s.total_ns), Some(20_000));
+        assert_eq!(spans.ticks("fluid"), 2);
+        assert_eq!(spans.ticks("faults"), 0);
     }
 
     #[test]
     fn collector_accumulates_phase_wall_time() {
-        let mut c = StatsCollector::default();
-        c.on_phase_start("drive");
-        c.on_phase_end("drive");
-        c.on_phase_start("drive");
-        c.on_phase_end("drive");
-        let stats = c.finish();
-        assert_eq!(stats.phases.len(), 1);
-        assert!(stats.phases.contains_key("drive"));
+        let mut rec = SpanRecorder::default();
+        rec.enter("drive");
+        rec.exit("drive");
+        rec.enter("drive");
+        rec.exit("drive");
+        let spans = rec.finish();
+        assert_eq!(spans.stats().len(), 1);
+        assert_eq!(spans.get("drive").map(|s| s.count), Some(2));
+    }
+
+    #[test]
+    fn nested_paths_aggregate_count_total_and_max() {
+        let mut rec = SpanRecorder::default();
+        for (start, end) in [(0, 100), (100, 400), (400, 450)] {
+            span(&mut rec, &["drive", "probes", "execute"], start, end);
+        }
+        // The same name under another parent is another path.
+        span(&mut rec, &["finalize", "execute"], 450, 460);
+        let spans = rec.finish();
+        let exec = spans.get("drive/probes/execute").expect("nested span");
+        assert_eq!((exec.count, exec.total_ns, exec.max_ns), (3, 450, 300));
+        assert_eq!(spans.get("finalize/execute").map(|s| s.total_ns), Some(10));
+        assert!(spans.get("probes").is_none(), "paths are rooted");
+        assert_eq!(spans.stats().len(), 5);
+    }
+
+    #[test]
+    fn repeated_path_allocates_no_new_node() {
+        let mut rec = SpanRecorder::default();
+        span(&mut rec, &["drive", "probes", "record"], 0, 1);
+        let (paths, nodes_cap, open_cap) =
+            (rec.nodes.len(), rec.nodes.capacity(), rec.open.capacity());
+        let children_caps: Vec<usize> = rec.nodes.iter().map(|n| n.children.capacity()).collect();
+        for t in 1..1_000 {
+            span(&mut rec, &["drive", "probes", "record"], t, t + 1);
+        }
+        assert_eq!(rec.nodes.len(), paths);
+        assert_eq!(rec.nodes.capacity(), nodes_cap);
+        assert_eq!(rec.open.capacity(), open_cap);
+        let after: Vec<usize> = rec.nodes.iter().map(|n| n.children.capacity()).collect();
+        assert_eq!(after, children_caps);
+        assert_eq!(
+            rec.finish().get("drive/probes/record").map(|s| s.count),
+            Some(1_000)
+        );
     }
 
     #[test]
     fn noop_observer_compiles_all_hooks() {
         let mut n = NoopInstrumentation;
-        n.on_subsystem_tick("x", SimTime::ZERO, Duration::ZERO);
-        n.on_letter_load(SimTime::ZERO, Letter::A, 1.0, 1.0);
-        n.on_queue_depth(SimTime::ZERO, Letter::A, "AMS", SimDuration::ZERO);
-        n.on_fault(
-            SimTime::ZERO,
-            &InjectedFault {
-                at: SimTime::ZERO,
-                action: crate::engine::faults::FaultAction::Inject,
-                description: "rssac-gap H".into(),
-            },
-        );
+        let obs: &mut dyn Instrumentation = &mut n;
+        obs.enter("drive");
+        obs.exit("drive");
     }
 }

@@ -42,18 +42,17 @@ pub use faults::{
     ProbeAction,
 };
 pub use fluid::FluidTraffic;
-pub use instrument::{Instrumentation, NoopInstrumentation, RunStats, StatsCollector};
+pub use instrument::{Instrumentation, NoopInstrumentation, SpanRecorder};
 pub use maintenance::MaintenanceChurn;
 pub use metrics::{engine_registry, render_metrics};
 pub use probes::ProbeWheel;
-pub use profile::{PhaseSpan, Profiler, RunProfile, SubsystemProfile, TickSpan};
+pub use profile::{SpanProfile, SpanStat};
 pub use resolvers::ResolverRefresh;
 pub use rssac::RssacAccounting;
 pub use trace::{EventTrace, TraceConfig, TraceEvent, TraceEventKind, TraceSnapshot};
 pub use world::{FluidScratch, SimWorld, Substrate};
 
 use rootcast_netsim::{EventQueue, SimTime};
-use std::time::Instant;
 
 /// One engine-driven activity.
 ///
@@ -62,7 +61,8 @@ use std::time::Instant;
 /// [`tick`](Subsystem::tick). Wake-ups are absolute instants; returning
 /// an empty vector parks the subsystem for the rest of the run.
 pub trait Subsystem {
-    /// Stable name, used for instrumentation and diagnostics.
+    /// Stable name: the span [`drive`] wraps each tick in, and the
+    /// diagnostics label.
     fn name(&self) -> &'static str;
 
     /// Wake-ups to seed the schedule with at the start of the run.
@@ -80,7 +80,8 @@ pub trait Subsystem {
     }
 }
 
-/// Drive `subsystems` against `world` until `horizon`.
+/// Drive `subsystems` against `world` until `horizon`, each tick inside
+/// a span named after its subsystem.
 ///
 /// Subsystems scheduled for the same instant tick in FIFO order of
 /// scheduling, which makes the seeding order in `subsystems` the
@@ -98,11 +99,9 @@ pub fn drive(world: &mut SimWorld, subsystems: &mut [Box<dyn Subsystem>], horizo
     }
     while let Some((t, idx)) = queue.pop_until(horizon) {
         let sub = &mut subsystems[idx];
-        let started = Instant::now();
+        world.obs.enter(sub.name());
         let wakeups = sub.tick(world, t);
-        world
-            .obs
-            .on_subsystem_tick(sub.name(), t, started.elapsed());
+        world.obs.exit(sub.name());
         for w in wakeups {
             assert!(w > t, "{} scheduled a non-advancing wakeup", sub.name());
             if w <= horizon {

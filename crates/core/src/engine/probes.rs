@@ -144,7 +144,10 @@ impl Subsystem for ProbeWheel {
         vec![SimTime::ZERO + SimDuration::from_mins(1)]
     }
 
+    /// Executes the slot's probes in parallel inside an `execute` span,
+    /// then merges them into the pipeline serially inside `record`.
     fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
+        world.obs.enter("execute");
         let minute = t.as_secs() / 60;
         // Partition this slot's work per letter, preserving VP order.
         let mut per_letter: Vec<Vec<u32>> = vec![Vec::new(); world.letters.len()];
@@ -188,6 +191,8 @@ impl Subsystem for ProbeWheel {
                         .collect()
                 })
                 .collect();
+            world.obs.exit("execute");
+            world.obs.enter("record");
             for (i, letter_obs) in results.into_iter().enumerate() {
                 let letter = world.letters[i];
                 world
@@ -252,6 +257,8 @@ impl Subsystem for ProbeWheel {
                         .collect()
                 })
                 .collect();
+            world.obs.exit("execute");
+            world.obs.enter("record");
             for (i, letter_obs) in results.into_iter().enumerate() {
                 let letter = world.letters[i];
                 world
@@ -269,6 +276,7 @@ impl Subsystem for ProbeWheel {
                 }
             }
         }
+        world.obs.exit("record");
         vec![t + SimDuration::from_mins(1)]
     }
 }

@@ -1,233 +1,172 @@
-//! The run profiler: per-phase and per-subsystem wall-clock timing,
-//! rendered as a breakdown table or exported as chrome://tracing
+//! The frozen span aggregate a run hands out as
+//! [`SimOutput::spans`](crate::sim::SimOutput::spans): count, total and
+//! max wall time per span path (`build_world`, `drive/probes/execute`,
+//! ...), rendered as a breakdown table or exported as chrome://tracing
 //! trace-event JSON.
 //!
-//! [`Profiler`] is an [`Instrumentation`] observer — it watches phase
-//! markers and subsystem ticks without touching simulation state, so a
-//! profiled run's outputs stay bit-identical to an unprofiled one. The
-//! finished [`RunProfile`] renders two ways:
-//!
-//! * [`RunProfile::breakdown`] — text tables of phase and subsystem
-//!   wall time for terminal inspection;
-//! * [`RunProfile::chrome_trace`] — a trace-event JSON array (`B`/`E`
-//!   phase pairs plus `X` complete events for ticks, timestamps in
-//!   microseconds) that loads directly into `chrome://tracing`,
-//!   Perfetto, or `scripts/trace.sh`.
+//! Wall times are host measurements and vary run to run; span paths and
+//! counts are a pure function of the scenario.
 
-use crate::engine::instrument::Instrumentation;
 use crate::render::TextTable;
-use rootcast_netsim::SimTime;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One driver phase (`build_world`, `drive`, `finalize`) as a closed
-/// begin/end interval on the profiler's wall clock, microseconds since
-/// the profiler was armed.
+/// Aggregate of one span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseSpan {
+pub struct SpanStat {
+    /// The span's own name: the last segment of its path.
     pub name: &'static str,
-    pub start_us: u64,
-    pub end_us: u64,
+    /// Index of the enclosing span in [`SpanProfile::stats`]; `None`
+    /// for a top-level span.
+    pub parent: Option<usize>,
+    /// Times the span was entered and exited.
+    pub count: u64,
+    /// Wall time summed over every entry.
+    pub total_ns: u64,
+    /// Longest single entry.
+    pub max_ns: u64,
 }
 
-impl PhaseSpan {
-    pub fn wall(&self) -> Duration {
-        Duration::from_micros(self.end_us - self.start_us)
-    }
-}
-
-/// One subsystem tick as a complete span: which subsystem, at which
-/// simulated instant, over which wall interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TickSpan {
-    pub subsystem: &'static str,
-    pub t: SimTime,
-    pub start_us: u64,
-    pub dur_us: u64,
-}
-
-/// The profiling observer. Arm it, pass it to
-/// [`run_observed`](crate::sim::run_observed) (or use
-/// [`run_profiled`](crate::sim::run_profiled), which combines it with
-/// the default stats collector), then call [`Profiler::finish`].
-#[derive(Debug)]
-pub struct Profiler {
-    armed: Instant,
-    open: Vec<(&'static str, u64)>,
-    phases: Vec<PhaseSpan>,
-    ticks: Vec<TickSpan>,
-}
-
-impl Default for Profiler {
-    fn default() -> Profiler {
-        Profiler {
-            armed: Instant::now(),
-            open: Vec::new(),
-            phases: Vec::new(),
-            ticks: Vec::new(),
-        }
-    }
-}
-
-impl Profiler {
-    fn now_us(&self) -> u64 {
-        self.armed.elapsed().as_micros() as u64
-    }
-
-    /// Close out and return the profile. Unclosed phases (a panic path)
-    /// are closed at the current instant so the export stays well-formed.
-    pub fn finish(mut self) -> RunProfile {
-        let now = self.now_us();
-        while let Some((name, start_us)) = self.open.pop() {
-            self.phases.push(PhaseSpan {
-                name,
-                start_us,
-                end_us: now,
-            });
-        }
-        RunProfile {
-            phases: self.phases,
-            ticks: self.ticks,
-        }
-    }
-}
-
-impl Instrumentation for Profiler {
-    fn on_phase_start(&mut self, phase: &'static str) {
-        let now = self.now_us();
-        self.open.push((phase, now));
-    }
-
-    fn on_phase_end(&mut self, phase: &'static str) {
-        let now = self.now_us();
-        match self.open.pop() {
-            Some((name, start_us)) => {
-                debug_assert_eq!(name, phase, "phase markers must nest");
-                self.phases.push(PhaseSpan {
-                    name,
-                    start_us,
-                    end_us: now,
-                });
-            }
-            None => debug_assert!(false, "phase end {phase:?} without a start"),
+impl SpanStat {
+    pub(crate) fn new(name: &'static str, parent: Option<usize>) -> SpanStat {
+        SpanStat {
+            name,
+            parent,
+            count: 0,
+            total_ns: 0,
+            max_ns: 0,
         }
     }
 
-    fn on_subsystem_tick(&mut self, subsystem: &'static str, t: SimTime, wall: Duration) {
-        let end = self.now_us();
-        let dur_us = wall.as_micros() as u64;
-        self.ticks.push(TickSpan {
-            subsystem,
-            t,
-            start_us: end.saturating_sub(dur_us),
-            dur_us,
-        });
+    pub(crate) fn record(&mut self, ns: u64) {
+        self.count += 1;
+        self.total_ns += ns;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
+    pub fn total(&self) -> Duration {
+        Duration::from_nanos(self.total_ns)
     }
 }
 
-/// Per-subsystem aggregate over a profiled run.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct SubsystemProfile {
-    pub ticks: u64,
-    pub wall: Duration,
-    pub max_tick: Duration,
+/// Every span path of a run, parents before children, siblings in the
+/// order they were first entered.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanProfile {
+    stats: Vec<SpanStat>,
+    /// `/`-joined path of each entry of `stats`.
+    paths: Vec<String>,
 }
 
-/// The finished profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunProfile {
-    /// Driver phases in completion order.
-    pub phases: Vec<PhaseSpan>,
-    /// Every subsystem tick, in tick order.
-    pub ticks: Vec<TickSpan>,
-}
-
-impl RunProfile {
-    /// Aggregate tick spans per subsystem.
-    pub fn subsystems(&self) -> BTreeMap<&'static str, SubsystemProfile> {
-        let mut agg: BTreeMap<&'static str, SubsystemProfile> = BTreeMap::new();
-        for tick in &self.ticks {
-            let s = agg.entry(tick.subsystem).or_default();
-            s.ticks += 1;
-            let d = Duration::from_micros(tick.dur_us);
-            s.wall += d;
-            if d > s.max_tick {
-                s.max_tick = d;
-            }
-        }
-        agg
-    }
-
-    /// Render the phase and subsystem breakdown as text tables.
-    pub fn breakdown(&self) -> Vec<TextTable> {
-        let mut phases = TextTable::new("Run phases", &["phase", "wall ms"]);
-        for p in &self.phases {
-            phases.row(vec![
-                p.name.to_string(),
-                format!("{:.2}", p.wall().as_secs_f64() * 1e3),
-            ]);
-        }
-        let mut subs = TextTable::new(
-            "Subsystem wall time",
-            &["subsystem", "ticks", "total ms", "mean µs", "max µs"],
-        );
-        for (name, s) in self.subsystems() {
-            let mean_us = if s.ticks > 0 {
-                s.wall.as_micros() as f64 / s.ticks as f64
-            } else {
-                0.0
+impl SpanProfile {
+    pub(crate) fn new(stats: Vec<SpanStat>) -> SpanProfile {
+        let mut paths: Vec<String> = Vec::with_capacity(stats.len());
+        for s in &stats {
+            let path = match s.parent {
+                Some(p) => format!("{}/{}", paths[p], s.name),
+                None => s.name.to_string(),
             };
-            subs.row(vec![
-                name.to_string(),
-                s.ticks.to_string(),
-                format!("{:.2}", s.wall.as_secs_f64() * 1e3),
-                format!("{mean_us:.1}"),
-                s.max_tick.as_micros().to_string(),
-            ]);
+            paths.push(path);
         }
-        vec![phases, subs]
+        SpanProfile { stats, paths }
     }
 
-    /// Export as a chrome://tracing trace-event JSON array: one `B`/`E`
-    /// pair per phase, one `X` complete event per subsystem tick (its
-    /// `args` carry the simulated instant), sorted by timestamp.
+    pub fn stats(&self) -> &[SpanStat] {
+        &self.stats
+    }
+
+    /// The `/`-joined path of `stats()[i]`.
+    pub fn path(&self, i: usize) -> &str {
+        &self.paths[i]
+    }
+
+    /// The aggregate for `path`, e.g. `"drive/probes/execute"`.
+    pub fn get(&self, path: &str) -> Option<&SpanStat> {
+        let i = self.paths.iter().position(|p| p == path)?;
+        Some(&self.stats[i])
+    }
+
+    /// Ticks of the engine subsystem `name` (the count of
+    /// `drive/<name>`); 0 when it never ticked.
+    pub fn ticks(&self, subsystem: &str) -> u64 {
+        self.get(&format!("drive/{subsystem}"))
+            .map_or(0, |s| s.count)
+    }
+
+    /// The breakdown as one text table, one row per path in
+    /// [`stats`](Self::stats) order, with each span's share of its
+    /// parent's wall time.
+    pub fn breakdown(&self) -> TextTable {
+        let mut table = TextTable::new(
+            "Where the time went",
+            &["span", "count", "total ms", "mean µs", "max µs", "% parent"],
+        );
+        for (s, path) in self.stats.iter().zip(&self.paths) {
+            let mean_us = s.total_ns as f64 / s.count.max(1) as f64 / 1e3;
+            let share = match s.parent {
+                Some(p) if self.stats[p].total_ns > 0 => {
+                    format!(
+                        "{:.1}",
+                        100.0 * s.total_ns as f64 / self.stats[p].total_ns as f64
+                    )
+                }
+                _ => "–".to_string(),
+            };
+            table.row(vec![
+                path.clone(),
+                s.count.to_string(),
+                format!("{:.2}", s.total_ns as f64 / 1e6),
+                format!("{mean_us:.1}"),
+                format!("{:.1}", s.max_ns as f64 / 1e3),
+                share,
+            ]);
+        }
+        table
+    }
+
+    /// Export as a chrome://tracing trace-event JSON array laid out as a
+    /// flame graph of the aggregate: one `X` event per span path, top
+    /// level spans back to back from 0, each child starting where its
+    /// previous sibling ended inside its parent, `dur` its total wall
+    /// time (clamped into the parent). `args` carry the path, the entry
+    /// count and the max. Timestamps are microseconds, sorted.
     pub fn chrome_trace(&self) -> String {
-        fn event(
-            name: &str,
-            ph: &str,
-            ts: u64,
-            tid: u64,
-            extra: impl FnOnce(&mut BTreeMap<String, Value>),
-        ) -> (u64, Value) {
+        let n = self.stats.len();
+        // (start, end) in ns; `cursor` is where the next child starts.
+        let mut span = vec![(0u64, 0u64); n];
+        let mut cursor = vec![0u64; n];
+        let mut top_cursor = 0u64;
+        // Parents precede their children in `stats`.
+        for (i, s) in self.stats.iter().enumerate() {
+            let (at, limit) = match s.parent {
+                Some(p) => (&mut cursor[p], span[p].1),
+                None => (&mut top_cursor, u64::MAX),
+            };
+            let start = (*at).min(limit);
+            let end = start.saturating_add(s.total_ns).min(limit);
+            *at = end;
+            span[i] = (start, end);
+            cursor[i] = start;
+        }
+        let mut events: Vec<(u64, Value)> = Vec::with_capacity(n);
+        for (i, s) in self.stats.iter().enumerate() {
+            let (ts, end) = (span[i].0 / 1_000, span[i].1 / 1_000);
+            let mut args = BTreeMap::new();
+            args.insert("path".into(), Value::String(self.paths[i].clone()));
+            args.insert("count".into(), Value::Number(s.count as f64));
+            args.insert("max_us".into(), Value::Number((s.max_ns / 1_000) as f64));
             let mut obj = BTreeMap::new();
-            obj.insert("name".into(), Value::String(name.to_string()));
-            obj.insert("ph".into(), Value::String(ph.to_string()));
+            obj.insert("name".into(), Value::String(s.name.to_string()));
+            obj.insert("ph".into(), Value::String("X".into()));
             obj.insert("ts".into(), Value::Number(ts as f64));
+            obj.insert("dur".into(), Value::Number((end - ts) as f64));
             obj.insert("pid".into(), Value::Number(1.0));
-            obj.insert("tid".into(), Value::Number(tid as f64));
-            extra(&mut obj);
-            (ts, Value::Object(obj))
+            obj.insert("tid".into(), Value::Number(1.0));
+            obj.insert("args".into(), Value::Object(args));
+            events.push((ts, Value::Object(obj)));
         }
-        // tid 1 = driver phases, tid 2 = subsystem ticks.
-        let mut events: Vec<(u64, Value)> = Vec::new();
-        for p in &self.phases {
-            events.push(event(p.name, "B", p.start_us, 1, |_| {}));
-            events.push(event(p.name, "E", p.end_us, 1, |_| {}));
-        }
-        for t in &self.ticks {
-            events.push(event(t.subsystem, "X", t.start_us, 2, |obj| {
-                obj.insert("dur".into(), Value::Number(t.dur_us as f64));
-                let mut args = BTreeMap::new();
-                args.insert(
-                    "sim_time_s".into(),
-                    Value::Number(t.t.as_nanos() as f64 / 1e9),
-                );
-                obj.insert("args".into(), Value::Object(args));
-            }));
-        }
-        // Stable sort: timestamps ascending, insertion order breaking
-        // ties, so a B at ts X stays ahead of its E at the same ts.
+        // Stable: a parent stays ahead of a child starting with it.
         events.sort_by_key(|&(ts, _)| ts);
         Value::Array(events.into_iter().map(|(_, v)| v).collect()).to_string()
     }
@@ -236,103 +175,121 @@ impl RunProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::instrument::SpanRecorder;
 
-    fn profile_fixture() -> RunProfile {
-        RunProfile {
-            phases: vec![
-                PhaseSpan {
-                    name: "build_world",
-                    start_us: 0,
-                    end_us: 1_000,
-                },
-                PhaseSpan {
-                    name: "drive",
-                    start_us: 1_000,
-                    end_us: 5_000,
-                },
-            ],
-            ticks: vec![
-                TickSpan {
-                    subsystem: "fluid",
-                    t: SimTime::from_mins(1),
-                    start_us: 1_100,
-                    dur_us: 300,
-                },
-                TickSpan {
-                    subsystem: "fluid",
-                    t: SimTime::from_mins(2),
-                    start_us: 2_000,
-                    dur_us: 500,
-                },
-                TickSpan {
-                    subsystem: "probes",
-                    t: SimTime::from_mins(1),
-                    start_us: 1_500,
-                    dur_us: 200,
-                },
-            ],
+    /// build_world, then a drive of two fluid and one probe tick (with
+    /// execute/record children), then finalize; times in ns.
+    fn profile_fixture() -> SpanProfile {
+        let mut rec = SpanRecorder::default();
+        rec.enter_at("build_world", 0);
+        rec.exit_at("build_world", 1_000_000);
+        rec.enter_at("drive", 1_000_000);
+        for (start, end) in [(1_100_000, 1_400_000), (2_000_000, 2_500_000)] {
+            rec.enter_at("fluid", start);
+            rec.exit_at("fluid", end);
         }
+        rec.enter_at("probes", 3_000_000);
+        rec.enter_at("execute", 3_000_000);
+        rec.exit_at("execute", 3_600_000);
+        rec.enter_at("record", 3_600_000);
+        rec.exit_at("record", 3_900_000);
+        rec.exit_at("probes", 4_000_000);
+        rec.exit_at("drive", 5_000_000);
+        rec.enter_at("finalize", 5_000_000);
+        rec.exit_at("finalize", 5_200_000);
+        rec.finish()
     }
 
     #[test]
     fn profiler_collects_nested_phases_and_ticks() {
-        let mut p = Profiler::default();
-        p.on_phase_start("drive");
-        p.on_subsystem_tick("fluid", SimTime::from_mins(1), Duration::from_micros(40));
-        p.on_phase_end("drive");
-        let profile = p.finish();
-        assert_eq!(profile.phases.len(), 1);
-        assert_eq!(profile.phases[0].name, "drive");
-        assert!(profile.phases[0].end_us >= profile.phases[0].start_us);
-        assert_eq!(profile.ticks.len(), 1);
-        assert_eq!(profile.ticks[0].dur_us, 40);
+        let p = profile_fixture();
+        let paths: Vec<&str> = (0..p.stats().len()).map(|i| p.path(i)).collect();
+        assert_eq!(
+            paths,
+            [
+                "build_world",
+                "drive",
+                "drive/fluid",
+                "drive/probes",
+                "drive/probes/execute",
+                "drive/probes/record",
+                "finalize"
+            ]
+        );
+        assert_eq!(p.ticks("fluid"), 2);
+        assert_eq!(p.ticks("probes"), 1);
+        let fluid = p.get("drive/fluid").expect("fluid");
+        assert_eq!(fluid.total(), Duration::from_micros(800));
+        assert_eq!(fluid.max_ns, 500_000);
+        assert_eq!(
+            p.get("drive/probes/execute").map(|s| s.total_ns),
+            Some(600_000)
+        );
     }
 
     #[test]
     fn finish_closes_dangling_phases() {
-        let mut p = Profiler::default();
-        p.on_phase_start("drive");
-        let profile = p.finish();
-        assert_eq!(profile.phases.len(), 1);
-        assert!(profile.phases[0].end_us >= profile.phases[0].start_us);
+        let mut rec = SpanRecorder::default();
+        rec.enter_at("drive", 0);
+        rec.enter_at("fluid", 0);
+        let p = rec.finish();
+        let (drive, fluid) = (
+            p.get("drive").expect("drive"),
+            p.get("drive/fluid").expect("fluid"),
+        );
+        assert_eq!((drive.count, fluid.count), (1, 1));
+        assert!(fluid.total_ns <= drive.total_ns);
     }
 
     #[test]
     fn breakdown_aggregates_subsystems() {
-        let profile = profile_fixture();
-        let subs = profile.subsystems();
-        assert_eq!(subs["fluid"].ticks, 2);
-        assert_eq!(subs["fluid"].wall, Duration::from_micros(800));
-        assert_eq!(subs["fluid"].max_tick, Duration::from_micros(500));
-        let tables = profile.breakdown();
-        assert_eq!(tables.len(), 2);
-        let s = tables[1].to_string();
-        assert!(s.contains("fluid"), "{s}");
-        assert!(s.contains("probes"), "{s}");
+        let table = profile_fixture().breakdown();
+        let rows: Vec<(&str, &str)> = table
+            .rows
+            .iter()
+            .map(|r| (r[0].as_str(), r[1].as_str()))
+            .collect();
+        assert_eq!(rows[2], ("drive/fluid", "2"));
+        assert_eq!(rows[4], ("drive/probes/execute", "1"));
+        assert_eq!(rows[6], ("finalize", "1"));
+        // fluid: 0.8 ms of a 4 ms drive; execute 0.6 of a 1 ms probe tick.
+        assert_eq!(table.rows[2][2], "0.80");
+        assert_eq!(table.rows[2][5], "20.0");
+        assert_eq!(table.rows[4][5], "60.0");
+        assert_eq!(table.rows[0][5], "–");
     }
 
     #[test]
     fn chrome_trace_is_sorted_and_balanced() {
-        let json = profile_fixture().chrome_trace();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        // Two phases -> two B and two E events; three ticks -> three X.
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
-        // Timestamps appear in non-decreasing order.
-        let ts: Vec<u64> = json
-            .split("\"ts\":")
-            .skip(1)
-            .map(|s| {
-                s.split(|c: char| !c.is_ascii_digit())
-                    .next()
-                    .unwrap()
-                    .parse()
-                    .unwrap()
-            })
-            .collect();
+        let p = profile_fixture();
+        let json = Value::parse(&p.chrome_trace()).expect("valid JSON");
+        let events = json.as_array().expect("array");
+        assert_eq!(events.len(), p.stats().len());
+        let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_f64).expect(k);
+        let ts: Vec<f64> = events.iter().map(|e| field(e, "ts")).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "unsorted ts: {ts:?}");
-        // Sim-time args ride along on the tick spans.
-        assert!(json.contains("\"sim_time_s\":60"));
+        let mut interval: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        for e in events {
+            let args = e.get("args").expect("args");
+            let path = args.get("path").and_then(Value::as_str).expect("path");
+            assert!(args.get("count").and_then(Value::as_f64).expect("count") >= 1.0);
+            assert!(field(e, "dur") >= 0.0);
+            interval.insert(
+                path.to_string(),
+                (field(e, "ts"), field(e, "ts") + field(e, "dur")),
+            );
+        }
+        for (path, (start, end)) in &interval {
+            if let Some((parent, _)) = path.rsplit_once('/') {
+                let (ps, pe) = interval[parent];
+                assert!(ps <= *start && *end <= pe, "{path} escapes {parent}");
+            }
+        }
+        // Flame layout: build_world then drive back to back; drive's
+        // first child starts with it.
+        assert_eq!(interval["build_world"], (0.0, 1_000.0));
+        assert_eq!(interval["drive"], (1_000.0, 5_000.0));
+        assert_eq!(interval["drive/fluid"], (1_000.0, 1_800.0));
+        assert_eq!(interval["drive/probes"], (1_800.0, 2_800.0));
     }
 }

@@ -32,12 +32,12 @@ pub mod sweep;
 pub use config::{ConfigError, ScenarioConfig, SiteOverride};
 pub use deployment::{nl_deployment, nov2015_deployments, LetterDeployment};
 pub use engine::{
-    render_metrics, FaultKind, FaultPlan, FaultSpec, Instrumentation, NoopInstrumentation,
-    Profiler, RunProfile, RunStats, Substrate, Subsystem, TraceConfig, TraceEvent, TraceEventKind,
-    TraceSnapshot,
+    render_metrics, FaultKind, FaultPlan, FaultSpec, InjectedFault, Instrumentation,
+    NoopInstrumentation, SpanProfile, SpanRecorder, SpanStat, Substrate, Subsystem, TraceConfig,
+    TraceEvent, TraceEventKind, TraceSnapshot,
 };
 pub use error::{AnalysisError, RootcastError, SweepError};
-pub use sim::{run, run_observed, run_profiled, run_with_substrate, SimOutput};
+pub use sim::{run, run_with_substrate, SimOutput};
 pub use sweep::{
     output_digest, run_sweep, run_sweep_with, ConfigPatch, SeedMode, SweepAxis, SweepOptions,
     SweepPlan, SweepRecord, SweepReport, SweepRun,

@@ -37,8 +37,8 @@ use crate::deployment::{self, LetterDeployment};
 use crate::engine::metrics::keys;
 use crate::engine::Substrate;
 use crate::engine::{
-    drive, FaultInjector, FluidTraffic, Instrumentation, MaintenanceChurn, ProbeWheel, Profiler,
-    ResolverRefresh, RssacAccounting, RunProfile, RunStats, SimWorld, StatsCollector, Subsystem,
+    drive, FaultInjector, FluidTraffic, InjectedFault, Instrumentation, MaintenanceChurn,
+    ProbeWheel, ResolverRefresh, RssacAccounting, SimWorld, SpanProfile, SpanRecorder, Subsystem,
     TraceSnapshot,
 };
 use crate::error::RootcastError;
@@ -74,78 +74,72 @@ pub struct SimOutput {
     pub probe_interval: SimDuration,
     /// A-root's (slower) probe interval.
     pub a_probe_interval: SimDuration,
-    /// Engine instrumentation summary (tick counts, wall time, load
-    /// extremes). Empty when the run used a custom observer.
-    pub run_stats: RunStats,
-    /// Every engine metric, frozen at the end of the run (see
-    /// [`metrics::keys`](crate::engine::metrics::keys) for the catalog).
+    /// What happened: every engine metric, frozen at the end of the run
+    /// (see [`metrics::keys`](crate::engine::metrics::keys) for the
+    /// catalog).
     pub metrics: MetricsSnapshot,
-    /// The structured event trace (empty unless
+    /// When it happened: the structured event trace (empty unless
     /// [`ScenarioConfig::trace`] enabled it).
     pub trace: TraceSnapshot,
+    /// Where the wall time went: count, total and max per span path
+    /// (`build_world`, `drive/<subsystem>`, `drive/probes/execute`,
+    /// `finalize`, ...).
+    pub spans: SpanProfile,
+    /// Every fault transition the injector applied, in order: the run's
+    /// injected-fault ledger.
+    pub faults: Vec<InjectedFault>,
 }
 
-/// Run the scenario to completion with the default stats-collecting
-/// observer. Fails fast with a typed error when the configuration
-/// breaks an invariant ([`ScenarioConfig::validate`]).
+/// Run the scenario to completion. Fails fast with a typed error when
+/// the configuration breaks an invariant ([`ScenarioConfig::validate`]).
 pub fn run(cfg: &ScenarioConfig) -> Result<SimOutput, RootcastError> {
-    let mut stats = StatsCollector::default();
-    let mut out = run_observed(cfg, &mut stats)?;
-    out.run_stats = stats.finish();
-    Ok(out)
-}
-
-/// Run the scenario with a caller-supplied [`Instrumentation`]
-/// observer. The observer sees the run but cannot influence it: outputs
-/// are bit-identical for any observer.
-pub fn run_observed(
-    cfg: &ScenarioConfig,
-    obs: &mut dyn Instrumentation,
-) -> Result<SimOutput, RootcastError> {
     cfg.validate()?;
-    let rng_factory = SimRng::new(cfg.seed);
-    obs.on_phase_start("build_world");
-    let world = SimWorld::build(cfg, &rng_factory, obs)?;
-    world.obs.on_phase_end("build_world");
-    drive_world(world)
+    let mut spans = SpanRecorder::default();
+    spans.enter("build_world");
+    spans.enter("substrate");
+    let substrate = Substrate::build(cfg);
+    spans.exit("substrate");
+    run_recorded(cfg, &substrate, spans)
 }
 
 /// Run the scenario over a prebuilt shared [`Substrate`] (topology,
 /// deployments, baseline RIBs, botnet, fleet, calibration), paying only
-/// the per-run build cost. `SimWorld::build` is exactly
-/// `Substrate::build` + `SimWorld::from_substrate`, so the output is
-/// bit-identical to [`run`] on the same config — the sweep runner's
-/// determinism contract rests on this single shared build path. Fails
-/// with a typed error when the substrate was built for different
-/// substrate knobs ([`ScenarioConfig::substrate_key`]) or an override
-/// names an unknown site.
+/// the per-run build cost. [`run`] is exactly `Substrate::build`
+/// followed by this, so the output is bit-identical to [`run`] on the
+/// same config — the sweep runner's determinism contract rests on this
+/// single shared build path. Fails with a typed error when the
+/// substrate was built for different substrate knobs
+/// ([`ScenarioConfig::substrate_key`]) or an override names an unknown
+/// site.
 pub fn run_with_substrate(
     cfg: &ScenarioConfig,
     substrate: &Substrate,
 ) -> Result<SimOutput, RootcastError> {
-    let mut stats = StatsCollector::default();
-    let mut out = run_observed_with_substrate(cfg, substrate, &mut stats)?;
-    out.run_stats = stats.finish();
+    cfg.validate()?;
+    let mut spans = SpanRecorder::default();
+    spans.enter("build_world");
+    run_recorded(cfg, substrate, spans)
+}
+
+/// The common back half of both entry points: stamp out the world
+/// inside the open `build_world` span, drive it, and freeze the spans.
+fn run_recorded(
+    cfg: &ScenarioConfig,
+    substrate: &Substrate,
+    mut spans: SpanRecorder,
+) -> Result<SimOutput, RootcastError> {
+    let rng_factory = SimRng::new(cfg.seed);
+    let world = SimWorld::from_substrate(cfg, &rng_factory, substrate, &mut spans)?;
+    world.obs.exit("build_world");
+    let mut out = drive_world(world);
+    out.spans = spans.finish();
     Ok(out)
 }
 
-/// [`run_with_substrate`] with a caller-supplied observer.
-pub fn run_observed_with_substrate(
-    cfg: &ScenarioConfig,
-    substrate: &Substrate,
-    obs: &mut dyn Instrumentation,
-) -> Result<SimOutput, RootcastError> {
-    cfg.validate()?;
-    let rng_factory = SimRng::new(cfg.seed);
-    obs.on_phase_start("build_world");
-    let world = SimWorld::from_substrate(cfg, &rng_factory, substrate, obs)?;
-    world.obs.on_phase_end("build_world");
-    drive_world(world)
-}
-
-/// Drive a built world to completion and package the output: the common
-/// back half of every entry point.
-fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
+/// Drive a built world to completion and package the output. The
+/// world's observer sees `drive` and `finalize`; the caller fills in
+/// [`SimOutput::spans`] once the observer is released.
+fn drive_world(mut world: SimWorld<'_>) -> SimOutput {
     let cfg = world.cfg;
     let rng_factory = world.rng_factory;
     // Seeding order is the same-instant tie-break: accounting must
@@ -165,143 +159,99 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
             cfg.faults.clone(),
         )),
     ];
-    world.obs.on_phase_start("drive");
+    world.obs.enter("drive");
     drive(&mut world, &mut subsystems, cfg.horizon);
-    world.obs.on_phase_end("drive");
-
-    world.obs.on_phase_start("finalize");
-    world.pipeline.finalize();
-
-    // End-of-run metric settlement: stats accumulated inside the lower
-    // layers (pipeline outcomes, scratch-buffer reuse, fleet cleaning)
-    // are copied into the registry so the snapshot is the one place to
-    // look.
-    let outcomes = world.pipeline.outcome_stats();
-    world.metrics.inc(keys::PROBES_SITE, outcomes.site);
-    world.metrics.inc(keys::PROBES_TIMEOUT, outcomes.timeout);
-    world.metrics.inc(keys::PROBES_ERROR, outcomes.error);
-    world.metrics.inc(keys::PROBES_MISSED, outcomes.missed);
-    let kept = world.cleaning.kept_count();
-    world.metrics.set_gauge(keys::VPS_KEPT, kept as f64);
-    world
-        .metrics
-        .set_gauge(keys::VPS_DROPPED, (world.fleet.len() - kept) as f64);
-    let (reuses, allocs) = world.services.iter().fold((0, 0), |(r, a), svc| {
-        let (r2, a2) = svc.scratch_stats();
-        (r + r2, a + a2)
-    });
-    world.metrics.inc(keys::BGP_SCRATCH_REUSES, reuses);
-    world.metrics.inc(keys::BGP_SCRATCH_ALLOCS, allocs);
-    world
-        .metrics
-        .inc(keys::TRACE_EVENTS_DROPPED, world.trace.dropped_events());
-    let metrics = world.metrics.snapshot();
-    let trace = world.trace.snapshot();
-    world.obs.on_phase_end("finalize");
-
-    let SimWorld {
-        graph,
-        letters,
-        services,
-        nl_index,
-        cleaning,
-        pipeline,
-        collectors,
-        rssac,
-        rssac_baseline,
-        nl_series,
-        deployments,
-        ..
-    } = world;
-
-    let nl_sites = nl_index
-        .map(|ni| {
-            services[ni]
-                .sites()
-                .iter()
-                .zip(nl_series)
-                .map(|(s, series)| (s.spec.code.clone(), series))
-                .collect()
-        })
-        .unwrap_or_default();
-
-    Ok(SimOutput {
-        letters,
-        pipeline,
-        n_vps_kept: cleaning.kept_count(),
-        cleaning,
-        collectors,
-        rssac,
-        rssac_baseline,
-        nl_sites,
-        deployments,
-        attack: cfg.attack.clone(),
-        horizon: cfg.horizon,
-        n_ases: graph.len(),
-        probe_interval: cfg.probe_interval,
-        a_probe_interval: cfg.a_probe_interval,
-        run_stats: RunStats::default(),
-        metrics,
-        trace,
-    })
+    world.obs.exit("drive");
+    world.into_output()
 }
 
-/// Run the scenario with both the default stats collector and the
-/// [`Profiler`], returning the output alongside the finished
-/// [`RunProfile`] (phase/tick wall times, chrome://tracing export).
-/// Profiling is observation only: the output is bit-identical to
-/// [`run`]'s.
-pub fn run_profiled(cfg: &ScenarioConfig) -> Result<(SimOutput, RunProfile), RootcastError> {
-    /// Tee every hook into the stats collector and the profiler.
-    struct Tee {
-        stats: StatsCollector,
-        profiler: Profiler,
-    }
+impl SimWorld<'_> {
+    /// Finalize a driven world into its [`SimOutput`], inside a
+    /// `finalize` span: close the measurement pipeline, settle the
+    /// end-of-run metrics and freeze every record. [`SimOutput::spans`]
+    /// is left empty — the observer is still borrowed by the world —
+    /// and [`run`] fills it in from its recorder.
+    pub fn into_output(self) -> SimOutput {
+        let mut world = self;
+        let cfg = world.cfg;
+        world.obs.enter("finalize");
+        world.pipeline.finalize();
 
-    impl Instrumentation for Tee {
-        fn on_phase_start(&mut self, phase: &'static str) {
-            self.stats.on_phase_start(phase);
-            self.profiler.on_phase_start(phase);
-        }
-        fn on_phase_end(&mut self, phase: &'static str) {
-            self.stats.on_phase_end(phase);
-            self.profiler.on_phase_end(phase);
-        }
-        fn on_subsystem_tick(
-            &mut self,
-            subsystem: &'static str,
-            t: SimTime,
-            wall: std::time::Duration,
-        ) {
-            self.stats.on_subsystem_tick(subsystem, t, wall);
-            self.profiler.on_subsystem_tick(subsystem, t, wall);
-        }
-        fn on_letter_load(&mut self, t: SimTime, letter: Letter, offered: f64, served: f64) {
-            self.stats.on_letter_load(t, letter, offered, served);
-        }
-        fn on_queue_depth(&mut self, t: SimTime, letter: Letter, site: &str, delay: SimDuration) {
-            self.stats.on_queue_depth(t, letter, site, delay);
-        }
-        fn on_policy_transition(
-            &mut self,
-            t: SimTime,
-            letter: Letter,
-            changes: &rootcast_anycast::RoutingChanges,
-        ) {
-            self.stats.on_policy_transition(t, letter, changes);
-        }
-        fn on_fault(&mut self, t: SimTime, fault: &crate::engine::InjectedFault) {
-            self.stats.on_fault(t, fault);
+        // End-of-run metric settlement: stats accumulated inside the lower
+        // layers (pipeline outcomes, scratch-buffer reuse, fleet cleaning)
+        // are copied into the registry so the snapshot is the one place to
+        // look.
+        let outcomes = world.pipeline.outcome_stats();
+        world.metrics.inc(keys::PROBES_SITE, outcomes.site);
+        world.metrics.inc(keys::PROBES_TIMEOUT, outcomes.timeout);
+        world.metrics.inc(keys::PROBES_ERROR, outcomes.error);
+        world.metrics.inc(keys::PROBES_MISSED, outcomes.missed);
+        let kept = world.cleaning.kept_count();
+        world.metrics.set_gauge(keys::VPS_KEPT, kept as f64);
+        world
+            .metrics
+            .set_gauge(keys::VPS_DROPPED, (world.fleet.len() - kept) as f64);
+        let (reuses, allocs) = world.services.iter().fold((0, 0), |(r, a), svc| {
+            let (r2, a2) = svc.scratch_stats();
+            (r + r2, a + a2)
+        });
+        world.metrics.inc(keys::BGP_SCRATCH_REUSES, reuses);
+        world.metrics.inc(keys::BGP_SCRATCH_ALLOCS, allocs);
+        world
+            .metrics
+            .inc(keys::TRACE_EVENTS_DROPPED, world.trace.dropped_events());
+        let metrics = world.metrics.snapshot();
+        let trace = world.trace.snapshot();
+        let faults = std::mem::take(&mut world.faults.ledger);
+        world.obs.exit("finalize");
+
+        let SimWorld {
+            graph,
+            letters,
+            services,
+            nl_index,
+            cleaning,
+            pipeline,
+            collectors,
+            rssac,
+            rssac_baseline,
+            nl_series,
+            deployments,
+            ..
+        } = world;
+
+        let nl_sites = nl_index
+            .map(|ni| {
+                services[ni]
+                    .sites()
+                    .iter()
+                    .zip(nl_series)
+                    .map(|(s, series)| (s.spec.code.clone(), series))
+                    .collect()
+            })
+            .unwrap_or_default();
+
+        SimOutput {
+            letters,
+            pipeline,
+            n_vps_kept: cleaning.kept_count(),
+            cleaning,
+            collectors,
+            rssac,
+            rssac_baseline,
+            nl_sites,
+            deployments,
+            attack: cfg.attack.clone(),
+            horizon: cfg.horizon,
+            n_ases: graph.len(),
+            probe_interval: cfg.probe_interval,
+            a_probe_interval: cfg.a_probe_interval,
+            metrics,
+            trace,
+            spans: SpanProfile::default(),
+            faults,
         }
     }
-
-    let mut tee = Tee {
-        stats: StatsCollector::default(),
-        profiler: Profiler::default(),
-    };
-    let mut out = run_observed(cfg, &mut tee)?;
-    out.run_stats = tee.stats.finish();
-    Ok((out, tee.profiler.finish()))
 }
 
 /// Build the scenario's services and report, for each letter, the
@@ -404,22 +354,36 @@ mod tests {
         assert!(out.rssac.contains_key(&Letter::A));
         // .nl series exist.
         assert_eq!(out.nl_sites.len(), 2);
-        // The default observer collected engine stats: the five
-        // production subsystems ticked (the fault injector never wakes
-        // on an empty plan), and load extremes were recorded.
-        assert_eq!(out.run_stats.subsystems.len(), 5);
-        assert!(out.run_stats.faults.is_empty());
-        for name in ["fluid", "rssac", "probes", "resolvers", "maintenance"] {
-            assert!(
-                out.run_stats.subsystems.contains_key(name),
-                "missing stats for {name}"
-            );
+        // The span recorder saw every phase and the five production
+        // subsystems tick (the fault injector never wakes on an empty
+        // plan, so the ledger stays empty).
+        assert!(out.faults.is_empty());
+        for path in ["build_world", "build_world/substrate", "drive", "finalize"] {
+            assert_eq!(out.spans.get(path).map(|s| s.count), Some(1), "{path}");
         }
-        let fluid_ticks = out.run_stats.subsystems["fluid"].ticks;
-        assert_eq!(fluid_ticks, 120); // one per minute over 2 h
-        assert_eq!(out.run_stats.subsystems["rssac"].ticks, fluid_ticks);
-        assert!(out.run_stats.peak_offered_qps > 0.0);
-        assert!(out.run_stats.worst_served_ratio < 1.0); // B-root melted
+        for name in ["fluid", "rssac", "probes", "resolvers", "maintenance"] {
+            assert!(out.spans.ticks(name) > 0, "missing span for {name}");
+        }
+        assert_eq!(out.spans.ticks("faults"), 0);
+        let drive_children = out
+            .spans
+            .stats()
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.parent.is_some_and(|p| out.spans.path(p) == "drive"))
+            .count();
+        assert_eq!(drive_children, 5);
+        assert_eq!(out.spans.ticks("fluid"), 120); // one per minute over 2 h
+        assert_eq!(out.spans.ticks("rssac"), 120);
+        assert_eq!(out.spans.ticks("probes"), 120);
+        for child in ["execute", "record"] {
+            let path = format!("drive/probes/{child}");
+            assert_eq!(out.spans.get(&path).map(|s| s.count), Some(120), "{path}");
+        }
+        // Load extremes live in the metrics registry.
+        assert!(out.metrics.gauge("fluid.peak_offered_qps").unwrap_or(0.0) > 0.0);
+        assert!(out.metrics.gauge("fluid.worst_served_ratio").unwrap_or(1.0) < 1.0);
+        // B-root melted
     }
 
     #[test]

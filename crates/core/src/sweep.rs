@@ -45,6 +45,7 @@ use crate::sim::{run, run_with_substrate, SimOutput};
 use rayon::prelude::*;
 use rootcast_anycast::FacilityId;
 use rootcast_attack::AttackSchedule;
+use rootcast_netsim::{fnv1a, Fnv1a};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -52,21 +53,6 @@ use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// FNV-1a over a byte stream — the crate's standalone digest primitive
-/// (no dependencies, stable across platforms and runs).
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fnv1a_str(s: &str) -> u64 {
-    fnv1a(s.bytes())
-}
 
 /// A delta over a base [`ScenarioConfig`]: only per-run knobs, so the
 /// knobs a patch *cannot* express (topology, fleet, botnet sizing,
@@ -279,7 +265,7 @@ impl SweepPlan {
 
     /// The seed a [`SeedMode::PerRun`] sweep derives for `label`.
     pub fn derived_seed(&self, label: &str) -> u64 {
-        fnv1a_str(&format!("{}#{}", self.base.seed, label))
+        fnv1a(format!("{}#{}", self.base.seed, label).as_bytes())
     }
 
     /// Materialize run `i`'s full config: patch applied, seed resolved.
@@ -301,49 +287,43 @@ impl SweepPlan {
 /// the digest, and f64 `Debug` is shortest-roundtrip so distinct
 /// values cannot collide through formatting.
 pub fn config_hash(label: &str, cfg: &ScenarioConfig) -> u64 {
-    fnv1a_str(&format!("{label}\u{1f}{cfg:?}"))
+    fnv1a(format!("{label}\u{1f}{cfg:?}").as_bytes())
 }
 
 /// A bit-exact digest of everything the analysis layer consumes from a
-/// [`SimOutput`] — per-letter success series, RSSAC day reports, `.nl`
-/// series, collector logs — with floats folded in via `to_bits`, so
-/// "close" is not equal. Two runs agree on this digest iff the
-/// determinism suite's `Summary` would call them identical.
+/// [`SimOutput`] — per-letter success series, every RSSAC day report,
+/// `.nl` series, collector log lengths — with floats folded in via
+/// `to_bits`, so "close" is not equal. The determinism suite compares
+/// runs through it, and sweep records and the benchmark pin it.
 pub fn output_digest(out: &SimOutput) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    fold(out.n_ases as u64);
-    fold(out.n_vps_kept as u64);
+    let mut h = Fnv1a::new();
+    h.write_u64(out.n_ases as u64);
+    h.write_u64(out.n_vps_kept as u64);
     for &l in &out.letters {
         for &v in out.pipeline.letter(l).success.values() {
-            fold(v.to_bits());
+            h.write_u64(v.to_bits());
         }
     }
     for (l, c) in &out.rssac {
-        fold(*l as u64);
+        h.write_u64(*l as u64);
         for day in 0..c.n_days() {
             let r = c.report(day);
-            fold(r.queries.to_bits());
-            fold(r.responses.to_bits());
-            fold(r.unique_sources.to_bits());
+            h.write_u64(r.queries.to_bits());
+            h.write_u64(r.responses.to_bits());
+            h.write_u64(r.unique_sources.to_bits());
         }
     }
     for (code, series) in &out.nl_sites {
-        fold(fnv1a_str(code));
+        h.write_u64(fnv1a(code.as_bytes()));
         for &v in series.values() {
-            fold(v.to_bits());
+            h.write_u64(v.to_bits());
         }
     }
     for (l, c) in &out.collectors {
-        fold(*l as u64);
-        fold(c.log().len() as u64);
+        h.write_u64(*l as u64);
+        h.write_u64(c.log().len() as u64);
     }
-    h
+    h.finish()
 }
 
 /// Per-run headline metrics: what the comparison table and the ranking
@@ -405,17 +385,22 @@ fn headline(out: &SimOutput) -> Headline {
     } else {
         avail.iter().sum::<f64>() / avail.len() as f64
     };
-    let finite_or = |v: f64, d: f64| if v.is_finite() { v } else { d };
+    // Gauges a run never set read as their neutral value: no load seen,
+    // nothing lost.
+    let gauge = |name: &str, unset: f64| match out.metrics.gauge(name) {
+        Some(v) if v.is_finite() => v,
+        _ => unset,
+    };
     Headline {
         n_ases: out.n_ases,
         n_vps_kept: out.n_vps_kept,
         worst_letter_availability: worst,
         mean_letter_availability: mean,
-        peak_offered_qps: finite_or(out.run_stats.peak_offered_qps, 0.0),
-        worst_served_ratio: finite_or(out.run_stats.worst_served_ratio, 1.0),
-        policy_transitions: out.run_stats.policy_transitions,
+        peak_offered_qps: gauge("fluid.peak_offered_qps", 0.0),
+        worst_served_ratio: gauge("fluid.worst_served_ratio", 1.0).min(1.0),
+        policy_transitions: out.metrics.counter("fluid.policy_transitions").unwrap_or(0),
         route_events: out.collectors.values().map(|c| c.log().len() as u64).sum(),
-        faults_injected: out.run_stats.faults.len() as u64,
+        faults_injected: out.faults.len() as u64,
     }
 }
 

@@ -11,6 +11,8 @@
 //!   [`SimDuration`]);
 //! * [`event`] — a deterministic event queue with FIFO tie-breaking
 //!   ([`EventQueue`]);
+//! * [`hash`] — the one stable FNV-1a hash every key and digest folds
+//!   through ([`fnv1a`], [`Fnv1a`]);
 //! * [`rng`] — seeded, stream-split randomness ([`SimRng`]) so components
 //!   never perturb each other's draws;
 //! * [`rate`] — piecewise-constant fluid traffic signals ([`RateSignal`])
@@ -32,6 +34,7 @@
 
 pub mod coverage;
 pub mod event;
+pub mod hash;
 pub mod metrics;
 pub mod rate;
 pub mod rng;
@@ -41,6 +44,7 @@ pub mod time;
 
 pub use coverage::Coverage;
 pub use event::EventQueue;
+pub use hash::{fnv1a, Fnv1a};
 pub use metrics::{
     CounterId, GaugeId, HistogramId, HistogramSnapshot, HistogramSpec, MetricsRegistry,
     MetricsSnapshot,

@@ -9,6 +9,7 @@
 //! We use ChaCha8 rather than `rand`'s `StdRng` because ChaCha's output is
 //! specified and stable across `rand` versions and platforms.
 
+use crate::hash::stream_key_hash;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -33,16 +34,16 @@ impl SimRng {
     ///
     /// The same `(master_seed, name)` pair always yields the same stream.
     /// Different names yield independent streams (derived by hashing the
-    /// name into the ChaCha key, FNV-1a).
+    /// name into the ChaCha key).
     pub fn stream(&self, name: &str) -> ChaCha8Rng {
         let mut key = [0u8; 32];
         key[..8].copy_from_slice(&self.master_seed.to_le_bytes());
-        key[8..16].copy_from_slice(&fnv1a(name.as_bytes()).to_le_bytes());
+        key[8..16].copy_from_slice(&stream_key_hash(name.as_bytes()).to_le_bytes());
         // Mix the name a second way so one-character names still spread
         // over the key space.
         let prefix_hash = {
             let prefix: [u8; 16] = key[..16].try_into().expect("16-byte prefix");
-            fnv1a(&prefix)
+            stream_key_hash(&prefix)
         };
         key[16..24].copy_from_slice(&prefix_hash.to_le_bytes());
         ChaCha8Rng::from_seed(key)
@@ -57,16 +58,6 @@ impl SimRng {
         rng.set_stream(index);
         rng
     }
-}
-
-/// 64-bit FNV-1a hash; tiny, stable, dependency-free.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Draw from an exponential distribution with the given rate (events per

@@ -1,7 +1,8 @@
-//! Observability tour: run a scenario with the event trace enabled and
-//! the profiler attached, then print the metrics registry, the phase /
-//! subsystem wall-time breakdown, and a digest of the structured event
-//! trace — and export the profile as chrome://tracing JSON.
+//! Observability tour: run a scenario with the event trace enabled, then
+//! print the run's three records — the metrics registry (what
+//! happened), the span breakdown (where the wall time went) and a digest
+//! of the structured event trace (when it happened) — and export the
+//! span aggregate as chrome://tracing JSON.
 //!
 //! ```text
 //! cargo run --release --example trace_export [-- --small] [--out FILE]
@@ -12,7 +13,7 @@
 //! * `--out FILE` — where to write the trace-event JSON (default
 //!   `trace_events.json`). Open it at `chrome://tracing` or in Perfetto.
 
-use rootcast::{render_metrics, run_profiled, ScenarioConfig};
+use rootcast::{render_metrics, run, ScenarioConfig};
 use std::path::PathBuf;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
         cfg.trace.capacity
     );
     let t0 = std::time::Instant::now();
-    let (out, profile) = run_profiled(&cfg).expect("valid scenario");
+    let out = run(&cfg).expect("valid scenario");
     eprintln!("simulation finished in {:.1?}\n", t0.elapsed());
 
     // 1. The metrics registry, frozen at end of run.
@@ -47,10 +48,8 @@ fn main() {
         println!("{table}\n");
     }
 
-    // 2. Wall-time breakdown per phase and per subsystem.
-    for table in profile.breakdown() {
-        println!("{table}\n");
-    }
+    // 2. Wall-time breakdown per span path.
+    println!("{}\n", out.spans.breakdown());
 
     // 3. Structured event trace digest.
     let trace = &out.trace;
@@ -69,7 +68,7 @@ fn main() {
     println!();
 
     // 4. chrome://tracing export.
-    let json = profile.chrome_trace();
+    let json = out.spans.chrome_trace();
     std::fs::write(&out_path, &json).expect("write trace JSON");
     eprintln!(
         "wrote {} bytes of trace-event JSON to {}",

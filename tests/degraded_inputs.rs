@@ -87,7 +87,7 @@ fn assert_finite_rendering(tables: &[TextTable]) {
 #[test]
 fn dead_run_renders_every_table_without_panic_or_nan() {
     let out = run(&dead_cfg()).expect("dead scenario still runs");
-    assert!(!out.run_stats.faults.is_empty(), "faults must have fired");
+    assert!(!out.faults.is_empty(), "faults must have fired");
     // The dropout really removed observation: K has no flip events.
     let flow = flips::figure10(&out, Letter::K, "LHR");
     assert_eq!(flow.outflow_share("AMS"), 0.0, "empty outflow share");

@@ -7,76 +7,34 @@
 //! simulation state. These tests pin that property end to end: two
 //! default-pool runs and one forced single-thread run of
 //! `ScenarioConfig::small()` must agree bit for bit.
+//!
+//! Runs are compared through [`output_digest`], a bit-exact fold of
+//! everything the analysis layer consumes (floats via `to_bits`, so
+//! "close" is not enough).
 
-use rootcast::{
-    run, run_with_substrate, FaultKind, FaultPlan, Letter, ScenarioConfig, SimDuration, SimOutput,
-    SimTime, Substrate,
+use rootcast::engine::{
+    drive, FaultInjector, FluidTraffic, MaintenanceChurn, ProbeWheel, ResolverRefresh,
+    RssacAccounting, SimWorld,
 };
-
-/// A bit-exact digest of everything the analysis layer consumes.
-/// Floats are compared through `to_bits`, so "close" is not enough.
-#[derive(Debug, PartialEq, Eq)]
-struct Summary {
-    n_ases: usize,
-    n_vps_kept: usize,
-    success: Vec<(String, Vec<u64>)>,
-    rssac: Vec<(String, u64, u64, u64)>,
-    nl: Vec<(String, Vec<u64>)>,
-    route_events: Vec<(String, usize)>,
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-fn summarize(out: &SimOutput) -> Summary {
-    Summary {
-        n_ases: out.n_ases,
-        n_vps_kept: out.n_vps_kept,
-        success: out
-            .letters
-            .iter()
-            .map(|&l| (l.to_string(), bits(out.pipeline.letter(l).success.values())))
-            .collect(),
-        rssac: out
-            .rssac
-            .iter()
-            .map(|(l, c)| {
-                let r = c.report(0);
-                (
-                    l.to_string(),
-                    r.queries.to_bits(),
-                    r.responses.to_bits(),
-                    r.unique_sources.to_bits(),
-                )
-            })
-            .collect(),
-        nl: out
-            .nl_sites
-            .iter()
-            .map(|(code, series)| (code.clone(), bits(series.values())))
-            .collect(),
-        route_events: out
-            .collectors
-            .iter()
-            .map(|(l, c)| (l.to_string(), c.log().len()))
-            .collect(),
-    }
-}
+use rootcast::{
+    output_digest, run, run_with_substrate, FaultKind, FaultPlan, Letter, NoopInstrumentation,
+    ScenarioConfig, SimDuration, SimTime, Substrate, Subsystem, TraceEventKind,
+};
+use rootcast_netsim::SimRng;
 
 #[test]
 fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     let cfg = ScenarioConfig::small();
 
-    let first = summarize(&run(&cfg).expect("valid scenario"));
-    let second = summarize(&run(&cfg).expect("valid scenario"));
+    let first = output_digest(&run(&cfg).expect("valid scenario"));
+    let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical runs diverged");
 
     let single = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("single-thread pool")
-        .install(|| summarize(&run(&cfg).expect("valid scenario")));
+        .install(|| output_digest(&run(&cfg).expect("valid scenario")));
     assert_eq!(
         first, single,
         "single-thread run diverged from the default pool"
@@ -93,9 +51,9 @@ fn cached_kernels_are_bit_identical_to_reference_kernels() {
     // Caching is an implementation detail; it must never change output.
     let mut cfg = ScenarioConfig::small();
     assert!(!cfg.reference_kernels, "cached kernels are the default");
-    let cached = summarize(&run(&cfg).expect("valid scenario"));
+    let cached = output_digest(&run(&cfg).expect("valid scenario"));
     cfg.reference_kernels = true;
-    let reference = summarize(&run(&cfg).expect("valid scenario"));
+    let reference = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(
         cached, reference,
         "cached kernels diverged from the reference implementations"
@@ -108,16 +66,44 @@ fn cached_kernels_are_bit_identical_across_thread_counts() {
     // out per letter — pin thread-count independence on the exact
     // configuration production runs use (reference_kernels = false).
     let cfg = ScenarioConfig::small();
-    let default_pool = summarize(&run(&cfg).expect("valid scenario"));
+    let default_pool = output_digest(&run(&cfg).expect("valid scenario"));
     let single = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("single-thread pool")
-        .install(|| summarize(&run(&cfg).expect("valid scenario")));
+        .install(|| output_digest(&run(&cfg).expect("valid scenario")));
     assert_eq!(
         default_pool, single,
         "cached-kernel run diverged across thread counts"
     );
+}
+
+/// Drive `cfg` through `sim::run`'s subsystem list over a world
+/// observed by [`NoopInstrumentation`] instead of the span recorder.
+fn digest_unobserved(cfg: &ScenarioConfig) -> u64 {
+    let rng = SimRng::new(cfg.seed);
+    let substrate = Substrate::build(cfg);
+    let mut obs = NoopInstrumentation;
+    let mut world =
+        SimWorld::from_substrate(cfg, &rng, &substrate, &mut obs).expect("world builds");
+    let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
+        Box::new(FluidTraffic::new(cfg.fluid_step).with_reference(cfg.reference_kernels)),
+        Box::new(RssacAccounting::new(cfg)),
+        Box::new(ProbeWheel::new(&world)),
+        Box::new(ResolverRefresh::new(cfg.resolver_update)),
+        Box::new(MaintenanceChurn::new(
+            rng.stream("maintenance"),
+            cfg.maintenance_mean,
+        )),
+        Box::new(FaultInjector::new(rng.stream("faults"), cfg.faults.clone())),
+    ];
+    drive(&mut world, &mut subsystems, cfg.horizon);
+    let out = world.into_output();
+    assert!(
+        out.spans.stats().is_empty(),
+        "a no-op observer records no spans"
+    );
+    output_digest(&out)
 }
 
 #[test]
@@ -125,7 +111,9 @@ fn tracing_is_a_pure_observer() {
     // The observability layer must never change outputs: a run with the
     // event trace enabled is bit-identical (in everything the analysis
     // layer consumes) to the same scenario with tracing disabled, and
-    // to a profiled run. Only the trace/profile artifacts may differ.
+    // the span recorder every `run` installs is bit-identical to a world
+    // driven with no observer at all. Only the trace/span artifacts may
+    // differ.
     let cfg = ScenarioConfig::small();
     let dark = run(&cfg).expect("valid scenario");
     assert!(!dark.trace.enabled, "trace is off by default");
@@ -141,21 +129,29 @@ fn tracing_is_a_pure_observer() {
         "the small scenario produces policy transitions and epoch bumps"
     );
     assert_eq!(
-        summarize(&dark),
-        summarize(&traced),
+        output_digest(&dark),
+        output_digest(&traced),
         "enabling the event trace changed simulation output"
     );
 
-    let (profiled, profile) = rootcast::run_profiled(&cfg).expect("valid scenario");
     assert_eq!(
-        summarize(&dark),
-        summarize(&profiled),
-        "profiling changed simulation output"
+        output_digest(&dark),
+        digest_unobserved(&cfg),
+        "the span recorder changed simulation output"
     );
-    assert!(
-        !profile.phases.is_empty() && !profile.ticks.is_empty(),
-        "the profiler saw phases and subsystem ticks"
-    );
+
+    // The probe tick's execute and record children are entered once per
+    // probe tick and fit inside it.
+    let probes = dark.spans.get("drive/probes").expect("probe spans");
+    assert!(probes.count > 0);
+    for child in ["execute", "record"] {
+        let s = dark
+            .spans
+            .get(&format!("drive/probes/{child}"))
+            .expect("child span");
+        assert_eq!(s.count, probes.count, "{child}");
+        assert!(s.total_ns <= probes.total_ns, "{child}");
+    }
 
     // Metrics are also observation-only and identical either way.
     assert_eq!(
@@ -164,6 +160,25 @@ fn tracing_is_a_pure_observer() {
     );
     assert_eq!(
         dark.metrics.counter("fluid.policy_transitions"),
+        traced.metrics.counter("fluid.policy_transitions")
+    );
+
+    // Only lettered services transition: the trace records lettered
+    // transitions only, the counter every service, and they agree
+    // (`.nl` absorbs and never withdraws).
+    assert_eq!(traced.trace.dropped_events, 0);
+    let lettered: usize = traced
+        .trace
+        .events
+        .iter()
+        .map(|e| match e.kind {
+            TraceEventKind::PolicyTransition { changes, .. } => changes,
+            _ => 0,
+        })
+        .sum();
+    assert!(lettered > 0, "the small scenario withdraws sites");
+    assert_eq!(
+        Some(lettered as u64),
         traced.metrics.counter("fluid.policy_transitions")
     );
 }
@@ -182,8 +197,8 @@ fn shared_substrate_runs_are_bit_identical_to_standalone_runs() {
 
     let substrate = Substrate::build(&base);
     for cfg in [&base, &variant] {
-        let shared = summarize(&run_with_substrate(cfg, &substrate).expect("valid scenario"));
-        let standalone = summarize(&run(cfg).expect("valid scenario"));
+        let shared = output_digest(&run_with_substrate(cfg, &substrate).expect("valid scenario"));
+        let standalone = output_digest(&run(cfg).expect("valid scenario"));
         assert_eq!(
             shared, standalone,
             "substrate sharing changed simulation output"
@@ -238,15 +253,15 @@ fn fault_runs_are_bit_identical_across_thread_counts() {
             FaultKind::CollectorBlackout { letter: Letter::K },
         );
 
-    let first = summarize(&run(&cfg).expect("valid scenario"));
-    let second = summarize(&run(&cfg).expect("valid scenario"));
+    let first = output_digest(&run(&cfg).expect("valid scenario"));
+    let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical fault runs diverged");
 
     let single = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("single-thread pool")
-        .install(|| summarize(&run(&cfg).expect("valid scenario")));
+        .install(|| output_digest(&run(&cfg).expect("valid scenario")));
     assert_eq!(
         first, single,
         "single-thread fault run diverged from the default pool"

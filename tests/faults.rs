@@ -1,5 +1,5 @@
 //! Fault-injection acceptance: a scenario with a non-empty `FaultPlan`
-//! runs to completion, the run ledger lists every injected fault, the
+//! runs to completion, the fault ledger lists every injected fault, the
 //! affected letters degrade to partial results annotated with coverage,
 //! and everything the faults did not touch stays bit-identical to the
 //! fault-free run.
@@ -10,7 +10,8 @@
 
 use rootcast::analysis::{event_size, reachability};
 use rootcast::{
-    run, FaultKind, FaultPlan, Letter, ScenarioConfig, SimDuration, SimOutput, SimTime,
+    output_digest, run, run_sweep, ConfigPatch, FaultKind, FaultPlan, Letter, ScenarioConfig,
+    SimDuration, SimOutput, SimTime, SweepPlan, SweepRun,
 };
 use rootcast_attack::{AttackSchedule, AttackWindow};
 
@@ -77,9 +78,9 @@ fn bits(values: &[f64]) -> Vec<u64> {
 }
 
 #[test]
-fn run_stats_ledger_lists_every_fault() {
+fn fault_ledger_lists_every_fault() {
     let (_, faulted) = runs();
-    let ledger = &faulted.run_stats.faults;
+    let ledger = &faulted.faults;
     assert_eq!(ledger.len(), 6, "3 injections + 3 recoveries: {ledger:?}");
     for needle in [
         "site-crash B/LAX",
@@ -96,6 +97,50 @@ fn run_stats_ledger_lists_every_fault() {
     for pair in ledger.windows(2) {
         assert!(pair[0].at <= pair[1].at, "ledger out of order: {ledger:?}");
     }
+}
+
+#[test]
+fn fault_ledger_matches_injection_and_recovery_counters() {
+    let (clean, faulted) = runs();
+    let count = |out: &SimOutput, name: &str| out.metrics.counter(name).expect(name);
+    assert_eq!(count(faulted, "faults.injections"), 3);
+    assert_eq!(
+        faulted.faults.len() as u64,
+        count(faulted, "faults.injections") + count(faulted, "faults.recoveries")
+    );
+    assert!(clean.faults.is_empty());
+    assert_eq!(count(clean, "faults.injections"), 0);
+}
+
+#[test]
+fn sweep_headline_reads_the_registry_and_the_ledger() {
+    let (_, faulted) = runs();
+    let plan = SweepPlan::explicit(
+        "headline",
+        base_cfg(),
+        vec![SweepRun::new(
+            "faulted",
+            ConfigPatch::none().with_faults(fault_plan()),
+        )],
+    );
+    let report = run_sweep(&plan).expect("sweep runs");
+    let rec = &report.records[0];
+    assert_eq!(rec.output_digest, output_digest(faulted), "same run");
+    let h = &rec.headline;
+    let gauge = |name: &str| faulted.metrics.gauge(name).expect(name);
+    assert!(h.peak_offered_qps > 0.0);
+    assert_eq!(h.peak_offered_qps, gauge("fluid.peak_offered_qps"));
+    assert!(h.worst_served_ratio < 1.0, "B-root melted");
+    assert_eq!(
+        h.worst_served_ratio,
+        gauge("fluid.worst_served_ratio").min(1.0)
+    );
+    assert_eq!(
+        Some(h.policy_transitions),
+        faulted.metrics.counter("fluid.policy_transitions")
+    );
+    assert_eq!(h.faults_injected, faulted.faults.len() as u64);
+    assert_eq!(h.faults_injected, 6);
 }
 
 #[test]

@@ -80,7 +80,7 @@ fn all_tables(out: &rootcast::SimOutput) -> Vec<TextTable> {
 fn gapped_run_renders_without_nan() {
     let out = run(&gapped_cfg()).expect("gapped scenario runs");
     // The faults really did gap observation, so the NaN-prone paths run.
-    assert!(!out.run_stats.faults.is_empty(), "faults must have fired");
+    assert!(!out.faults.is_empty(), "faults must have fired");
     for table in all_tables(&out) {
         let text = table.to_string();
         let csv = table.to_csv();
