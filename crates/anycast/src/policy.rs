@@ -16,10 +16,9 @@
 //! behaviour (and what the ablation benches sweep).
 
 use rootcast_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How a site responds to sustained overload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StressPolicy {
     /// Keep announcing and absorb: excess queries drop at the ingress
     /// queue, accepted ones suffer bufferbloat delay.
@@ -79,7 +78,7 @@ impl StressPolicy {
 /// How a site's servers behave behind the load balancer under overload
 /// (§3.5: K-FRA concentrated onto one surviving server; K-NRT's three
 /// servers all struggled behind a congested shared link).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalancerMode {
     /// Under overload, all but one server stop answering; the survivor
     /// keeps serving with stable latency while the ingress drops excess
@@ -92,7 +91,7 @@ pub enum LoadBalancerMode {
 }
 
 /// Tracks the overload state machine for one site.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct OverloadTracker {
     /// When the current continuous overload began.
     over_since: Option<SimTime>,

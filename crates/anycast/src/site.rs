@@ -5,18 +5,17 @@ use rootcast_bgp::Scope;
 use rootcast_netsim::stats::mix64;
 use rootcast_netsim::{FluidQueue, SimDuration, SimTime};
 use rootcast_topology::AsId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a site within its service.
 pub type SiteIdx = usize;
 
 /// Identifier of a shared facility (data center); sites sharing one also
 /// share its ingress link (the collateral-damage coupling of §3.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FacilityId(pub u32);
 
 /// Static description of one anycast site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteSpec {
     /// Airport code, uppercase (`AMS`).
     pub code: String,
@@ -47,7 +46,7 @@ pub struct SiteSpec {
 /// announcement) or a calibration probe at `t = 0` (empty queues, no
 /// overload episodes). Routing-relevant fields are deliberately not
 /// here — changing them would invalidate a shared substrate.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteTuning {
     /// Replace the aggregate serving capacity, q/s.
     pub capacity_qps: Option<f64>,

@@ -17,14 +17,13 @@ use crate::probe::{RawMeasurement, RawOutcome};
 use crate::vp::{VpFleet, VpId, MIN_FIRMWARE};
 use rootcast_dns::ServerIdentity;
 use rootcast_netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// RTT below which an unparseable reply marks its VP as hijacked.
 pub const HIJACK_RTT: SimDuration = SimDuration::from_millis(7);
 
 /// A cleaned observation, ready for binning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CleanObs {
     /// Identified reply from a (site, server), with RTT.
     Site(ServerIdentity, SimDuration),
@@ -56,7 +55,7 @@ pub enum FastObs {
 }
 
 /// Why a VP was excluded from the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExclusionReason {
     OldFirmware,
     Hijacked,

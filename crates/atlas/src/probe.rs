@@ -13,7 +13,6 @@ use rand::Rng;
 use rootcast_dns::{Letter, ServerIdentity};
 use rootcast_netsim::{SimDuration, SimTime};
 use rootcast_topology::AsId;
-use serde::{Deserialize, Serialize};
 
 /// The Atlas query timeout: replies slower than this count as lost.
 pub const ATLAS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
@@ -113,7 +112,7 @@ pub trait ChaosTarget {
 }
 
 /// Raw (pre-cleaning) outcome of one probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RawOutcome {
     /// A TXT reply arrived: the identity string and the measured RTT.
     Reply { txt: String, rtt: SimDuration },
@@ -124,7 +123,7 @@ pub enum RawOutcome {
 }
 
 /// One raw measurement record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawMeasurement {
     pub vp: u32,
     pub letter: Letter,

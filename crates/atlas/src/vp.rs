@@ -13,10 +13,9 @@ use rootcast_netsim::rng::weighted_index;
 use rootcast_netsim::stats::mix64;
 use rootcast_netsim::SimRng;
 use rootcast_topology::{city, AsGraph, AsId, NamedFn, Region, Tier};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a vantage point (index into the fleet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VpId(pub u32);
 
 /// The firmware version below which measurements are discarded
@@ -24,7 +23,7 @@ pub struct VpId(pub u32);
 pub const MIN_FIRMWARE: u32 = 4570;
 
 /// One vantage point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VantagePoint {
     pub id: VpId,
     /// The AS this VP measures from.

@@ -19,8 +19,8 @@ use rootcast_topology::{city, AsGraph, NamedFn, Region, Tier};
 
 /// Botnet construction parameters.
 ///
-/// (Not serde-serializable: the regional bias is a function pointer so
-/// scenarios can plug arbitrary shapes.)
+/// The regional bias is a function pointer so scenarios can plug
+/// arbitrary shapes.
 #[derive(Debug, Clone)]
 pub struct BotnetParams {
     /// Number of member (true-origin) stub ASes.

@@ -15,7 +15,6 @@
 use rootcast_dns::Letter;
 use rootcast_netsim::SimDuration;
 use rootcast_topology::{city, AsGraph, Tier};
-use serde::{Deserialize, Serialize};
 
 /// Total legitimate root query load across all letters (queries/second).
 /// Table 3's per-letter baselines are ~0.04 Mq/s; times 13 letters this
@@ -41,7 +40,7 @@ pub fn population_weights(graph: &AsGraph) -> Vec<f64> {
 }
 
 /// How one AS's resolvers currently observe one letter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LetterObservation {
     /// Smoothed RTT to the letter's current catchment site, if reachable.
     pub rtt: Option<SimDuration>,

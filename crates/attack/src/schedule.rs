@@ -11,10 +11,9 @@
 
 use rootcast_dns::Letter;
 use rootcast_netsim::{RateSignal, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One attack window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackWindow {
     pub start: SimTime,
     pub duration: SimDuration,
@@ -41,7 +40,7 @@ impl AttackWindow {
 }
 
 /// A full schedule of attack windows (non-overlapping, sorted by start).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttackSchedule {
     windows: Vec<AttackWindow>,
 }

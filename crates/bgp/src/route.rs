@@ -11,10 +11,9 @@
 
 use rootcast_netsim::SimDuration;
 use rootcast_topology::AsId;
-use serde::{Deserialize, Serialize};
 
 /// How a route was learned, in decreasing preference order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LearnedFrom {
     /// This AS originates the prefix (hosts an anycast site).
     Origin,
@@ -40,7 +39,7 @@ impl LearnedFrom {
 
 /// Index of an origin (anycast site announcement) within a prefix's
 /// origin table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OriginIdx(pub u32);
 
 /// One AS's chosen route toward a prefix.
@@ -48,7 +47,7 @@ pub struct OriginIdx(pub u32);
 /// The derived `Ord` is lexicographic over the fields and exists only so
 /// entries can ride in ordered containers deterministically; *routing*
 /// preference is [`RouteEntry::better_than`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RouteEntry {
     /// Which anycast origin (site) this route leads to.
     pub origin: OriginIdx,
@@ -97,7 +96,7 @@ impl RouteEntry {
 
 /// Announcement scope for a site (§2.1: *local* sites use BGP communities
 /// such as NO_EXPORT/NOPEER to confine their catchment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// Announced normally; propagates everywhere policy allows.
     Global,
@@ -107,7 +106,7 @@ pub enum Scope {
 }
 
 /// One anycast origin: a site announcing the service prefix from a host AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Origin {
     /// The AS hosting this site.
     pub host: AsId,

@@ -10,10 +10,9 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::BinnedSeries;
-use serde::Serialize;
 
 /// A bystander site showing a correlated dip.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CollateralSite {
     pub letter: Letter,
     pub code: String,
@@ -25,7 +24,7 @@ pub struct CollateralSite {
     pub series: BinnedSeries,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure14 {
     pub letter: Letter,
     /// Sites meeting the paper's filter: ≥ 20-VP median and ≥ 10% dip.
@@ -103,7 +102,7 @@ impl Figure14 {
 
 /// One `.nl` anycast site's query-rate trajectory (Figure 15 anonymizes
 /// rates; we normalize to the pre-event baseline the same way).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NlSite {
     pub code: String,
     /// Served queries per bin normalized to the pre-event baseline.
@@ -112,7 +111,7 @@ pub struct NlSite {
     pub event_min: f64,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure15 {
     pub sites: Vec<NlSite>,
 }

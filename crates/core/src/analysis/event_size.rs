@@ -15,10 +15,9 @@ use crate::render::{num, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::Coverage;
-use serde::Serialize;
 
 /// One (letter, event-day) row of Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     pub letter: Letter,
     /// 0 = Nov 30 (160-minute event), 1 = Dec 1 (60-minute event).
@@ -52,7 +51,7 @@ pub struct Table3Row {
 /// `n_reporting == 0`: the lower bound is a true 0.0 (nothing was
 /// observed), while the scaled and upper estimates are undefined (NaN,
 /// rendered as "–").
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DayBounds {
     pub day: usize,
     /// Event duration in seconds.
@@ -80,7 +79,7 @@ impl DayBounds {
     }
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     pub rows: Vec<Table3Row>,
     pub bounds: Vec<DayBounds>,

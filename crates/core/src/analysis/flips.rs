@@ -11,11 +11,10 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, SimDuration};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Figure 8: flips per letter.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure8 {
     pub rows: Vec<(Letter, BinnedSeries)>,
     /// Per-row event share (fraction of flips inside the padded event
@@ -87,7 +86,7 @@ impl Figure8 {
 }
 
 /// Where VPs leaving one site went (or where arrivals came from).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     pub letter: Letter,
     /// The focal site code.

@@ -10,10 +10,9 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::BinnedSeries;
-use serde::Serialize;
 
 /// One letter's RTT trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RttRow {
     pub letter: Letter,
     /// Median RTT per bin, milliseconds (NaN where nothing succeeded).
@@ -30,7 +29,7 @@ pub struct RttRow {
 /// Change factor beyond which a letter is considered visibly affected.
 pub const SIGNIFICANT_CHANGE: f64 = 1.5;
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4 {
     pub rows: Vec<RttRow>,
 }

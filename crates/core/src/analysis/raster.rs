@@ -13,10 +13,9 @@ use crate::render::TextTable;
 use crate::sim::SimOutput;
 use rootcast_atlas::raster_code;
 use rootcast_dns::Letter;
-use serde::Serialize;
 
 /// One VP's timeline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RasterRow {
     pub vp: u32,
     /// Site index the VP started at.
@@ -26,7 +25,7 @@ pub struct RasterRow {
 }
 
 /// The behavioural cohorts of §3.4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cohort {
     /// Sticks to the focal site, answered only intermittently.
     StuckDegraded,
@@ -38,7 +37,7 @@ pub enum Cohort {
     Other,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure11 {
     pub letter: Letter,
     /// Site codes, indexed by site index (for decoding cells).

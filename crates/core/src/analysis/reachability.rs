@@ -9,10 +9,9 @@ use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::stats::{linear_regression, Regression};
 use rootcast_netsim::{BinnedSeries, Coverage};
-use serde::Serialize;
 
 /// One letter's reachability summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LetterRow {
     pub letter: Letter,
     /// Number of configured sites.
@@ -33,7 +32,7 @@ pub struct LetterRow {
 }
 
 /// The full Figure 3 result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure3 {
     pub rows: Vec<LetterRow>,
     /// OLS of `worst` against `n_sites` across all letters (§3.2.1).

@@ -9,9 +9,8 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, SimDuration};
-use serde::Serialize;
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure9 {
     pub rows: Vec<(Letter, BinnedSeries)>,
     /// Bin width used.

@@ -12,11 +12,10 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, Reduce};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Per-server data for one watched site.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServerPanel {
     pub letter: Letter,
     pub site: String,
@@ -26,7 +25,7 @@ pub struct ServerPanel {
     pub rtt_ms: BTreeMap<u16, BinnedSeries>,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figures12And13 {
     pub panels: Vec<ServerPanel>,
 }

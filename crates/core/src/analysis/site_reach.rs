@@ -12,10 +12,9 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::BinnedSeries;
-use serde::Serialize;
 
 /// One site's Figure 5 row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SiteRow {
     pub code: String,
     pub median: f64,
@@ -30,7 +29,7 @@ pub struct SiteRow {
 }
 
 /// Figure 5 for one letter.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5 {
     pub letter: Letter,
     /// Rows ordered by median VP count, descending (the paper's order).
@@ -97,7 +96,7 @@ impl Figure5 {
 }
 
 /// One site's Figure 6 panel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SitePanel {
     pub code: String,
     pub median: f64,
@@ -108,7 +107,7 @@ pub struct SitePanel {
 }
 
 /// Figure 6 for one letter.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure6 {
     pub letter: Letter,
     pub panels: Vec<SitePanel>,
@@ -164,7 +163,7 @@ impl Figure6 {
 }
 
 /// Table 2: reported vs observed sites for every letter.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CensusRow {
     pub letter: Letter,
     pub operator: String,
@@ -174,7 +173,7 @@ pub struct CensusRow {
     pub observed: usize,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     pub rows: Vec<CensusRow>,
 }

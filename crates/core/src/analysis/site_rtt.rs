@@ -10,10 +10,9 @@ use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, Reduce};
-use serde::Serialize;
 
 /// One watched site's RTT trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SiteRttRow {
     pub letter: Letter,
     pub code: String,
@@ -23,7 +22,7 @@ pub struct SiteRttRow {
     pub event_peaks_ms: Vec<f64>,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure7 {
     pub rows: Vec<SiteRttRow>,
 }

@@ -13,12 +13,11 @@
 //! without bound.
 
 use rootcast_netsim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Trace knobs on [`ScenarioConfig`](crate::config::ScenarioConfig).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record events at all. Disabled (the default) the trace allocates
     /// nothing and every recording site is a single branch.
@@ -39,7 +38,7 @@ impl Default for TraceConfig {
 
 /// One structured simulation event. Letters and sites are carried as
 /// their display strings so the snapshot is self-describing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEventKind {
     /// A stress policy withdrew and/or re-announced sites on a letter.
     PolicyTransition { letter: char, changes: usize },
@@ -64,7 +63,7 @@ pub enum TraceEventKind {
 
 /// A recorded event: monotone sequence number, simulated time (nanos),
 /// host wall time since the trace was armed (micros), and the payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     pub seq: u64,
     pub t_nanos: u64,
@@ -162,7 +161,7 @@ impl EventTrace {
 
 /// The trace as exported on [`SimOutput`](crate::sim::SimOutput):
 /// retained events in sequence order plus the drop accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSnapshot {
     pub enabled: bool,
     pub capacity: usize,

@@ -10,11 +10,10 @@
 //! ablation benches that sweep attack size against policy choice.
 
 use crate::render::TextTable;
-use serde::{Deserialize, Serialize};
 
 /// One site in the model: a capacity and the set of client/attacker
 /// groups currently routed to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSite {
     pub name: String,
     /// Capacity in attack-traffic units.
@@ -24,7 +23,7 @@ pub struct ModelSite {
 /// A traffic group: either clients (counted toward happiness) or an
 /// attacker (pure load). Groups sit behind an ISP that routing can move
 /// between sites as a unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficGroup {
     pub name: String,
     /// Number of clients in the group (0 for pure attackers).
@@ -36,7 +35,7 @@ pub struct TrafficGroup {
 }
 
 /// A deployment state: sites plus routed groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     pub sites: Vec<ModelSite>,
     pub groups: Vec<TrafficGroup>,
@@ -173,7 +172,7 @@ pub fn paper_deployment(s1_capacity: f64, a0: f64, a1: f64) -> Deployment {
 }
 
 /// The strategies the paper discusses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Do nothing: overloaded sites become degraded absorbers.
     Absorb,
@@ -215,7 +214,7 @@ impl Strategy {
 }
 
 /// One row of the case analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseOutcome {
     pub case: &'static str,
     pub a0: f64,

@@ -41,12 +41,11 @@ use crate::config::{ScenarioConfig, SiteOverride};
 use crate::engine::{FaultPlan, Substrate};
 use crate::error::{RootcastError, SweepError};
 use crate::render::{num, TextTable};
-use crate::sim::{run, run_with_substrate, SimOutput};
+use crate::sim::{run_with_substrate, SimOutput};
 use rayon::prelude::*;
 use rootcast_anycast::FacilityId;
 use rootcast_attack::AttackSchedule;
 use rootcast_netsim::{fnv1a, Fnv1a};
-use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -329,7 +328,7 @@ pub fn output_digest(out: &SimOutput) -> u64 {
 /// Per-run headline metrics: what the comparison table and the ranking
 /// read. Every field is finite by construction, even on maximally
 /// degraded runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Headline {
     pub n_ases: usize,
     pub n_vps_kept: usize,
@@ -406,7 +405,7 @@ fn headline(out: &SimOutput) -> Headline {
 
 /// Everything a finished (or resumed) run contributes to the report —
 /// and exactly what one checkpoint-manifest line holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRecord {
     pub label: String,
     /// The resolved master seed this run used.
@@ -528,15 +527,11 @@ pub struct SweepOptions {
     /// order, and leave the rest pending — the cooperative "kill" the
     /// resume tests and the CI smoke job use. `None` = run everything.
     pub stop_after: Option<usize>,
-    /// Rebuild the substrate for every run instead of sharing one per
-    /// shard. Outputs are bit-identical either way (single build
-    /// path); this exists so the bench can price the naive loop.
-    pub no_substrate_reuse: bool,
 }
 
 /// Sweep-level rollup: the engine counters summed over every record
 /// (executed or resumed) in the report.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRollup {
     pub counters: Vec<(String, u64)>,
 }
@@ -770,21 +765,13 @@ pub fn run_sweep_with(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepRepo
         }
         let batch: Vec<usize> = idxs.iter().copied().take(budget).collect();
         budget -= batch.len();
-        let substrate = if opts.no_substrate_reuse {
-            None
-        } else {
-            Some(Substrate::build(&resolved[batch[0]]))
-        };
+        let substrate = Substrate::build(&resolved[batch[0]]);
         let results: Vec<(usize, Result<SweepRecord, RootcastError>)> = batch
             .par_iter()
             .map(|&i| {
                 let cfg = &resolved[i];
                 let t0 = Instant::now();
-                let out = match &substrate {
-                    Some(s) => run_with_substrate(cfg, s),
-                    None => run(cfg),
-                };
-                let rec = out.map(|out| {
+                let rec = run_with_substrate(cfg, &substrate).map(|out| {
                     let rec = SweepRecord {
                         label: plan.runs[i].label.clone(),
                         seed: cfg.seed,

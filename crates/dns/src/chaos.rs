@@ -9,11 +9,10 @@
 //! `(letter, site, server)` — or fails, which is exactly the signal the
 //! cleaning pipeline uses to flag hijacked vantage points (§2.4.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 13 DNS root letters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Letter {
     A,
     B,
@@ -103,7 +102,7 @@ impl fmt::Display for Letter {
 
 /// Identity of one physical server at one site of one letter —
 /// the paper's Figure 1 hierarchy: letter → site → server.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ServerIdentity {
     pub letter: Letter,
     /// Three-letter airport code of the site, uppercase (`AMS`).

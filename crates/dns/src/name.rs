@@ -6,7 +6,6 @@
 //! response *size* matters for Table 3's bandwidth estimates).
 
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum length of a single label.
@@ -48,7 +47,7 @@ impl std::error::Error for NameError {}
 ///
 /// DNS names are case-insensitive; we canonicalize to lowercase at
 /// construction so equality and hashing behave.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Name {
     labels: Vec<Vec<u8>>,
 }

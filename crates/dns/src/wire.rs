@@ -14,11 +14,10 @@
 
 use crate::name::{Name, NameError};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// DNS RR/QTYPE values we model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrType {
     A,
     Ns,
@@ -58,7 +57,7 @@ impl RrType {
 
 /// DNS classes. CHAOS matters: `hostname.bind TXT CH` is the query the
 /// paper (and RIPE Atlas) uses to identify which site and server answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrClass {
     In,
     Chaos,
@@ -84,7 +83,7 @@ impl RrClass {
 }
 
 /// Response codes (RFC 1035 §4.1.1 plus common extensions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     NoError,
     FormErr,
@@ -136,7 +135,7 @@ impl fmt::Display for Rcode {
 }
 
 /// Record data for the types we model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rdata {
     A([u8; 4]),
     Aaaa([u8; 16]),
@@ -276,7 +275,7 @@ impl Rdata {
 }
 
 /// A question entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     pub qname: Name,
     pub qtype: RrType,
@@ -284,7 +283,7 @@ pub struct Question {
 }
 
 /// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     pub name: Name,
     pub rtype: RrType,
@@ -308,7 +307,7 @@ pub fn edns0_opt(udp_payload_size: u16) -> Record {
 }
 
 /// Message header flags we model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags {
     pub response: bool,
     pub authoritative: bool,
@@ -319,7 +318,7 @@ pub struct Flags {
 }
 
 /// A full DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     pub id: u16,
     pub flags: Flags,

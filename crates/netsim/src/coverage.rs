@@ -9,14 +9,12 @@
 //! can report *partial* results the way the paper reports around
 //! missing operator data.
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of an expected observation window actually observed.
 ///
 /// Counts are in arbitrary but consistent units (seconds of wall time,
 /// probe slots, report bins). `expected == 0.0` means "nothing was ever
 /// expected", which counts as complete coverage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Coverage {
     /// Units actually observed.
     pub observed: f64,

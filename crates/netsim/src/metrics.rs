@@ -11,8 +11,6 @@
 //! from. Declaring them as `const`s next to the name arrays keeps the
 //! pairing visible and lets a unit test pin handle ↔ name agreement.
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a monotonically increasing counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(pub usize);
@@ -157,7 +155,7 @@ impl MetricsRegistry {
 
 /// One histogram, frozen: `counts[i]` observations fell at or below
 /// `bounds[i]`; `counts[bounds.len()]` is the overflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     pub name: String,
     pub bounds: Vec<f64>,
@@ -185,7 +183,7 @@ impl HistogramSnapshot {
 
 /// Every metric of a finished run, in catalog order. Exported on
 /// `SimOutput`; serializes for machine consumption.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,

@@ -8,14 +8,13 @@
 //! bufferbloat-driven RTT inflation at overloaded sites, §3.3.2).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A rate signal: value changes at breakpoints and is constant in between.
 ///
 /// Breakpoints are kept sorted by construction; `set_from` truncates any
 /// later history, which matches how simulations build signals forward in
 /// time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RateSignal {
     /// `(since, rate)` pairs sorted by `since`; the signal is 0 before the
     /// first breakpoint.
@@ -140,7 +139,7 @@ pub fn sum_at(signals: &[&RateSignal], t: SimTime) -> f64 {
 /// show RTTs inflated from ~30 ms to 1–2 s ("industrial-scale bufferbloat",
 /// §3.3.2): routers in front of a site buffer deeply, so sustained overload
 /// fills the buffer and every accepted query sees the full drain time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FluidQueue {
     /// Service capacity, queries per second.
     pub capacity_qps: f64,

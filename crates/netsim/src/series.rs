@@ -6,10 +6,9 @@
 //! analysis module shares identical binning semantics.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A time series of f64 values over fixed-width bins starting at t=0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedSeries {
     bin: SimDuration,
     values: Vec<f64>,

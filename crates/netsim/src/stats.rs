@@ -48,7 +48,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Result of an ordinary-least-squares fit `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Regression {
     pub slope: f64,
     pub intercept: f64,

@@ -16,14 +16,13 @@
 
 use rootcast_dns::Letter;
 use rootcast_netsim::{Coverage, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Width of RSSAC-002 size bins, bytes.
 pub const SIZE_BIN: usize = 16;
 
 /// A size histogram in 16-byte bins (key = bin lower edge).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SizeHistogram {
     bins: BTreeMap<u32, f64>,
 }
@@ -73,7 +72,7 @@ impl SizeHistogram {
 }
 
 /// One letter-day of RSSAC-002 data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DailyReport {
     pub letter: Letter,
     /// Day index since scenario start (day 0 = Nov 30).

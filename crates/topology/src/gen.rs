@@ -21,7 +21,6 @@ use crate::graph::{AsGraph, AsId, Relation, Tier};
 use rand::Rng;
 use rootcast_netsim::rng::weighted_index;
 use rootcast_netsim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A [`TopologyParams`] value the generator cannot honor. Returned by
@@ -48,7 +47,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// Generation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyParams {
     /// Number of Tier-1 backbones (full peer mesh).
     pub n_tier1: usize,

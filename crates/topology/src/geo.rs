@@ -8,7 +8,6 @@
 //! added by the routing layer.
 
 use rootcast_netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mean Earth radius in kilometers.
@@ -19,7 +18,7 @@ const FIBER_KM_PER_MS: f64 = 200.0;
 
 /// Broad world region; used to apply the RIPE-Atlas European bias and to
 /// distribute botnet sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     Europe,
     NorthAmerica,
@@ -59,7 +58,7 @@ impl fmt::Display for Region {
 }
 
 /// A city that can host anycast sites, ASes, and vantage points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct City {
     /// Three-letter airport code, e.g. `AMS`.
     pub code: &'static str,
@@ -76,7 +75,7 @@ pub struct City {
 }
 
 /// Index into the city catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CityId(pub u16);
 
 /// Great-circle (haversine) distance between two points, km.

@@ -8,12 +8,11 @@
 //! crate runs policy routing over it.
 
 use crate::geo::{city, CityId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous-system identifier (index into the graph's node table; not
 /// a real-world ASN).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsId(pub u32);
 
 impl fmt::Display for AsId {
@@ -23,7 +22,7 @@ impl fmt::Display for AsId {
 }
 
 /// Role of an AS in the routing hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Global transit-free backbone (full peer mesh among Tier-1s).
     Tier1,
@@ -35,7 +34,7 @@ pub enum Tier {
 }
 
 /// Relationship of a neighbor as seen from one side of an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relation {
     /// The neighbor is my customer (they pay me; I carry their routes
     /// everywhere).
@@ -58,7 +57,7 @@ impl Relation {
 }
 
 /// An AS node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsNode {
     pub id: AsId,
     pub tier: Tier,
@@ -66,7 +65,7 @@ pub struct AsNode {
 }
 
 /// One adjacency entry: neighbor id plus our relationship *to* them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Adjacency {
     pub neighbor: AsId,
     /// What the neighbor is to us.
@@ -74,7 +73,7 @@ pub struct Adjacency {
 }
 
 /// The AS-level topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsGraph {
     nodes: Vec<AsNode>,
     /// Adjacency lists indexed by `AsId.0`. Kept sorted by neighbor id for

@@ -1,45 +1,28 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablations: how sensitive the reproduction is to the modeling dials
+//! DESIGN.md calls out. Each section sweeps one dial and prints the
+//! outcome table.
 //!
-//! These are *experiments* dressed as benches: each sweeps one modeling
-//! dial, runs the scenario (or model) at each setting, and prints the
-//! outcome table next to its timing — so `cargo bench --bench ablations`
-//! documents how sensitive the reproduction is to each choice.
+//! ```text
+//! cargo run --release --example ablations
+//! ```
 //!
-//! * `ablation_policy_sweep` — absorb vs withdraw across attack sizes
-//!   (the §2.2 model, exhaustively);
-//! * `ablation_buffer_depth` — bufferbloat depth vs RTT inflation and
-//!   loss (the Figure 7 mechanism);
-//! * `ablation_rrl` — response-rate limiting on/off vs response volume
-//!   (the Table 3 query/response asymmetry);
-//! * `ablation_site_scaling` — deployment size vs survival under a
-//!   fixed attack (the Figure 3 correlation, controlled).
+//! * absorb vs withdraw across attack sizes (the §2.2 model,
+//!   exhaustively);
+//! * bufferbloat depth vs RTT inflation and loss (the Figure 7
+//!   mechanism);
+//! * response-rate limiting on/off vs response volume (the Table 3
+//!   query/response asymmetry);
+//! * deployment size vs survival under a fixed attack (the Figure 3
+//!   correlation, controlled).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rootcast::policy_model::{paper_deployment, Strategy};
 use rootcast_anycast::{AnycastService, FacilityTable, SiteSpec};
 use rootcast_attack::{Botnet, BotnetParams};
 use rootcast_dns::rrl::{blended_suppression, effective_response_rate};
 use rootcast_netsim::{FluidQueue, SimDuration, SimRng, SimTime};
 use rootcast_topology::{gen, Tier, TopologyParams};
-use std::hint::black_box;
 
-fn ablation_policy_sweep(c: &mut Criterion) {
-    c.bench_function("ablation_policy_sweep", |b| {
-        b.iter(|| {
-            let mut results = Vec::new();
-            for step in 0..=48 {
-                let a = step as f64 * 0.25;
-                let d = paper_deployment(1.0, a, a);
-                let hs: Vec<u32> = Strategy::ALL
-                    .iter()
-                    .map(|s| s.apply(&d).happiness())
-                    .collect();
-                results.push((a, hs, d.best_possible()));
-            }
-            black_box(results)
-        })
-    });
-    // Outcome table.
+fn policy_sweep() {
     println!("\n--- ablation: absorb vs withdraw (H by attack size) ---");
     println!("a      absorb  w/ISP1  w/small  reroute  best");
     for step in (0..=48).step_by(8) {
@@ -61,22 +44,15 @@ fn ablation_policy_sweep(c: &mut Criterion) {
     }
 }
 
-fn ablation_buffer_depth(c: &mut Criterion) {
+fn buffer_depth() {
+    // A site at 2x overload for 10 minutes, buffer sized in seconds of
+    // capacity.
     let run = |buffer_secs: f64| -> (f64, f64) {
-        // A site at 2x overload for 10 minutes, buffer sized in seconds
-        // of capacity.
         let capacity = 100_000.0;
         let mut q = FluidQueue::new(capacity, capacity * buffer_secs);
         let loss = q.advance(SimTime::from_mins(10), capacity * 2.0);
         (q.queue_delay().as_millis_f64(), loss)
     };
-    c.bench_function("ablation_buffer_depth", |b| {
-        b.iter(|| {
-            for &secs in &[0.01, 0.1, 0.5, 1.0, 2.0, 5.0] {
-                black_box(run(secs));
-            }
-        })
-    });
     println!("\n--- ablation: buffer depth vs RTT inflation (2x overload, 10 min) ---");
     println!("buffer(s of capacity)  queue delay(ms)  loss");
     for &secs in &[0.01, 0.1, 0.5, 1.0, 2.0, 5.0] {
@@ -86,14 +62,8 @@ fn ablation_buffer_depth(c: &mut Criterion) {
     println!("(B-root's stable RTT under loss = shallow buffer; K-AMS's 2s RTT = deep buffer)");
 }
 
-fn ablation_rrl(c: &mut Criterion) {
+fn rrl() {
     let attack_qps = 5_000_000.0;
-    c.bench_function("ablation_rrl", |b| {
-        b.iter(|| {
-            let s = blended_suppression(attack_qps, 0.68, 200, 5.0);
-            black_box(effective_response_rate(attack_qps, s))
-        })
-    });
     println!("\n--- ablation: RRL on/off at 5 Mq/s fixed-qname attack ---");
     let s = blended_suppression(attack_qps, 0.68, 200, 5.0);
     println!("RRL off: {:.2} M responses/s", attack_qps / 1e6);
@@ -104,7 +74,7 @@ fn ablation_rrl(c: &mut Criterion) {
     );
 }
 
-fn ablation_site_scaling(c: &mut Criterion) {
+fn site_scaling() {
     // Fixed 2 Mq/s attack against deployments of 1..24 sites, in two
     // regimes: constant per-site capacity (aggregate grows with the
     // deployment — the real-world case behind Figure 3's correlation)
@@ -137,14 +107,6 @@ fn ablation_site_scaling(c: &mut Criterion) {
         let offered: f64 = svc.offered_per_site(botnet.weights(), attack).iter().sum();
         served / offered
     };
-    c.bench_function("ablation_site_scaling", |b| {
-        b.iter(|| {
-            for &n in &[1usize, 2, 4, 8, 16, 24] {
-                black_box(run(n, 300_000.0));
-                black_box(run(n, 1_200_000.0 / n as f64));
-            }
-        })
-    });
     println!("\n--- ablation: site count vs served fraction of a 2 Mq/s attack ---");
     println!("sites  constant-per-site (300k each)  constant-total (1.2M split)");
     for &n in &[1usize, 2, 4, 8, 16, 24] {
@@ -159,9 +121,9 @@ fn ablation_site_scaling(c: &mut Criterion) {
     println!(" rides on deployments growing, not splitting)");
 }
 
-criterion_group! {
-    name = ablations;
-    config = Criterion::default().sample_size(10);
-    targets = ablation_policy_sweep, ablation_buffer_depth, ablation_rrl, ablation_site_scaling
+fn main() {
+    policy_sweep();
+    buffer_depth();
+    rrl();
+    site_scaling();
 }
-criterion_main!(ablations);

@@ -17,7 +17,8 @@
 //!   appended and reloaded on the next invocation.
 //! * `SWEEP_STOP_AFTER` — execute at most N pending runs, then exit
 //!   reporting the rest as pending (exit code 2, so scripts can tell a
-//!   partial sweep from a finished one).
+//!   partial sweep from a finished one). A value that is not a count
+//!   is an error (exit code 1).
 //! * `SWEEP_CSV` — write the comparison table as CSV to this path.
 
 use rootcast::{
@@ -68,12 +69,19 @@ fn main() {
         ],
     );
 
+    let stop_after = match std::env::var_os("SWEEP_STOP_AFTER") {
+        None => None,
+        Some(v) => match v.to_str().and_then(|s| s.parse().ok()) {
+            Some(n) => Some(n),
+            None => {
+                eprintln!("SWEEP_STOP_AFTER must be a run count, got {v:?}");
+                std::process::exit(1);
+            }
+        },
+    };
     let opts = SweepOptions {
         checkpoint: std::env::var_os("SWEEP_CHECKPOINT").map(Into::into),
-        stop_after: std::env::var("SWEEP_STOP_AFTER")
-            .ok()
-            .and_then(|v| v.parse().ok()),
-        no_substrate_reuse: false,
+        stop_after,
     };
     let report = match run_sweep_with(&plan, &opts) {
         Ok(report) => report,
