@@ -48,10 +48,6 @@ impl FacilityTable {
         self.loss.insert(id, 0.0);
     }
 
-    pub fn is_registered(&self, id: FacilityId) -> bool {
-        self.links.contains_key(&id)
-    }
-
     /// Add one site's offered load for the current step.
     pub fn add_load(&mut self, id: FacilityId, qps: f64) {
         assert!(self.links.contains_key(&id), "unknown facility {id:?}");

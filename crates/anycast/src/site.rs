@@ -210,11 +210,6 @@ impl SiteState {
         self.offered_qps * (1.0 - self.facility_loss) * (1.0 - self.last_loss)
     }
 
-    /// Per-server capacity.
-    pub fn server_capacity_qps(&self) -> f64 {
-        self.spec.capacity_qps / f64::from(self.spec.n_servers)
-    }
-
     /// Which servers currently answer probes, per the LB mode.
     ///
     /// Returns 1-based server ordinals. In `FailoverConcentrate` mode

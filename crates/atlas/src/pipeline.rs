@@ -171,12 +171,6 @@ impl LetterData {
             .map(|i| i as u16)
     }
 
-    /// Median VP count over bins for a site (the paper's per-site
-    /// baseline used for normalization in Figures 5/6).
-    pub fn site_median(&self, site: u16) -> f64 {
-        self.site_counts[site as usize].median()
-    }
-
     /// Fraction of scheduled probes that actually produced a
     /// measurement. 1.0 when no probe was ever reported missing.
     pub fn coverage(&self) -> Coverage {

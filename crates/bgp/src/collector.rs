@@ -56,11 +56,6 @@ impl RouteCollector {
         }
     }
 
-    /// Number of peers (the paper's deployment had 152).
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Record the initial table without logging churn (session bring-up
     /// is not an event).
     pub fn prime(&mut self, rib: &Rib) {

@@ -104,21 +104,14 @@ impl Rib {
 }
 
 /// Compute the stable routing table for a prefix announced by the active
-/// subset of `origins`.
+/// subset of `origins`, treating every origin as globally scoped, into a
+/// caller-owned table, so reconvergence loops (withdraw/re-announce
+/// churn, collector replay) reuse one allocation instead of building a
+/// fresh `Vec` per recompute. `rib` is resized to the graph and fully
+/// overwritten; prior contents are irrelevant.
 ///
 /// `active[i]` gates `origins[i]`; this is how route withdrawals are
 /// expressed (a withdrawn site is simply not an origin for the recompute).
-pub fn compute_rib(graph: &AsGraph, origins: &[Origin], active: &[bool]) -> Rib {
-    let mut rib = Rib::unreachable(graph.len());
-    compute_rib_into(graph, origins, active, &mut rib);
-    rib
-}
-
-/// [`compute_rib`] writing into a caller-owned table, so reconvergence
-/// loops (withdraw/re-announce churn, collector replay) reuse one
-/// allocation instead of building a fresh `Vec` per recompute. `rib` is
-/// resized to the graph and fully overwritten; prior contents are
-/// irrelevant.
 pub fn compute_rib_into(graph: &AsGraph, origins: &[Origin], active: &[bool], rib: &mut Rib) {
     assert_eq!(origins.len(), active.len());
     let n = graph.len();
@@ -293,7 +286,7 @@ fn run_phase(graph: &AsGraph, entries: &mut [Option<RouteEntry>], phase: Phase) 
 /// Compute the RIB with correct Local-scope semantics.
 ///
 /// This is the public entry point used by the anycast layer. It differs
-/// from [`compute_rib`] in that Local-scope origins are restricted to the
+/// from [`compute_rib_into`] in that Local-scope origins are restricted to the
 /// host AS plus its customer cone: implemented by running the main
 /// computation with global origins only, then overlaying each local
 /// origin's customer cone where the local route is preferred.

@@ -26,7 +26,6 @@ pub mod route;
 
 pub use collector::{RouteCollector, UpdateBatch};
 pub use engine::{
-    compute_rib, compute_rib_into, compute_rib_scoped, compute_rib_scoped_into, Rib, RibScratch,
-    HOP_OVERHEAD,
+    compute_rib_into, compute_rib_scoped, compute_rib_scoped_into, Rib, RibScratch, HOP_OVERHEAD,
 };
 pub use route::{LearnedFrom, Origin, OriginIdx, RouteEntry, Scope};

@@ -50,14 +50,25 @@ pub fn event_windows(out: &SimOutput) -> Vec<(SimTime, SimTime)> {
 
 /// The union cover of all event windows padded by `pad` on each side —
 /// the "during the events" mask used when scanning for worst values.
+/// Overlapping or touching padded windows merge, so the result is
+/// sorted and disjoint and no instant is counted twice.
 pub fn padded_event_windows(out: &SimOutput, pad: SimDuration) -> Vec<(SimTime, SimTime)> {
-    event_windows(out)
+    let mut padded: Vec<(SimTime, SimTime)> = event_windows(out)
         .into_iter()
         .map(|(s, e)| {
             let start = SimTime::from_nanos(s.as_nanos().saturating_sub(pad.as_nanos()));
             (start, e + pad)
         })
-        .collect()
+        .collect();
+    padded.sort_unstable();
+    let mut cover: Vec<(SimTime, SimTime)> = Vec::with_capacity(padded.len());
+    for (s, e) in padded {
+        match cover.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => cover.push((s, e)),
+        }
+    }
+    cover
 }
 
 /// Minimum of a series restricted to the event windows. Returns NaN

@@ -129,11 +129,11 @@ pub struct ScenarioConfig {
     /// [`Self::substrate_key`]: two configs differing only here can
     /// share one substrate.
     pub site_overrides: Vec<SiteOverride>,
-    /// Run the hot paths through their reference implementations instead
-    /// of the cached/fused kernels: catchment indices are invalidated
-    /// every tick, probes take the string round-trip path, and collectors
-    /// re-scan full tables. Outputs are bit-identical either way — this
-    /// toggle exists so the golden equivalence tests can prove it.
+    /// Run the fluid tick through its reference implementation (uncached
+    /// catchment scans, rayon per-letter fan-out) instead of the cached
+    /// serial kernel. Outputs are bit-identical either way; the
+    /// determinism suite pins it. Probes and route collectors have one
+    /// path each and ignore this flag.
     pub reference_kernels: bool,
     /// Structured event tracing (off by default). Enabling it never
     /// changes simulation outputs: the trace is an observer, and the

@@ -1,7 +1,8 @@
 //! Fluid traffic windows: the per-minute core of the simulation.
 //!
 //! Each tick distributes attack + legitimate load over every service's
-//! current catchments (fanned out per letter on rayon), pushes it
+//! current catchments (serially over cached catchment indices; the
+//! reference tick fans out per letter on rayon), pushes it
 //! through the shared-facility links and per-site ingress queues, and
 //! runs stress policies. The offered loads are published to
 //! [`FluidScratch`](crate::engine::FluidScratch) for the accounting

@@ -41,19 +41,18 @@ pub mod keys {
     pub const RRL_ACTIVATIONS: CounterId = CounterId(13);
     // Atlas probing.
     pub const PROBES_FUSED: CounterId = CounterId(14);
-    pub const PROBES_REFERENCE: CounterId = CounterId(15);
-    pub const PROBES_SITE: CounterId = CounterId(16);
-    pub const PROBES_TIMEOUT: CounterId = CounterId(17);
-    pub const PROBES_ERROR: CounterId = CounterId(18);
-    pub const PROBES_MISSED: CounterId = CounterId(19);
+    pub const PROBES_SITE: CounterId = CounterId(15);
+    pub const PROBES_TIMEOUT: CounterId = CounterId(16);
+    pub const PROBES_ERROR: CounterId = CounterId(17);
+    pub const PROBES_MISSED: CounterId = CounterId(18);
     // Resolver refresh / maintenance / faults.
-    pub const RESOLVER_REFRESHES: CounterId = CounterId(20);
-    pub const MAINTENANCE_WITHDRAWALS: CounterId = CounterId(21);
-    pub const MAINTENANCE_REANNOUNCEMENTS: CounterId = CounterId(22);
-    pub const FAULT_INJECTIONS: CounterId = CounterId(23);
-    pub const FAULT_RECOVERIES: CounterId = CounterId(24);
+    pub const RESOLVER_REFRESHES: CounterId = CounterId(19);
+    pub const MAINTENANCE_WITHDRAWALS: CounterId = CounterId(20);
+    pub const MAINTENANCE_REANNOUNCEMENTS: CounterId = CounterId(21);
+    pub const FAULT_INJECTIONS: CounterId = CounterId(22);
+    pub const FAULT_RECOVERIES: CounterId = CounterId(23);
     // Trace bookkeeping.
-    pub const TRACE_EVENTS_DROPPED: CounterId = CounterId(25);
+    pub const TRACE_EVENTS_DROPPED: CounterId = CounterId(24);
 
     pub const SITES_SATURATED: GaugeId = GaugeId(0);
     pub const PEAK_OFFERED_QPS: GaugeId = GaugeId(1);
@@ -83,7 +82,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "rssac.windows.gapped",
     "rssac.rrl_activations",
     "probes.fused",
-    "probes.reference",
     "probes.outcome.site",
     "probes.outcome.timeout",
     "probes.outcome.error",

@@ -12,7 +12,7 @@
 //!
 //! * [`FluidTraffic`] — per-minute fluid windows: offered load over
 //!   current catchments, shared-facility links, ingress queues, and
-//!   stress policies (per-letter fan-out runs on rayon).
+//!   stress policies (a serial loop over cached catchment indices).
 //! * [`ProbeWheel`] — the Atlas fleet's probing wheel, fanned out
 //!   per letter with one RNG stream per (letter, minute).
 //! * [`ResolverRefresh`] — recursive resolvers re-weighting letter

@@ -12,53 +12,24 @@ use crate::engine::faults::ProbeAction;
 use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
-use rootcast_anycast::AnycastService;
-use rootcast_atlas::{
-    clean_outcome, execute_probe, execute_probe_fused, ChaosTarget, CleanObs, FastObs, IndexedView,
-    TargetView, VpId,
-};
+use rootcast_atlas::{execute_probe_fused, FastObs, IndexedView, VpId};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
-
-/// Adapter exposing an [`AnycastService`] as a probe target.
-pub(crate) struct ServiceTarget<'a> {
-    pub svc: &'a AnycastService,
-}
-
-impl ChaosTarget for ServiceTarget<'_> {
-    fn letter(&self) -> Letter {
-        self.svc.letter.expect("root service has a letter")
-    }
-
-    fn view(&self, asn: rootcast_topology::AsId, client_hash: u64) -> Option<TargetView> {
-        let pv = self.svc.probe_view(asn, client_hash)?;
-        Some(TargetView::new(
-            self.svc.site(pv.site).spec.code.clone(),
-            pv.server,
-            pv.rtt,
-            pv.drop_prob,
-        ))
-    }
-}
 
 /// The probing subsystem: a wheel of (VP index, letter index) pairs per
 /// minute slot, cycling every lcm(intervals) minutes.
 ///
-/// Probes execute on the fused path by default: the service's catchment
-/// view is resolved straight to the pipeline's site *index* (via a
-/// per-letter map precomputed at construction) and recorded without the
-/// wire-format string round trip. The
-/// [`reference_kernels`](crate::config::ScenarioConfig::reference_kernels)
-/// flag selects the legacy `execute_probe` → `clean_outcome` → `record`
-/// path instead; both draw the identical RNG sequence and produce
-/// bit-identical pipelines.
+/// Probes resolve the service's catchment view straight to the
+/// pipeline's site *index* (via a per-letter map precomputed at
+/// construction) and record without the wire-format string round trip.
+/// The public `execute_probe` → `clean_outcome` → `record` path draws the
+/// identical RNG sequence and yields a bit-identical pipeline; the
+/// wheel's unit tests replay it as the oracle.
 pub struct ProbeWheel {
     wheel: Vec<Vec<(u32, usize)>>,
     wheel_period: usize,
     /// Per letter index: service site index → pipeline site index.
     site_map: Vec<Vec<u16>>,
-    /// Use the string-roundtrip reference probe path.
-    reference: bool,
 }
 
 impl ProbeWheel {
@@ -120,7 +91,6 @@ impl ProbeWheel {
             wheel,
             wheel_period,
             site_map,
-            reference: cfg.reference_kernels,
         }
     }
 
@@ -164,115 +134,47 @@ impl Subsystem for ProbeWheel {
         // `None` observations are missed probes: a dropped-out VP never
         // probes (no RNG draw), a firmware-downgraded VP probes (same
         // draws as a healthy run) but its measurement is unusable.
-        if self.reference {
-            // Reference path: textual CHAOS identities, parsed back by
-            // the cleaning stage, recorded by airport code.
-            let results: Vec<Vec<(VpId, Option<CleanObs>)>> = (0..letters.len())
-                .into_par_iter()
-                .map(|i| {
-                    let letter = letters[i];
-                    let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), minute);
-                    let target = ServiceTarget { svc: &services[i] };
-                    per_letter[i]
-                        .iter()
-                        .map(|&vp_id| match faults.probe_action(vp_id, letter) {
-                            ProbeAction::Skip => (VpId(vp_id), None),
-                            ProbeAction::Discard => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let _ = execute_probe(vp, &target, t, &mut rng);
-                                (vp.id, None)
-                            }
-                            ProbeAction::Normal => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let m = execute_probe(vp, &target, t, &mut rng);
-                                (vp.id, Some(clean_outcome(&m)))
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            world.obs.exit("execute");
-            world.obs.enter("record");
-            for (i, letter_obs) in results.into_iter().enumerate() {
-                let letter = world.letters[i];
-                world
-                    .metrics
-                    .inc(keys::PROBES_REFERENCE, letter_obs.len() as u64);
-                for (vp, obs) in letter_obs {
-                    let recorded = match obs {
-                        Some(obs) => world.pipeline.record(vp, letter, t, &obs),
-                        None => world.pipeline.note_missed(letter, t),
-                    };
-                    if let Err(err) = recorded {
-                        // The wheel only probes letters the world
-                        // registered, so this is a programmer error, not
-                        // data to skip.
-                        debug_assert!(false, "pipeline rejected wheel observation: {err}");
-                        let _ = err;
-                    }
-                }
-            }
-        } else {
-            // Fused path: catchment views resolved straight to pipeline
-            // site indices; same RNG draws (a Discard probe still
-            // executes), same observations, no strings.
-            let site_map = &self.site_map;
-            let results: Vec<Vec<(VpId, Option<FastObs>)>> = (0..letters.len())
-                .into_par_iter()
-                .map(|i| {
-                    let letter = letters[i];
-                    let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), minute);
-                    let svc = &services[i];
-                    let sites = &site_map[i];
-                    per_letter[i]
-                        .iter()
-                        .map(|&vp_id| match faults.probe_action(vp_id, letter) {
-                            ProbeAction::Skip => (VpId(vp_id), None),
-                            ProbeAction::Discard => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
-                                    IndexedView::new(
-                                        sites[pv.site],
-                                        pv.server,
-                                        pv.rtt,
-                                        pv.drop_prob,
-                                    )
-                                });
-                                let _ = execute_probe_fused(vp, view, &mut rng);
-                                (vp.id, None)
-                            }
-                            ProbeAction::Normal => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
-                                    IndexedView::new(
-                                        sites[pv.site],
-                                        pv.server,
-                                        pv.rtt,
-                                        pv.drop_prob,
-                                    )
-                                });
-                                (vp.id, Some(execute_probe_fused(vp, view, &mut rng)))
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            world.obs.exit("execute");
-            world.obs.enter("record");
-            for (i, letter_obs) in results.into_iter().enumerate() {
-                let letter = world.letters[i];
-                world
-                    .metrics
-                    .inc(keys::PROBES_FUSED, letter_obs.len() as u64);
-                for (vp, obs) in letter_obs {
-                    let recorded = match obs {
-                        Some(obs) => world.pipeline.record_fast(vp, letter, t, obs),
-                        None => world.pipeline.note_missed(letter, t),
-                    };
-                    if let Err(err) = recorded {
-                        debug_assert!(false, "pipeline rejected wheel observation: {err}");
-                        let _ = err;
-                    }
+        let site_map = &self.site_map;
+        let results: Vec<Vec<(VpId, Option<FastObs>)>> = (0..letters.len())
+            .into_par_iter()
+            .map(|i| {
+                let letter = letters[i];
+                let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), minute);
+                let svc = &services[i];
+                let sites = &site_map[i];
+                per_letter[i]
+                    .iter()
+                    .map(|&vp_id| match faults.probe_action(vp_id, letter) {
+                        ProbeAction::Skip => (VpId(vp_id), None),
+                        action => {
+                            let vp = fleet.vp(VpId(vp_id));
+                            let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
+                                IndexedView::new(sites[pv.site], pv.server, pv.rtt, pv.drop_prob)
+                            });
+                            let obs = execute_probe_fused(vp, view, &mut rng);
+                            (vp.id, (action == ProbeAction::Normal).then_some(obs))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        world.obs.exit("execute");
+        world.obs.enter("record");
+        for (i, letter_obs) in results.into_iter().enumerate() {
+            let letter = world.letters[i];
+            world
+                .metrics
+                .inc(keys::PROBES_FUSED, letter_obs.len() as u64);
+            for (vp, obs) in letter_obs {
+                let recorded = match obs {
+                    Some(obs) => world.pipeline.record_fast(vp, letter, t, obs),
+                    None => world.pipeline.note_missed(letter, t),
+                };
+                if let Err(err) = recorded {
+                    // The wheel only probes letters the world registered,
+                    // so this is a programmer error, not data to skip.
+                    debug_assert!(false, "pipeline rejected wheel observation: {err}");
+                    let _ = err;
                 }
             }
         }
@@ -298,6 +200,8 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::engine::instrument::NoopInstrumentation;
+    use crate::engine::world::ServiceTarget;
+    use rootcast_atlas::{clean_outcome, execute_probe};
     use rootcast_netsim::SimRng;
 
     #[test]
@@ -340,27 +244,40 @@ mod tests {
 
     #[test]
     fn fused_and_reference_wheels_are_bit_identical() {
+        // Oracle: replay the wheel's due lists through the public string
+        // path (`execute_probe` → `clean_outcome` → `record`) on a second
+        // world, one RNG stream per (letter, minute) as the wheel draws.
         let mut cfg = ScenarioConfig::small();
         cfg.horizon = SimTime::from_mins(10);
         cfg.pipeline.horizon = cfg.horizon;
+        assert!(cfg.faults.is_empty(), "the replay assumes no faults");
         let rngf = SimRng::new(cfg.seed);
-
-        let run = |reference: bool| {
-            let mut cfg = cfg.clone();
-            cfg.reference_kernels = reference;
-            let mut obs = NoopInstrumentation;
-            let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
-            let mut wheel = ProbeWheel::new(&world);
-            for m in 1..=8u64 {
-                wheel.tick(&mut world, SimTime::from_mins(m));
+        let (mut fused_obs, mut replay_obs) = (NoopInstrumentation, NoopInstrumentation);
+        let mut fused = SimWorld::build(&cfg, &rngf, &mut fused_obs).expect("world builds");
+        let mut replay = SimWorld::build(&cfg, &rngf, &mut replay_obs).expect("world builds");
+        let mut wheel = ProbeWheel::new(&fused);
+        for m in 1..=8u64 {
+            let t = SimTime::from_mins(m);
+            wheel.tick(&mut fused, t);
+            for (i, &letter) in replay.letters.iter().enumerate() {
+                let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), m);
+                let target = ServiceTarget {
+                    svc: &replay.services[i],
+                };
+                for &(vp_id, _) in wheel.due(m).iter().filter(|&&(_, li)| li == i) {
+                    let vp = replay.fleet.vp(VpId(vp_id));
+                    let raw = execute_probe(vp, &target, t, &mut rng);
+                    replay
+                        .pipeline
+                        .record(vp.id, letter, t, &clean_outcome(&raw))
+                        .expect("letter registered");
+                }
             }
-            world.pipeline.finalize();
-            (world.letters.clone(), world.pipeline)
-        };
-        let (letters, fused) = run(false);
-        let (_, reference) = run(true);
-        for &l in &letters {
-            let (a, b) = (fused.letter(l), reference.letter(l));
+        }
+        fused.pipeline.finalize();
+        replay.pipeline.finalize();
+        for &l in &fused.letters {
+            let (a, b) = (fused.pipeline.letter(l), replay.pipeline.letter(l));
             assert_eq!(a.success.values(), b.success.values(), "letter {l}");
             assert_eq!(a.errors.values(), b.errors.values(), "letter {l}");
             assert_eq!(a.raster, b.raster, "letter {l}");

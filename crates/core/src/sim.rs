@@ -33,7 +33,7 @@
 //! Everything is deterministic in the scenario seed, at any rayon
 //! thread count.
 
-use crate::deployment::{self, LetterDeployment};
+use crate::deployment::LetterDeployment;
 use crate::engine::metrics::keys;
 use crate::engine::Substrate;
 use crate::engine::{
@@ -42,14 +42,12 @@ use crate::engine::{
     TraceSnapshot,
 };
 use crate::error::RootcastError;
-use rootcast_anycast::AnycastService;
 use rootcast_atlas::{CleaningReport, MeasurementPipeline};
-use rootcast_attack::{AttackSchedule, Botnet};
+use rootcast_attack::AttackSchedule;
 use rootcast_bgp::RouteCollector;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, MetricsSnapshot, SimDuration, SimRng, SimTime};
 use rootcast_rssac::{DailyReport, RssacCollector};
-use rootcast_topology::gen;
 use std::collections::BTreeMap;
 
 pub use crate::config::ScenarioConfig;
@@ -252,43 +250,6 @@ impl SimWorld<'_> {
             faults,
         }
     }
-}
-
-/// Build the scenario's services and report, for each letter, the
-/// attack load (q/s) each site would absorb at the *initial* routing —
-/// i.e. the per-catchment exposure of §2.2's model. Used for capacity
-/// planning, the policy explorer example, and deployment tuning.
-pub fn attack_exposure(cfg: &ScenarioConfig) -> Vec<(Letter, Vec<(String, f64)>)> {
-    let rng_factory = SimRng::new(cfg.seed);
-    let graph = gen::generate(&cfg.topology, &rng_factory);
-    let botnet = Botnet::generate(&graph, cfg.botnet.clone(), &rng_factory);
-    let deployments = deployment::nov2015_deployments(&graph);
-    deployments
-        .iter()
-        .map(|d| {
-            let svc = AnycastService::new(
-                &format!("{}-root", d.letter),
-                Some(d.letter),
-                &graph,
-                d.sites.clone(),
-            );
-            let rate = cfg
-                .attack
-                .windows()
-                .iter()
-                .find(|w| w.targets_letter(d.letter))
-                .map(|w| w.rate_qps)
-                .unwrap_or(0.0);
-            let per_site = svc.offered_per_site(botnet.weights(), rate);
-            let named = svc
-                .sites()
-                .iter()
-                .zip(per_site)
-                .map(|(s, q)| (s.spec.code.clone(), q))
-                .collect();
-            (d.letter, named)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -58,11 +58,6 @@ impl RootZone {
             .is_ok()
     }
 
-    /// Number of delegated TLDs.
-    pub fn tld_count(&self) -> usize {
-        self.tlds.len()
-    }
-
     fn soa_record(&self) -> Record {
         Record {
             name: Name::root(),

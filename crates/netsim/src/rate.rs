@@ -127,11 +127,6 @@ impl RateSignal {
     }
 }
 
-/// Sum of several rate signals evaluated lazily.
-pub fn sum_at(signals: &[&RateSignal], t: SimTime) -> f64 {
-    signals.iter().map(|s| s.at(t)).sum()
-}
-
 /// A leaky-bucket / fluid queue that converts offered load vs. capacity
 /// into loss fraction and queueing delay.
 ///

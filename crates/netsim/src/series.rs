@@ -73,13 +73,6 @@ impl BinnedSeries {
         self.add_at(t, 1.0);
     }
 
-    /// Set the bin containing `t` to `v`.
-    pub fn set_at(&mut self, t: SimTime, v: f64) {
-        if let Some(i) = self.index_of(t) {
-            self.values[i] = v;
-        }
-    }
-
     /// Element-wise sum with another series of identical shape.
     pub fn add_series(&mut self, other: &BinnedSeries) {
         assert_eq!(self.bin, other.bin, "bin widths differ");
@@ -115,10 +108,15 @@ impl BinnedSeries {
         crate::stats::median(&self.values)
     }
 
-    /// Restrict to bins whose start lies in `[from, to)`.
+    /// Restrict to bins whose start lies in `[from, to)`. Both bounds
+    /// round up to a bin boundary, so an unaligned window keeps every
+    /// bin that starts inside it and no bin that starts before it.
     pub fn window(&self, from: SimTime, to: SimTime) -> BinnedSeries {
-        let lo = (from.bin_index(self.bin) as usize).min(self.values.len());
-        let hi = (to.bin_index(self.bin) as usize).min(self.values.len());
+        let first_bin_at = |t: SimTime| {
+            (t.as_nanos().div_ceil(self.bin.as_nanos()) as usize).min(self.values.len())
+        };
+        let lo = first_bin_at(from);
+        let hi = first_bin_at(to).max(lo);
         BinnedSeries {
             bin: self.bin,
             values: self.values[lo..hi].to_vec(),
@@ -236,6 +234,23 @@ mod tests {
         let s = BinnedSeries::from_values(SimDuration::from_mins(10), vec![1.0, 2.0, 3.0, 4.0]);
         let w = s.window(mins(10), mins(30));
         assert_eq!(w.values(), &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn window_rounds_unaligned_bounds_up_to_bin_starts() {
+        let s = BinnedSeries::from_values(
+            SimDuration::from_mins(10),
+            vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+        );
+        // Bins starting at 10 and 20 lie in [5, 25).
+        assert_eq!(s.window(mins(5), mins(25)).values(), &[1.0, 2.0]);
+        // An 8-minute burst keeps the bin it starts on.
+        assert_eq!(s.window(mins(60), mins(68)).values(), &[6.0]);
+        // No bin starts in [61, 69), and a reversed range is empty.
+        assert!(s.window(mins(61), mins(69)).is_empty());
+        assert!(s.window(mins(40), mins(20)).is_empty());
+        // Bounds past the end clamp to the series.
+        assert_eq!(s.window(mins(65), mins(500)).values(), &[7.0]);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Hours since scenario start as a float.
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3600.0
-    }
-
     /// Time since an earlier instant. Saturates at zero rather than
     /// panicking so that analysis code can subtract freely.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {

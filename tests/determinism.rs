@@ -1,12 +1,13 @@
 //! Determinism regression: the engine's outputs are a pure function of
 //! the scenario seed, at any rayon thread count.
 //!
-//! The per-letter fan-out in `FluidTraffic` and `ProbeWheel` merges
-//! results in letter order and draws from per-(letter, minute) RNG
-//! streams, so the schedule of thread interleavings cannot reach any
-//! simulation state. These tests pin that property end to end: two
-//! default-pool runs and one forced single-thread run of
-//! `ScenarioConfig::small()` must agree bit for bit.
+//! `ProbeWheel` fans out per letter, merges results in letter order and
+//! draws from per-(letter, minute) RNG streams; the cached `FluidTraffic`
+//! tick is serial. The schedule of thread interleavings therefore cannot
+//! reach any simulation state. These tests pin that property end to
+//! end: two default-pool runs and one forced single-thread run of
+//! `ScenarioConfig::small()` must agree bit for bit, and must equal a
+//! committed golden digest.
 //!
 //! Runs are compared through [`output_digest`], a bit-exact fold of
 //! everything the analysis layer consumes (floats via `to_bits`, so
@@ -22,11 +23,23 @@ use rootcast::{
 };
 use rootcast_netsim::SimRng;
 
+/// `output_digest` of `ScenarioConfig::small()`. A change that moves it
+/// changes simulation output and must say why.
+const SMALL_GOLDEN: u64 = 0xb9490ca4f13ac6ac;
+
+/// `output_digest` of `small()` under the fault plan in
+/// `fault_runs_are_bit_identical_across_thread_counts`.
+const FAULTED_SMALL_GOLDEN: u64 = 0x0f778598c082d8ec;
+
 #[test]
 fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     let cfg = ScenarioConfig::small();
 
     let first = output_digest(&run(&cfg).expect("valid scenario"));
+    assert_eq!(
+        first, SMALL_GOLDEN,
+        "small() output moved: {first:#018x} vs golden {SMALL_GOLDEN:#018x}"
+    );
     let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical runs diverged");
 
@@ -43,12 +56,10 @@ fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
 
 #[test]
 fn cached_kernels_are_bit_identical_to_reference_kernels() {
-    // The golden equivalence pin for the PR-3 fast paths: a full run on
-    // the cached kernels (catchment-epoch index, serial fluid tick,
-    // changed-AS collector diff, fused string-free probes) must agree
-    // bit for bit with the same scenario on the reference kernels (full
-    // per-AS scans, rayon fluid fan-out, textual CHAOS identities).
-    // Caching is an implementation detail; it must never change output.
+    // `reference_kernels` selects only the fluid tick: a full run on
+    // the cached tick (catchment-epoch index, serial loop) must agree bit
+    // for bit with the uncached reference tick (full per-AS scans, rayon
+    // per-letter fan-out). Caching must never change output.
     let mut cfg = ScenarioConfig::small();
     assert!(!cfg.reference_kernels, "cached kernels are the default");
     let cached = output_digest(&run(&cfg).expect("valid scenario"));
@@ -56,25 +67,7 @@ fn cached_kernels_are_bit_identical_to_reference_kernels() {
     let reference = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(
         cached, reference,
-        "cached kernels diverged from the reference implementations"
-    );
-}
-
-#[test]
-fn cached_kernels_are_bit_identical_across_thread_counts() {
-    // The cached fluid tick is serial, but the probe wheel still fans
-    // out per letter — pin thread-count independence on the exact
-    // configuration production runs use (reference_kernels = false).
-    let cfg = ScenarioConfig::small();
-    let default_pool = output_digest(&run(&cfg).expect("valid scenario"));
-    let single = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool")
-        .install(|| output_digest(&run(&cfg).expect("valid scenario")));
-    assert_eq!(
-        default_pool, single,
-        "cached-kernel run diverged across thread counts"
+        "the cached fluid tick diverged from the reference tick"
     );
 }
 
@@ -254,6 +247,10 @@ fn fault_runs_are_bit_identical_across_thread_counts() {
         );
 
     let first = output_digest(&run(&cfg).expect("valid scenario"));
+    assert_eq!(
+        first, FAULTED_SMALL_GOLDEN,
+        "faulted small() output moved: {first:#018x} vs golden {FAULTED_SMALL_GOLDEN:#018x}"
+    );
     let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical fault runs diverged");
 

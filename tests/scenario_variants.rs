@@ -2,7 +2,7 @@
 //! right way. These are the "physics tests" of the simulation — if any
 //! fails, figure shapes can no longer be trusted.
 
-use rootcast::analysis::reachability;
+use rootcast::analysis::{flips, reachability, routing};
 use rootcast::{sim, Letter, ScenarioConfig, SimDuration, SimTime};
 use rootcast_attack::{AttackSchedule, AttackWindow};
 
@@ -151,5 +151,47 @@ fn probe_interval_change_preserves_conclusions() {
         b.survival < 0.6,
         "B survived {} at 8-min probing",
         b.survival
+    );
+}
+
+#[test]
+fn pulse_schedule_event_shares_are_union_covered() {
+    // Ten 8-minute bursts every 20 minutes: the padded event windows
+    // overlap, and each flip or route change must count once.
+    let mut cfg = ScenarioConfig::small();
+    cfg.horizon = SimTime::from_hours(6);
+    cfg.pipeline.horizon = cfg.horizon;
+    cfg.attack = AttackSchedule::new(
+        (0..10u64)
+            .map(|i| AttackWindow {
+                start: SimTime::from_mins(60 + 20 * i),
+                duration: SimDuration::from_mins(8),
+                qname: "www.336901.com".into(),
+                targets: AttackSchedule::nov2015_targets(),
+                rate_qps: 3_500_000.0,
+            })
+            .collect(),
+    );
+    let out = sim::run(&cfg).expect("valid scenario");
+
+    let fig8 = flips::figure8(&out);
+    let shares: Vec<f64> = fig8
+        .event_shares
+        .iter()
+        .copied()
+        .filter(|s| s.is_finite())
+        .collect();
+    assert!(!shares.is_empty(), "the pulses cause flips");
+    for share in shares {
+        assert!((0.0..=1.0).contains(&share), "Figure 8 event share {share}");
+    }
+
+    let fig9 = routing::figure9(&out);
+    let total: f64 = out.letters.iter().map(|&l| fig9.total(l)).sum();
+    let during = fig9.event_total(&out);
+    assert!(total > 0.0, "the pulses cause route changes");
+    assert!(
+        during <= total,
+        "Figure 9 event total {during} exceeds total {total}"
     );
 }
