@@ -262,7 +262,7 @@ impl AnycastService {
 
     /// Scratch-buffer reuse stats of this service's RIB recomputes:
     /// `(reuses, allocs)` from the underlying
-    /// [`RibScratch`](rootcast_bgp::RibScratch).
+    /// [`RibScratch`].
     pub fn scratch_stats(&self) -> (u64, u64) {
         self.rib_scratch.reuse_stats()
     }
@@ -348,7 +348,7 @@ impl AnycastService {
         changes
     }
 
-    /// Apply a [`SiteTuning`] to one site, rebuilding its ingress queue
+    /// Apply a [`SiteTuning`](crate::SiteTuning) to one site, rebuilding its ingress queue
     /// from the new spec so the result is state-identical to a service
     /// freshly built with the tuned spec. Only valid on a pristine
     /// (never-advanced) service: the queue is replaced, so any

@@ -210,12 +210,11 @@ impl SiteState {
         self.offered_qps * (1.0 - self.facility_loss) * (1.0 - self.last_loss)
     }
 
-    /// Which servers currently answer probes, per the LB mode.
-    ///
-    /// Returns 1-based server ordinals. In `FailoverConcentrate` mode
-    /// during an overload episode only one survivor answers, chosen
-    /// deterministically per (site, episode); otherwise all answer.
-    pub fn responding_servers(&self) -> Vec<u16> {
+    /// The one server still answering, when the LB mode concentrates
+    /// load: in `FailoverConcentrate` mode during an overload episode
+    /// only one 1-based server ordinal answers, chosen deterministically
+    /// per (site, episode). `None` when every server answers.
+    pub fn survivor(&self) -> Option<u16> {
         let n = self.spec.n_servers;
         if self.spec.lb_mode == LoadBalancerMode::FailoverConcentrate
             && self.tracker.overloaded
@@ -226,18 +225,20 @@ impl SiteState {
                     .wrapping_mul(0x9e37)
                     .wrapping_add(u64::from(self.spec.host_as.0)),
             ) % u64::from(n)) as u16;
-            vec![pick + 1]
+            Some(pick + 1)
         } else {
-            (1..=n).collect()
+            None
         }
     }
 
-    /// Deterministically map a client hash to the server that answers it.
+    /// Deterministically map a client hash to the server that answers
+    /// it: the survivor if there is one, else a hash over all servers.
     pub fn server_for(&self, client_hash: u64) -> u16 {
-        let responding = self.responding_servers();
-        let idx = (mix64(client_hash ^ u64::from(self.spec.host_as.0) << 17)
-            % responding.len() as u64) as usize;
-        responding[idx]
+        self.survivor().unwrap_or_else(|| {
+            (mix64(client_hash ^ u64::from(self.spec.host_as.0) << 17)
+                % u64::from(self.spec.n_servers)) as u16
+                + 1
+        })
     }
 
     /// Per-server latency skew under load: in `SharedLink` mode, one
@@ -284,7 +285,10 @@ mod tests {
     #[test]
     fn all_servers_respond_when_healthy() {
         let st = SiteState::new(spec());
-        assert_eq!(st.responding_servers(), vec![1, 2, 3]);
+        assert_eq!(st.survivor(), None);
+        let answering: std::collections::BTreeSet<u16> =
+            (0..64u64).map(|h| st.server_for(h)).collect();
+        assert_eq!(answering.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -292,14 +296,17 @@ mod tests {
         let mut st = SiteState::new(spec().with_lb_mode(LoadBalancerMode::FailoverConcentrate));
         st.tracker.overloaded = true;
         st.tracker.episodes = 1;
-        let first = st.responding_servers();
-        assert_eq!(first.len(), 1);
+        let first = st.survivor().expect("one survivor while overloaded");
+        assert!((1..=3).contains(&first));
         // A different episode may pick a different survivor but always
         // exactly one, deterministically.
         st.tracker.episodes = 2;
-        let second = st.responding_servers();
-        assert_eq!(second.len(), 1);
-        assert_eq!(st.responding_servers(), second);
+        let second = st.survivor().expect("one survivor while overloaded");
+        assert!((1..=3).contains(&second));
+        assert_eq!(st.survivor(), Some(second));
+        // The episode over, every server answers again.
+        st.tracker.overloaded = false;
+        assert_eq!(st.survivor(), None);
     }
 
     #[test]
@@ -307,7 +314,7 @@ mod tests {
         let mut st = SiteState::new(spec().with_lb_mode(LoadBalancerMode::FailoverConcentrate));
         st.tracker.overloaded = true;
         st.tracker.episodes = 3;
-        let survivor = st.responding_servers()[0];
+        let survivor = st.survivor().expect("one survivor while overloaded");
         for h in 0..50u64 {
             assert_eq!(st.server_for(h), survivor);
         }

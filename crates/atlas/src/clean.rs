@@ -38,8 +38,7 @@ pub enum CleanObs {
 /// instead of a parsed [`ServerIdentity`], skipping the wire-format
 /// string round trip entirely. Produced by
 /// [`execute_probe_fused`](crate::probe::execute_probe_fused) and
-/// consumed by
-/// [`record_fast`](crate::pipeline::MeasurementPipeline::record_fast).
+/// consumed by [`LetterShard::record`](crate::pipeline::LetterShard::record).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FastObs {
     /// Identified reply: pipeline site index, 1-based server ordinal,

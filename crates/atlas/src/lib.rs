@@ -7,8 +7,9 @@
 //! * [`vp`] — the vantage-point fleet: ~9000 probes, Europe-heavy,
 //!   including the old-firmware and hijacked populations the cleaning
 //!   stage must remove;
-//! * [`probe`] — CHAOS probe execution against any [`ChaosTarget`]
-//!   (timeouts at 5 s, loss draws, RTT jitter, hijack middleboxes);
+//! * [`probe`] — CHAOS probe execution against a service's
+//!   [`TargetView`] (timeouts at 5 s, loss draws, RTT jitter, hijack
+//!   middleboxes);
 //! * [`clean`] — the paper's §2.4.1 cleaning pipeline: firmware
 //!   filtering and hijack detection (bad identity + RTT < 7 ms);
 //! * [`pipeline`] — streaming 10-minute binning with the site > error >
@@ -22,11 +23,11 @@ pub mod vp;
 
 pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
 pub use pipeline::{
-    raster_code, FlipEvent, LetterData, MeasurementPipeline, PipelineConfig, PipelineError,
-    ProbeOutcomeStats, ServerWatch,
+    raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
+    PipelineError, ProbeOutcomeStats, ServerWatch,
 };
 pub use probe::{
-    execute_probe, execute_probe_fused, ChaosTarget, IndexedView, RawMeasurement, RawOutcome,
-    TargetView, ATLAS_TIMEOUT,
+    execute_probe, execute_probe_fused, IndexedView, RawMeasurement, RawOutcome, TargetView,
+    ATLAS_TIMEOUT,
 };
 pub use vp::{FleetParams, VantagePoint, VpFleet, VpId, MIN_FIRMWARE};

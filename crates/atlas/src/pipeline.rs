@@ -94,10 +94,6 @@ impl PipelineConfig {
     fn n_bins(&self) -> usize {
         (self.horizon.as_nanos() / self.bin.as_nanos()) as usize
     }
-
-    fn n_probes(&self) -> usize {
-        (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize
-    }
 }
 
 /// Raster cell codes (per-probe site timeline).
@@ -122,7 +118,7 @@ pub struct FlipEvent {
 }
 
 /// Per-server aggregates for a watched site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerWatch {
     /// VP count per bin, per server ordinal (1-based key).
     pub counts: BTreeMap<u16, BinnedSeries>,
@@ -133,7 +129,7 @@ pub struct ServerWatch {
 }
 
 /// Everything accumulated for one letter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LetterData {
     pub letter: Letter,
     /// Airport codes, indexed by site index.
@@ -228,11 +224,10 @@ impl Default for VpLetterState {
     }
 }
 
-/// Pipeline-wide tallies of probe clean/drop outcomes: how many
-/// recorded observations resolved to a site, timed out, or errored, and
-/// how many scheduled probes produced nothing at all. Counted once per
-/// recorded probe regardless of which entry point (fused or reference)
-/// delivered it.
+/// Tallies of probe clean/drop outcomes: how many recorded observations
+/// resolved to a site, timed out, or errored, and how many scheduled
+/// probes produced nothing at all. Each shard counts its own letter;
+/// [`MeasurementPipeline::outcome_stats`] sums them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeOutcomeStats {
     pub site: u64,
@@ -241,17 +236,178 @@ pub struct ProbeOutcomeStats {
     pub missed: u64,
 }
 
-/// The streaming pipeline.
+/// One letter's slice of the pipeline: its aggregates, its per-VP
+/// streaming state and its outcome tallies. No state crosses letters,
+/// so shards record independently — the probe wheel gives each letter
+/// its own task that probes and records in one pass.
+#[derive(Debug)]
+pub struct LetterShard {
+    data: LetterData,
+    /// Streaming state per VP, indexed by `VpId`.
+    state: Vec<VpLetterState>,
+    outcomes: ProbeOutcomeStats,
+    horizon: SimTime,
+    probe_interval: SimDuration,
+    rtt_subsample: u32,
+}
+
+impl LetterShard {
+    /// The letter this shard records.
+    pub fn letter(&self) -> Letter {
+        self.data.letter
+    }
+
+    /// Record that a scheduled probe produced no measurement at all
+    /// (the VP was disconnected or its result was discarded). Counts
+    /// toward [`LetterData::coverage`]; beyond-horizon slots are ignored
+    /// symmetrically with [`LetterShard::record`].
+    pub fn note_missed(&mut self, at: SimTime) {
+        if at < self.horizon {
+            self.data.missed_probes += 1;
+            self.outcomes.missed += 1;
+        }
+    }
+
+    /// Record one observation already resolved to a site index. A VP
+    /// beyond the fleet is a [`PipelineError::VpOutOfRange`]; a site
+    /// index beyond the letter's registered sites is an
+    /// [`PipelineError::UnknownSite`] (reported as `#idx`).
+    pub fn record(&mut self, vp: VpId, at: SimTime, obs: FastObs) -> Result<(), PipelineError> {
+        if at >= self.horizon {
+            return Ok(());
+        }
+        let n_vps = self.state.len();
+        if vp.0 as usize >= n_vps {
+            return Err(PipelineError::VpOutOfRange { vp, n_vps });
+        }
+        let data = &mut self.data;
+        let bin = at.bin_index(data.success.bin_width()) as u32;
+
+        // Raster: per-probe timeline, padded for any missed slots.
+        let probe_seq = (at.as_nanos() / self.probe_interval.as_nanos()) as usize;
+        let n_probes = (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize;
+        let code = match obs {
+            FastObs::Timeout => raster_code::TIMEOUT,
+            FastObs::Error => raster_code::ERROR,
+            FastObs::Site { site, .. } => {
+                if site as usize >= data.site_codes.len() {
+                    return Err(PipelineError::UnknownSite {
+                        letter: data.letter,
+                        site: format!("#{site}"),
+                    });
+                }
+                raster_code::SITE_BASE + site as u8
+            }
+        };
+        data.observed_probes += 1;
+        match obs {
+            FastObs::Timeout => self.outcomes.timeout += 1,
+            FastObs::Error => self.outcomes.error += 1,
+            FastObs::Site { .. } => self.outcomes.site += 1,
+        }
+        if let Some(raster) = &mut data.raster {
+            if probe_seq < n_probes {
+                let row = &mut raster[vp.0 as usize];
+                while row.len() < probe_seq {
+                    row.push(raster_code::MISSING);
+                }
+                if row.len() == probe_seq {
+                    row.push(code);
+                } else {
+                    // Second probe in the same slot: prefer the "better"
+                    // outcome, mirroring bin preference.
+                    let existing = row[probe_seq];
+                    if code_rank(code) > code_rank(existing) {
+                        row[probe_seq] = code;
+                    }
+                }
+            }
+        }
+
+        // Binning with site > error > timeout preference.
+        let state = &mut self.state[vp.0 as usize];
+        if bin != state.cur_bin {
+            let finished = *state;
+            commit(data, vp, finished, self.rtt_subsample);
+            if let BinBest::Site { site, .. } = finished.best {
+                // The committed bin's site becomes the reference point
+                // for flip detection in later bins.
+                state.last_site = Some(site);
+            }
+            state.cur_bin = bin;
+            state.best = BinBest::Empty;
+        }
+        let cand = match obs {
+            FastObs::Timeout => BinBest::Timeout,
+            FastObs::Error => BinBest::Error,
+            // The site index was validated above, at raster-code time.
+            FastObs::Site { site, server, rtt } => BinBest::Site { site, server, rtt },
+        };
+        if cand.rank() > state.best.rank() {
+            state.best = cand;
+        }
+        Ok(())
+    }
+
+    /// Flush every VP's outstanding bin.
+    fn finalize(&mut self) {
+        for (vpi, st) in self.state.iter_mut().enumerate() {
+            commit(&mut self.data, VpId(vpi as u32), *st, self.rtt_subsample);
+            st.best = BinBest::Empty;
+        }
+    }
+}
+
+/// Fold one VP's finished bin into the letter's aggregates. The caller
+/// updates the VP's `last_site` (it owns the mutable state).
+fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32) {
+    let bin_start = SimTime::ZERO + data.success.bin_width() * u64::from(st.cur_bin);
+    match st.best {
+        BinBest::Empty | BinBest::Timeout => {}
+        BinBest::Error => data.errors.incr_at(bin_start),
+        BinBest::Site { site, server, rtt } => {
+            data.success.incr_at(bin_start);
+            data.site_counts[site as usize].incr_at(bin_start);
+            if vp.0.is_multiple_of(rtt_subsample) {
+                data.rtt.push(bin_start, rtt.as_nanos() as f64);
+            }
+            if let Some(prev) = st.last_site {
+                if prev != site {
+                    data.flips.incr_at(bin_start);
+                    data.flip_events.push(FlipEvent {
+                        at_bin: st.cur_bin,
+                        vp,
+                        from_site: prev,
+                        to_site: site,
+                    });
+                }
+            }
+            if let Some(watch) = data.watches.get_mut(&site) {
+                let n_bins = data.success.len();
+                let bw = data.success.bin_width();
+                watch
+                    .counts
+                    .entry(server)
+                    .or_insert_with(|| BinnedSeries::zeros(bw, n_bins))
+                    .incr_at(bin_start);
+                watch
+                    .rtts
+                    .entry(server)
+                    .or_insert_with(|| SampleBins::new(bw, n_bins))
+                    .push(bin_start, rtt.as_nanos() as f64);
+                watch.site_rtt.push(bin_start, rtt.as_nanos() as f64);
+            }
+        }
+    }
+}
+
+/// The streaming pipeline: one [`LetterShard`] per registered letter,
+/// in registration order.
 #[derive(Debug)]
 pub struct MeasurementPipeline {
     cfg: PipelineConfig,
     n_vps: usize,
-    /// Registered letters in registration order.
-    letter_order: Vec<Letter>,
-    letters: BTreeMap<Letter, LetterData>,
-    /// Per (vp, letter-slot) streaming state.
-    state: Vec<VpLetterState>,
-    outcomes: ProbeOutcomeStats,
+    shards: Vec<LetterShard>,
 }
 
 impl MeasurementPipeline {
@@ -261,10 +417,7 @@ impl MeasurementPipeline {
         MeasurementPipeline {
             cfg,
             n_vps,
-            letter_order: Vec::new(),
-            letters: BTreeMap::new(),
-            state: Vec::new(),
-            outcomes: ProbeOutcomeStats::default(),
+            shards: Vec::new(),
         }
     }
 
@@ -272,15 +425,23 @@ impl MeasurementPipeline {
         &self.cfg
     }
 
-    /// Pipeline-wide probe outcome tallies (clean/drop accounting).
+    /// Probe outcome tallies (clean/drop accounting), summed over the
+    /// shards.
     pub fn outcome_stats(&self) -> ProbeOutcomeStats {
-        self.outcomes
+        self.shards
+            .iter()
+            .fold(ProbeOutcomeStats::default(), |acc, s| ProbeOutcomeStats {
+                site: acc.site + s.outcomes.site,
+                timeout: acc.timeout + s.outcomes.timeout,
+                error: acc.error + s.outcomes.error,
+                missed: acc.missed + s.outcomes.missed,
+            })
     }
 
     /// Register a letter and its site codes before recording for it.
     pub fn register_letter(&mut self, letter: Letter, site_codes: Vec<String>) {
         assert!(
-            !self.letters.contains_key(&letter),
+            self.try_letter(letter).is_none(),
             "letter {letter} registered twice"
         );
         assert!(
@@ -333,52 +494,25 @@ impl MeasurementPipeline {
             observed_probes: 0,
             missed_probes: 0,
         };
-        self.letters.insert(letter, data);
-        self.letter_order.push(letter);
-        // Grow the state table: one slot per (vp, letter).
-        self.state.resize(
-            self.n_vps * self.letter_order.len(),
-            VpLetterState::default(),
-        );
+        self.shards.push(LetterShard {
+            data,
+            state: vec![VpLetterState::default(); self.n_vps],
+            outcomes: ProbeOutcomeStats::default(),
+            horizon: self.cfg.horizon,
+            probe_interval: self.cfg.probe_interval,
+            rtt_subsample: self.cfg.rtt_subsample,
+        });
     }
 
-    fn slot(&self, vp: VpId, letter: Letter) -> Result<usize, PipelineError> {
-        let li = self
-            .letter_order
-            .iter()
-            .position(|&l| l == letter)
-            .ok_or(PipelineError::UnregisteredLetter(letter))?;
-        if vp.0 as usize >= self.n_vps {
-            return Err(PipelineError::VpOutOfRange {
-                vp,
-                n_vps: self.n_vps,
-            });
-        }
-        Ok(li * self.n_vps + vp.0 as usize)
+    /// The letter shards, in registration order.
+    pub fn shards_mut(&mut self) -> &mut [LetterShard] {
+        &mut self.shards
     }
 
-    /// Record that a scheduled probe produced no measurement at all
-    /// (the VP was disconnected or its result was discarded). Counts
-    /// toward [`LetterData::coverage`]; beyond-horizon slots are ignored
-    /// symmetrically with [`MeasurementPipeline::record`].
-    pub fn note_missed(&mut self, letter: Letter, at: SimTime) -> Result<(), PipelineError> {
-        if at >= self.cfg.horizon {
-            return Ok(());
-        }
-        let data = self
-            .letters
-            .get_mut(&letter)
-            .ok_or(PipelineError::UnregisteredLetter(letter))?;
-        data.missed_probes += 1;
-        self.outcomes.missed += 1;
-        Ok(())
-    }
-
-    /// Record one cleaned observation. Thin wrapper over
-    /// [`Self::record_fast`]: resolves the identity's site code to its
-    /// index (after the horizon and slot checks, preserving the error
-    /// order: unregistered letter, then VP range, then unknown site),
-    /// then records on the fused path.
+    /// Record one cleaned observation: resolves the identity's site code
+    /// to its index and hands off to the letter's shard, preserving the
+    /// error order: unregistered letter, then VP range, then unknown
+    /// site.
     pub fn record(
         &mut self,
         vp: VpId,
@@ -389,173 +523,47 @@ impl MeasurementPipeline {
         if at >= self.cfg.horizon {
             return Ok(());
         }
-        self.slot(vp, letter)?;
+        let n_vps = self.n_vps;
+        let shard = self
+            .shards
+            .iter_mut()
+            .find(|s| s.data.letter == letter)
+            .ok_or(PipelineError::UnregisteredLetter(letter))?;
+        if vp.0 as usize >= n_vps {
+            return Err(PipelineError::VpOutOfRange { vp, n_vps });
+        }
         let fast = match obs {
             CleanObs::Timeout => FastObs::Timeout,
             CleanObs::Error => FastObs::Error,
-            CleanObs::Site(id, rtt) => {
-                let data = self.letters.get(&letter).expect("slot() checked");
-                let site = data
+            CleanObs::Site(id, rtt) => FastObs::Site {
+                site: shard
+                    .data
                     .site_idx(&id.site)
                     .ok_or_else(|| PipelineError::UnknownSite {
                         letter,
                         site: id.site.clone(),
-                    })?;
-                FastObs::Site {
-                    site,
-                    server: id.server,
-                    rtt: *rtt,
-                }
-            }
+                    })?,
+                server: id.server,
+                rtt: *rtt,
+            },
         };
-        self.record_fast(vp, letter, at, fast)
-    }
-
-    /// Record one observation already resolved to a site index — the
-    /// fused-path primary implementation (no strings touched). A site
-    /// index beyond the letter's registered sites is an
-    /// [`PipelineError::UnknownSite`] (reported as `#idx`).
-    pub fn record_fast(
-        &mut self,
-        vp: VpId,
-        letter: Letter,
-        at: SimTime,
-        obs: FastObs,
-    ) -> Result<(), PipelineError> {
-        if at >= self.cfg.horizon {
-            return Ok(());
-        }
-        let bin = at.bin_index(self.cfg.bin) as u32;
-        let slot = self.slot(vp, letter)?;
-
-        // Raster: per-probe timeline, padded for any missed slots.
-        let probe_seq = (at.as_nanos() / self.cfg.probe_interval.as_nanos()) as usize;
-        let n_probes = self.cfg.n_probes();
-        let data = self.letters.get_mut(&letter).expect("slot() checked");
-        let code = match obs {
-            FastObs::Timeout => raster_code::TIMEOUT,
-            FastObs::Error => raster_code::ERROR,
-            FastObs::Site { site, .. } => {
-                if site as usize >= data.site_codes.len() {
-                    return Err(PipelineError::UnknownSite {
-                        letter,
-                        site: format!("#{site}"),
-                    });
-                }
-                raster_code::SITE_BASE + site as u8
-            }
-        };
-        data.observed_probes += 1;
-        match obs {
-            FastObs::Timeout => self.outcomes.timeout += 1,
-            FastObs::Error => self.outcomes.error += 1,
-            FastObs::Site { .. } => self.outcomes.site += 1,
-        }
-        if let Some(raster) = &mut data.raster {
-            if probe_seq < n_probes {
-                let row = &mut raster[vp.0 as usize];
-                while row.len() < probe_seq {
-                    row.push(raster_code::MISSING);
-                }
-                if row.len() == probe_seq {
-                    row.push(code);
-                } else {
-                    // Second probe in the same slot: prefer the "better"
-                    // outcome, mirroring bin preference.
-                    let existing = row[probe_seq];
-                    if code_rank(code) > code_rank(existing) {
-                        row[probe_seq] = code;
-                    }
-                }
-            }
-        }
-
-        // Binning with site > error > timeout preference.
-        let state = &mut self.state[slot];
-        if bin != state.cur_bin {
-            let finished = *state;
-            Self::commit(data, vp, finished, self.cfg.rtt_subsample);
-            if let BinBest::Site { site, .. } = finished.best {
-                // The committed bin's site becomes the reference point
-                // for flip detection in later bins.
-                state.last_site = Some(site);
-            }
-            state.cur_bin = bin;
-            state.best = BinBest::Empty;
-        }
-        let cand = match obs {
-            FastObs::Timeout => BinBest::Timeout,
-            FastObs::Error => BinBest::Error,
-            // The site index was validated above, at raster-code time.
-            FastObs::Site { site, server, rtt } => BinBest::Site { site, server, rtt },
-        };
-        if cand.rank() > state.best.rank() {
-            state.best = cand;
-        }
-        Ok(())
-    }
-
-    fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32) {
-        let bin_start = SimTime::ZERO + data.success.bin_width() * u64::from(st.cur_bin);
-        // Find the slot in the state table we were given (committing uses
-        // only the letter-local aggregates).
-        match st.best {
-            BinBest::Empty | BinBest::Timeout => {}
-            BinBest::Error => data.errors.incr_at(bin_start),
-            BinBest::Site { site, server, rtt } => {
-                data.success.incr_at(bin_start);
-                data.site_counts[site as usize].incr_at(bin_start);
-                if vp.0.is_multiple_of(rtt_subsample) {
-                    data.rtt.push(bin_start, rtt.as_nanos() as f64);
-                }
-                if let Some(prev) = st.last_site {
-                    if prev != site {
-                        data.flips.incr_at(bin_start);
-                        data.flip_events.push(FlipEvent {
-                            at_bin: st.cur_bin,
-                            vp,
-                            from_site: prev,
-                            to_site: site,
-                        });
-                    }
-                }
-                if let Some(watch) = data.watches.get_mut(&site) {
-                    let n_bins = data.success.len();
-                    let bw = data.success.bin_width();
-                    watch
-                        .counts
-                        .entry(server)
-                        .or_insert_with(|| BinnedSeries::zeros(bw, n_bins))
-                        .incr_at(bin_start);
-                    watch
-                        .rtts
-                        .entry(server)
-                        .or_insert_with(|| SampleBins::new(bw, n_bins))
-                        .push(bin_start, rtt.as_nanos() as f64);
-                    watch.site_rtt.push(bin_start, rtt.as_nanos() as f64);
-                }
-            }
-        }
-        // last_site tracking happens in the caller (needs mutable state).
+        shard.record(vp, at, fast)
     }
 
     /// Flush all outstanding bins. Call once after the last record.
     pub fn finalize(&mut self) {
-        for (li, &letter) in self.letter_order.iter().enumerate() {
-            let data = self.letters.get_mut(&letter).expect("registered");
-            for vpi in 0..self.n_vps {
-                let slot = li * self.n_vps + vpi;
-                let st = self.state[slot];
-                Self::commit(data, VpId(vpi as u32), st, self.cfg.rtt_subsample);
-                self.state[slot].best = BinBest::Empty;
-            }
+        for shard in &mut self.shards {
+            shard.finalize();
         }
     }
 
     /// Accumulated data for a letter, or `None` when it was never
     /// registered — the graceful-degradation accessor analyses use.
     pub fn try_letter(&self, letter: Letter) -> Option<&LetterData> {
-        self.letters.get(&letter)
+        self.shards
+            .iter()
+            .map(|s| &s.data)
+            .find(|d| d.letter == letter)
     }
 
     /// Accumulated data for a letter.
@@ -564,14 +572,8 @@ impl MeasurementPipeline {
     /// On an unregistered letter — asking for one is a programmer
     /// error; use [`MeasurementPipeline::try_letter`] to degrade.
     pub fn letter(&self, letter: Letter) -> &LetterData {
-        self.letters
-            .get(&letter)
+        self.try_letter(letter)
             .unwrap_or_else(|| panic!("letter {letter} not registered"))
-    }
-
-    /// All registered letters, in registration order.
-    pub fn registered(&self) -> &[Letter] {
-        &self.letter_order
     }
 }
 
@@ -787,10 +789,6 @@ mod tests {
             p.record(VpId(0), Letter::E, t(0), &CleanObs::Timeout),
             Err(PipelineError::UnregisteredLetter(Letter::E))
         );
-        assert_eq!(
-            p.note_missed(Letter::E, t(0)),
-            Err(PipelineError::UnregisteredLetter(Letter::E))
-        );
         assert!(p.try_letter(Letter::E).is_none());
     }
 
@@ -814,9 +812,10 @@ mod tests {
     }
 
     #[test]
-    fn record_fast_matches_record_and_preserves_error_order() {
-        // Same observation stream through both entry points produces
-        // identical aggregates (record() is a thin wrapper).
+    fn shard_record_matches_record_and_preserves_error_order() {
+        // Same observation stream through the string path and straight
+        // into the shard produces identical aggregates (record() resolves
+        // the site code and hands off to the shard).
         let mut slow = pipeline();
         let mut fast = pipeline();
         let stream: [(u32, u64, CleanObs); 6] = [
@@ -838,53 +837,51 @@ mod tests {
                     rtt: *rtt,
                 },
             };
-            fast.record_fast(VpId(*vp), Letter::K, t(*mins), f).unwrap();
+            fast.shards_mut()[0].record(VpId(*vp), t(*mins), f).unwrap();
         }
         slow.finalize();
         fast.finalize();
-        let (s, f) = (slow.letter(Letter::K), fast.letter(Letter::K));
-        assert_eq!(s.success.values(), f.success.values());
-        assert_eq!(s.errors.values(), f.errors.values());
-        assert_eq!(s.flips.values(), f.flips.values());
-        assert_eq!(s.flip_events, f.flip_events);
-        for (a, b) in s.site_counts.iter().zip(&f.site_counts) {
-            assert_eq!(a.values(), b.values());
-        }
-        assert_eq!(s.raster, f.raster);
-        assert_eq!(s.observed_probes, f.observed_probes);
+        assert_eq!(slow.letter(Letter::K), fast.letter(Letter::K));
+        assert_eq!(slow.outcome_stats(), fast.outcome_stats());
 
-        // Error ordering matches record(): letter registration first,
-        // then VP range, then site validity; out-of-range site indices
-        // surface as `#idx`.
+        // The string path checks the letter, then the VP range, then
+        // the site; the shard checks the VP range, then the site index,
+        // which surfaces as `#idx`.
         let mut p = pipeline();
+        assert_eq!(
+            p.record(VpId(99), Letter::E, t(0), &site_obs("ZRH", 1, 20)),
+            Err(PipelineError::UnregisteredLetter(Letter::E))
+        );
+        assert_eq!(
+            p.record(VpId(99), Letter::K, t(0), &site_obs("ZRH", 1, 20)),
+            Err(PipelineError::VpOutOfRange {
+                vp: VpId(99),
+                n_vps: 4
+            })
+        );
         let bad = FastObs::Site {
             site: 7,
             server: 1,
             rtt: SimDuration::from_millis(20),
         };
+        let shard = &mut p.shards_mut()[0];
+        assert_eq!(shard.letter(), Letter::K);
         assert_eq!(
-            p.record_fast(VpId(0), Letter::E, t(0), bad),
-            Err(PipelineError::UnregisteredLetter(Letter::E))
-        );
-        assert_eq!(
-            p.record_fast(VpId(99), Letter::K, t(0), bad),
+            shard.record(VpId(99), t(0), bad),
             Err(PipelineError::VpOutOfRange {
                 vp: VpId(99),
                 n_vps: 4
             })
         );
         assert_eq!(
-            p.record_fast(VpId(0), Letter::K, t(0), bad),
+            shard.record(VpId(0), t(0), bad),
             Err(PipelineError::UnknownSite {
                 letter: Letter::K,
                 site: "#7".into()
             })
         );
         // Beyond-horizon observations are ignored, even invalid ones.
-        assert_eq!(
-            p.record_fast(VpId(0), Letter::K, SimTime::from_hours(2), bad),
-            Ok(())
-        );
+        assert_eq!(shard.record(VpId(0), SimTime::from_hours(2), bad), Ok(()));
     }
 
     #[test]
@@ -892,13 +889,15 @@ mod tests {
         let mut p = pipeline();
         p.record(VpId(0), Letter::K, t(1), &site_obs("AMS", 1, 30))
             .unwrap();
-        p.note_missed(Letter::K, t(5)).unwrap();
-        p.note_missed(Letter::K, t(9)).unwrap();
+        let shard = &mut p.shards_mut()[0];
+        shard.note_missed(t(5));
+        shard.note_missed(t(9));
         // Beyond-horizon slots ignored symmetrically with record().
-        p.note_missed(Letter::K, SimTime::from_hours(2)).unwrap();
+        shard.note_missed(SimTime::from_hours(2));
         p.finalize();
         let cov = p.letter(Letter::K).coverage();
         assert!((cov.fraction() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(p.outcome_stats().missed, 2);
         // A letter with no missed probes stays complete.
         let mut q = pipeline();
         q.record(VpId(0), Letter::K, t(1), &site_obs("AMS", 1, 30))

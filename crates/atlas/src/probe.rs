@@ -1,18 +1,18 @@
 //! Probe execution: one CHAOS query from one VP toward one letter.
 //!
 //! The measurement layer is decoupled from the anycast layer through the
-//! [`ChaosTarget`] trait: the orchestration crate adapts each
-//! `AnycastService` to it. A probe samples the current network state
-//! (catchment, queue delay, drop probability) and produces a
-//! [`RawMeasurement`] — including the *textual* CHAOS identity exactly as
-//! the wire would carry it, so the cleaning stage has to parse it back,
-//! the way the paper's pipeline parses real TXT records.
+//! view a probe is handed: the caller samples the current network state
+//! (catchment, queue delay, drop probability) from the VP's vantage as a
+//! [`TargetView`] (or an [`IndexedView`] on the fused path), and the
+//! probe turns it into a [`RawMeasurement`] — including the *textual*
+//! CHAOS identity exactly as the wire would carry it, so the cleaning
+//! stage has to parse it back, the way the paper's pipeline parses real
+//! TXT records.
 
 use crate::vp::VantagePoint;
 use rand::Rng;
 use rootcast_dns::{Letter, ServerIdentity};
 use rootcast_netsim::{SimDuration, SimTime};
-use rootcast_topology::AsId;
 
 /// The Atlas query timeout: replies slower than this count as lost.
 pub const ATLAS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
@@ -101,16 +101,6 @@ impl IndexedView {
     }
 }
 
-/// A probe-able anycast service (implemented for `AnycastService` by the
-/// orchestration layer).
-pub trait ChaosTarget {
-    /// The letter this target serves.
-    fn letter(&self) -> Letter;
-    /// Current view from `asn` for a client with `client_hash`, or
-    /// `None` when the service is unreachable from there.
-    fn view(&self, asn: AsId, client_hash: u64) -> Option<TargetView>;
-}
-
 /// Raw (pre-cleaning) outcome of one probe.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RawOutcome {
@@ -131,15 +121,17 @@ pub struct RawMeasurement {
     pub outcome: RawOutcome,
 }
 
-/// Execute one probe. `rng` supplies the loss draw and measurement
-/// noise; everything else is deterministic in the current target state.
-pub fn execute_probe<T: ChaosTarget, R: Rng>(
+/// Execute one probe toward `letter`. `view` is the service as seen
+/// from the VP, or `None` when it is unreachable from there; `rng`
+/// supplies the loss draw and measurement noise, everything else is
+/// deterministic in the view.
+pub fn execute_probe<R: Rng>(
     vp: &VantagePoint,
-    target: &T,
+    letter: Letter,
+    view: Option<TargetView>,
     at: SimTime,
     rng: &mut R,
 ) -> RawMeasurement {
-    let letter = target.letter();
     // Hijacked VPs never reach the real service: a local middlebox
     // answers with its own identity, fast (the <7 ms signature the
     // cleaning stage looks for).
@@ -164,7 +156,7 @@ pub fn execute_probe<T: ChaosTarget, R: Rng>(
             outcome: RawOutcome::Timeout,
         };
     }
-    let Some(view) = target.view(vp.asn, vp.client_hash()) else {
+    let Some(view) = view else {
         return RawMeasurement {
             vp: vp.id.0,
             letter,
@@ -255,20 +247,7 @@ mod tests {
     use crate::vp::VpId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    struct FakeTarget {
-        letter: Letter,
-        view: Option<TargetView>,
-    }
-
-    impl ChaosTarget for FakeTarget {
-        fn letter(&self) -> Letter {
-            self.letter
-        }
-        fn view(&self, _asn: AsId, _h: u64) -> Option<TargetView> {
-            self.view.clone()
-        }
-    }
+    use rootcast_topology::AsId;
 
     fn vp(hijacked: bool) -> VantagePoint {
         VantagePoint {
@@ -280,16 +259,18 @@ mod tests {
         }
     }
 
-    fn target(drop_prob: f64, rtt_ms: u64) -> FakeTarget {
-        FakeTarget {
-            letter: Letter::K,
-            view: Some(TargetView::new(
-                "AMS",
-                2,
-                SimDuration::from_millis(rtt_ms),
-                drop_prob,
-            )),
-        }
+    fn target(drop_prob: f64, rtt_ms: u64) -> Option<TargetView> {
+        Some(TargetView::new(
+            "AMS",
+            2,
+            SimDuration::from_millis(rtt_ms),
+            drop_prob,
+        ))
+    }
+
+    /// Probe K-root through `view` at `t = 0`.
+    fn probe(vp: &VantagePoint, view: Option<TargetView>, rng: &mut ChaCha8Rng) -> RawOutcome {
+        execute_probe(vp, Letter::K, view, SimTime::ZERO, rng).outcome
     }
 
     fn rng() -> ChaCha8Rng {
@@ -298,8 +279,7 @@ mod tests {
 
     #[test]
     fn healthy_probe_returns_parseable_identity() {
-        let m = execute_probe(&vp(false), &target(0.0, 30), SimTime::ZERO, &mut rng());
-        match m.outcome {
+        match probe(&vp(false), target(0.0, 30), &mut rng()) {
             RawOutcome::Reply { ref txt, rtt } => {
                 let id = ServerIdentity::parse_txt(Letter::K, txt).expect("parses");
                 assert_eq!(id.site, "AMS");
@@ -313,18 +293,15 @@ mod tests {
 
     #[test]
     fn unreachable_target_times_out() {
-        let t = FakeTarget {
-            letter: Letter::K,
-            view: None,
-        };
-        let m = execute_probe(&vp(false), &t, SimTime::ZERO, &mut rng());
-        assert_eq!(m.outcome, RawOutcome::Timeout);
+        assert_eq!(probe(&vp(false), None, &mut rng()), RawOutcome::Timeout);
     }
 
     #[test]
     fn certain_loss_times_out() {
-        let m = execute_probe(&vp(false), &target(1.0, 30), SimTime::ZERO, &mut rng());
-        assert_eq!(m.outcome, RawOutcome::Timeout);
+        assert_eq!(
+            probe(&vp(false), target(1.0, 30), &mut rng()),
+            RawOutcome::Timeout
+        );
     }
 
     #[test]
@@ -334,12 +311,7 @@ mod tests {
         let mut r = rng();
         let n = 4000;
         let timeouts = (0..n)
-            .filter(|_| {
-                matches!(
-                    execute_probe(&v, &t, SimTime::ZERO, &mut r).outcome,
-                    RawOutcome::Timeout
-                )
-            })
+            .filter(|_| matches!(probe(&v, t.clone(), &mut r), RawOutcome::Timeout))
             .count();
         let frac = timeouts as f64 / n as f64;
         assert!((0.45..0.55).contains(&frac), "timeout fraction {frac}");
@@ -349,8 +321,10 @@ mod tests {
     fn nan_drop_prob_fails_closed_without_panicking() {
         // A NaN loss estimate must never reach gen_bool (which panics on
         // NaN); construction sanitizes it to certain loss.
-        let m = execute_probe(&vp(false), &target(f64::NAN, 30), SimTime::ZERO, &mut rng());
-        assert_eq!(m.outcome, RawOutcome::Timeout);
+        assert_eq!(
+            probe(&vp(false), target(f64::NAN, 30), &mut rng()),
+            RawOutcome::Timeout
+        );
     }
 
     #[test]
@@ -359,14 +333,18 @@ mod tests {
         assert_eq!(v.drop_prob(), 1.0);
         let v = TargetView::new("AMS", 1, SimDuration::from_millis(30), -0.3);
         assert_eq!(v.drop_prob(), 0.0);
-        let m = execute_probe(&vp(false), &target(-0.3, 30), SimTime::ZERO, &mut rng());
-        assert!(matches!(m.outcome, RawOutcome::Reply { .. }));
+        assert!(matches!(
+            probe(&vp(false), target(-0.3, 30), &mut rng()),
+            RawOutcome::Reply { .. }
+        ));
     }
 
     #[test]
     fn rtt_beyond_timeout_is_a_timeout() {
-        let m = execute_probe(&vp(false), &target(0.0, 6000), SimTime::ZERO, &mut rng());
-        assert_eq!(m.outcome, RawOutcome::Timeout);
+        assert_eq!(
+            probe(&vp(false), target(0.0, 6000), &mut rng()),
+            RawOutcome::Timeout
+        );
     }
 
     #[test]
@@ -394,18 +372,20 @@ mod tests {
                 hijacked,
                 flaky,
             };
-            let t = FakeTarget {
-                letter: Letter::K,
-                view: cond.map(|(drop, ms)| {
-                    TargetView::new("AMS", 2, SimDuration::from_millis(ms), drop)
-                }),
-            };
+            let tv = cond
+                .map(|(drop, ms)| TargetView::new("AMS", 2, SimDuration::from_millis(ms), drop));
             let iv =
                 cond.map(|(drop, ms)| IndexedView::new(0, 2, SimDuration::from_millis(ms), drop));
             for seed in 0..200u64 {
                 let mut legacy_rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut fused_rng = legacy_rng.clone();
-                let legacy = clean_outcome(&execute_probe(&v, &t, SimTime::ZERO, &mut legacy_rng));
+                let legacy = clean_outcome(&execute_probe(
+                    &v,
+                    Letter::K,
+                    tv.clone(),
+                    SimTime::ZERO,
+                    &mut legacy_rng,
+                ));
                 let fused = execute_probe_fused(&v, iv, &mut fused_rng);
                 match (&legacy, fused) {
                     (CleanObs::Site(id, lr), FastObs::Site { site, server, rtt }) => {
@@ -427,8 +407,7 @@ mod tests {
 
     #[test]
     fn hijacked_vp_gets_fast_bogus_reply() {
-        let m = execute_probe(&vp(true), &target(0.0, 30), SimTime::ZERO, &mut rng());
-        match m.outcome {
+        match probe(&vp(true), target(0.0, 30), &mut rng()) {
             RawOutcome::Reply { ref txt, rtt } => {
                 assert!(ServerIdentity::parse_txt(Letter::K, txt).is_none());
                 assert!(rtt < SimDuration::from_millis(7));

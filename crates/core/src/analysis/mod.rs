@@ -1,6 +1,6 @@
 //! One analysis module per table/figure of the paper.
 //!
-//! Each module consumes a finished [`SimOutput`](crate::sim::SimOutput)
+//! Each module consumes a finished [`SimOutput`]
 //! and produces the same rows/series the paper reports, plus a
 //! [`TextTable`](crate::render::TextTable) rendering:
 //!

@@ -2,7 +2,7 @@
 //! and the subsystems call around their work, and the [`SpanRecorder`]
 //! that aggregates them.
 //!
-//! Spans nest by static name, so a path reads `drive/probes/execute`.
+//! Spans nest by static name, so a path reads `drive/probes`.
 //! Instrumentation lives *outside* simulation state — observers see the
 //! run but cannot influence it, so a run's outputs are identical
 //! whether or not anything is listening. What happened lives in the

@@ -1,6 +1,6 @@
 //! The engine's metric catalog: every counter, gauge, and histogram a
 //! run maintains, as static handles into a
-//! [`MetricsRegistry`](rootcast_netsim::MetricsRegistry).
+//! [`MetricsRegistry`].
 //!
 //! The registry itself (flat `Vec` storage, O(1) handle access) lives in
 //! `rootcast-netsim`; this module owns the *names* — one `const` handle

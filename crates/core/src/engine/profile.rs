@@ -1,7 +1,7 @@
 //! The frozen span aggregate a run hands out as
 //! [`SimOutput::spans`](crate::sim::SimOutput::spans): count, total and
-//! max wall time per span path (`build_world`, `drive/probes/execute`,
-//! ...), rendered as a breakdown table or exported as chrome://tracing
+//! max wall time per span path (`build_world`, `drive/probes`,
+//! `build_world/substrate`, ...), rendered as a breakdown table or exported as chrome://tracing
 //! trace-event JSON.
 //!
 //! Wall times are host measurements and vary run to run; span paths and
@@ -81,7 +81,7 @@ impl SpanProfile {
         &self.paths[i]
     }
 
-    /// The aggregate for `path`, e.g. `"drive/probes/execute"`.
+    /// The aggregate for `path`, e.g. `"drive/probes"`.
     pub fn get(&self, path: &str) -> Option<&SpanStat> {
         let i = self.paths.iter().position(|p| p == path)?;
         Some(&self.stats[i])

@@ -11,8 +11,8 @@ use crate::engine::trace::{EventTrace, TraceEventKind};
 use rand::Rng;
 use rootcast_anycast::{AnycastService, FacilityTable};
 use rootcast_atlas::{
-    clean_fleet, execute_probe, ChaosTarget, CleaningReport, MeasurementPipeline, RawMeasurement,
-    TargetView, VpFleet,
+    clean_fleet, execute_probe, CleaningReport, MeasurementPipeline, RawMeasurement, TargetView,
+    VantagePoint, VpFleet,
 };
 use rootcast_attack::{population_weights, Botnet, ResolverPopulation};
 use rootcast_bgp::RouteCollector;
@@ -23,26 +23,17 @@ use rootcast_topology::{gen, AsGraph, Tier};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Adapter exposing an [`AnycastService`] as a probe target for the
-/// calibration pass's public `execute_probe` path.
-pub(crate) struct ServiceTarget<'a> {
-    pub svc: &'a AnycastService,
-}
-
-impl ChaosTarget for ServiceTarget<'_> {
-    fn letter(&self) -> Letter {
-        self.svc.letter.expect("root service has a letter")
-    }
-
-    fn view(&self, asn: rootcast_topology::AsId, client_hash: u64) -> Option<TargetView> {
-        let pv = self.svc.probe_view(asn, client_hash)?;
-        Some(TargetView::new(
-            self.svc.site(pv.site).spec.code.clone(),
-            pv.server,
-            pv.rtt,
-            pv.drop_prob,
-        ))
-    }
+/// The service as `vp` sees it right now, with the catchment site named
+/// by its airport code: the view the public `execute_probe` path takes.
+/// Draws no RNG.
+pub(crate) fn target_view(svc: &AnycastService, vp: &VantagePoint) -> Option<TargetView> {
+    let pv = svc.probe_view(vp.asn, vp.client_hash())?;
+    Some(TargetView::new(
+        svc.site(pv.site).spec.code.clone(),
+        pv.server,
+        pv.rtt,
+        pv.drop_prob,
+    ))
 }
 
 /// Results of the most recent fluid window, published by
@@ -208,9 +199,9 @@ impl Substrate {
         {
             let mut cal_rng = rng_factory.stream("calibration");
             for vp in fleet.iter() {
-                for (si, _) in letters.iter().enumerate() {
-                    let target = ServiceTarget { svc: &services[si] };
-                    calibration.push(execute_probe(vp, &target, SimTime::ZERO, &mut cal_rng));
+                for (svc, &letter) in services.iter().zip(&letters) {
+                    let view = target_view(svc, vp);
+                    calibration.push(execute_probe(vp, letter, view, SimTime::ZERO, &mut cal_rng));
                 }
             }
         }

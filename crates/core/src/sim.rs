@@ -3,30 +3,27 @@
 //!
 //! ## Structure of a run
 //!
-//! [`run`] validates the configuration
-//! ([`ScenarioConfig::validate`]), builds a
-//! [`SimWorld`](crate::engine::SimWorld) (topology, services, traffic
-//! sources, the calibrated VP fleet) and drives six subsystems against
-//! it on one deterministic schedule:
+//! [`run`] validates the configuration ([`ScenarioConfig::validate`]),
+//! builds a [`SimWorld`] (topology, services, traffic sources, the
+//! calibrated VP fleet) and drives six subsystems against it on one
+//! deterministic schedule:
 //!
-//! * [`FluidTraffic`](crate::engine::FluidTraffic) (every minute):
-//!   distribute attack + legitimate load over each service's current
-//!   catchments, push it through the shared-facility links and per-site
-//!   ingress queues, and let stress policies withdraw/re-announce.
-//! * [`RssacAccounting`](crate::engine::RssacAccounting) (same cadence,
-//!   ticking after the fluid step): RSSAC byte/query accounting and the
-//!   `.nl` served-rate series.
-//! * [`ProbeWheel`](crate::engine::ProbeWheel) (every minute): the
-//!   Atlas fleet's wheel — each (VP, letter) pair probes on its own
-//!   phase of the letter's probing interval (§2.4.1).
-//! * [`ResolverRefresh`](crate::engine::ResolverRefresh) (every
-//!   10 min): resolvers re-weight letter preferences from current
-//!   RTT/loss — the letter-flip mechanism (§3.2.2).
-//! * [`MaintenanceChurn`](crate::engine::MaintenanceChurn): background
-//!   operator maintenance noise.
-//! * [`FaultInjector`](crate::engine::FaultInjector) (seeded last, so
-//!   same-instant faults land after production ticks): scheduled fault
-//!   injection from the scenario's
+//! * [`FluidTraffic`] (every minute): distribute attack + legitimate
+//!   load over each service's current catchments, push it through the
+//!   shared-facility links and per-site ingress queues, and let stress
+//!   policies withdraw/re-announce.
+//! * [`RssacAccounting`] (same cadence, ticking after the fluid step):
+//!   RSSAC byte/query accounting and the `.nl` served-rate series.
+//! * [`ProbeWheel`] (every minute): the Atlas fleet's wheel — each
+//!   (VP, letter) pair probes on its own phase of the letter's probing
+//!   interval (§2.4.1), one parallel probe-and-record pass per letter.
+//! * [`ResolverRefresh`] (every 10 min): resolvers re-weight letter
+//!   preferences from current RTT/loss — the letter-flip mechanism
+//!   (§3.2.2).
+//! * [`MaintenanceChurn`] (at exponentially distributed instants):
+//!   background operator maintenance noise.
+//! * [`FaultInjector`] (seeded last, so same-instant faults land after
+//!   production ticks): scheduled fault injection from the scenario's
 //!   [`FaultPlan`](crate::engine::FaultPlan). An empty plan never
 //!   wakes, leaving the run bit-identical to a five-subsystem one.
 //!
@@ -80,7 +77,7 @@ pub struct SimOutput {
     /// [`ScenarioConfig::trace`] enabled it).
     pub trace: TraceSnapshot,
     /// Where the wall time went: count, total and max per span path
-    /// (`build_world`, `drive/<subsystem>`, `drive/probes/execute`,
+    /// (`build_world`, `build_world/substrate`, `drive/<subsystem>`,
     /// `finalize`, ...).
     pub spans: SpanProfile,
     /// Every fault transition the injector applied, in order: the run's
@@ -337,10 +334,6 @@ mod tests {
         assert_eq!(out.spans.ticks("fluid"), 120); // one per minute over 2 h
         assert_eq!(out.spans.ticks("rssac"), 120);
         assert_eq!(out.spans.ticks("probes"), 120);
-        for child in ["execute", "record"] {
-            let path = format!("drive/probes/{child}");
-            assert_eq!(out.spans.get(&path).map(|s| s.count), Some(120), "{path}");
-        }
         // Load extremes live in the metrics registry.
         assert!(out.metrics.gauge("fluid.peak_offered_qps").unwrap_or(0.0) > 0.0);
         assert!(out.metrics.gauge("fluid.worst_served_ratio").unwrap_or(1.0) < 1.0);

@@ -2,7 +2,7 @@
 //!
 //! Substrate keys, sweep config hashes and output digests fold through
 //! it, and RNG stream keys through the same fold with another prime
-//! ([`stream_key_hash`]). None of it may change: every value is pinned
+//! (the crate-private `stream_key_hash`). None of it may change: every value is pinned
 //! by recorded digests and checkpoint manifests.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;

@@ -134,7 +134,7 @@ impl BinnedSeries {
 
 /// Accumulates `(time, value)` samples and reduces each bin with a chosen
 /// statistic — the pattern used for per-bin median RTT (Figures 4, 7, 13).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleBins {
     bin: SimDuration,
     samples: Vec<Vec<f64>>,

@@ -13,7 +13,7 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// Quantile `q` in [0,1] of a slice using the nearest-rank method on the
+/// Quantile `q` in `[0, 1]` of a slice using the nearest-rank method on the
 /// sorted finite values. Returns NaN when no finite values exist.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");

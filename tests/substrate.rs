@@ -5,14 +5,14 @@
 use rand::SeedableRng;
 use rootcast_anycast::{AnycastService, FacilityTable, SiteSpec, StressPolicy};
 use rootcast_atlas::{
-    clean_fleet, clean_outcome, execute_probe, ChaosTarget, CleanObs, FleetParams,
-    MeasurementPipeline, PipelineConfig, TargetView, VpFleet, VpId,
+    clean_fleet, clean_outcome, execute_probe, CleanObs, FleetParams, MeasurementPipeline,
+    PipelineConfig, RawMeasurement, TargetView, VantagePoint, VpFleet, VpId,
 };
 use rootcast_attack::{Botnet, BotnetParams};
 use rootcast_bgp::RouteCollector;
 use rootcast_dns::{Letter, RootZone, ServerIdentity};
 use rootcast_netsim::{SimDuration, SimRng, SimTime};
-use rootcast_topology::{gen, AsId, Tier, TopologyParams};
+use rootcast_topology::{gen, Tier, TopologyParams};
 
 fn topology() -> rootcast_topology::AsGraph {
     gen::generate(
@@ -26,21 +26,23 @@ fn topology() -> rootcast_topology::AsGraph {
     )
 }
 
-struct Adapter<'a>(&'a AnycastService);
-
-impl ChaosTarget for Adapter<'_> {
-    fn letter(&self) -> Letter {
-        self.0.letter.expect("letter set")
-    }
-    fn view(&self, asn: AsId, client_hash: u64) -> Option<TargetView> {
-        let pv = self.0.probe_view(asn, client_hash)?;
-        Some(TargetView::new(
-            self.0.site(pv.site).spec.code.clone(),
+/// Probe `svc` from `vp` through the public string path, handing the
+/// probe the service's current view from the VP's AS.
+fn probe<R: rand::Rng>(
+    vp: &VantagePoint,
+    svc: &AnycastService,
+    at: SimTime,
+    rng: &mut R,
+) -> RawMeasurement {
+    let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
+        TargetView::new(
+            svc.site(pv.site).spec.code.clone(),
             pv.server,
             pv.rtt,
             pv.drop_prob,
-        ))
-    }
+        )
+    });
+    execute_probe(vp, svc.letter.expect("letter set"), view, at, rng)
 }
 
 #[test]
@@ -63,7 +65,7 @@ fn manual_wiring_topology_to_pipeline() {
     let mut cal = Vec::new();
     let mut prng = rng.stream("probe-test");
     for vp in fleet.iter() {
-        cal.push(execute_probe(vp, &Adapter(&svc), SimTime::ZERO, &mut prng));
+        cal.push(probe(vp, &svc, SimTime::ZERO, &mut prng));
     }
     let report = clean_fleet(&fleet, &cal);
     assert!(report.kept_count() > 100);
@@ -89,7 +91,7 @@ fn manual_wiring_topology_to_pipeline() {
             if excluded.contains(&vp.id) {
                 continue;
             }
-            let m = execute_probe(vp, &Adapter(&svc), t, &mut prng);
+            let m = probe(vp, &svc, t, &mut prng);
             pipe.record(vp.id, Letter::K, t, &clean_outcome(&m))
                 .expect("K is registered");
         }
@@ -181,7 +183,7 @@ fn pipeline_and_probe_agree_on_sites() {
     let fleet = VpFleet::generate(&graph, &FleetParams::tiny(80), &SimRng::new(4));
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
     for vp in fleet.iter().filter(|v| !v.hijacked) {
-        let m = execute_probe(vp, &Adapter(&svc), SimTime::ZERO, &mut rng);
+        let m = probe(vp, &svc, SimTime::ZERO, &mut rng);
         if let CleanObs::Site(id, _) = clean_outcome(&m) {
             assert!(
                 svc.sites().iter().any(|s| s.spec.code == id.site),

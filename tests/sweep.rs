@@ -8,7 +8,12 @@
 //!    manifest (not re-executed) and the final report matches an
 //!    uninterrupted sweep, even with a corrupted manifest line in the
 //!    way.
+//!
+//! Plus the thread budget the sweep's nested fan-out relies on: each
+//! run's per-letter probe tick fans out again inside the sweep's
+//! workers, and must stay within the sweep's pool.
 
+use rayon::prelude::*;
 use rootcast::{
     output_digest, run, run_sweep, run_sweep_with, ConfigPatch, Letter, ScenarioConfig, SeedMode,
     SimTime, SiteOverride, SiteTuning, SweepAxis, SweepOptions, SweepPlan, SweepRun,
@@ -239,4 +244,27 @@ fn changed_config_invalidates_only_its_manifest_entry() {
         second.records[0].output_digest
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn nested_fan_outs_stay_within_the_pool() {
+    // Each spawned worker sees its share, max(1, n / workers), of the
+    // pool's n threads, so a per-letter fan-out nested inside a parallel
+    // sweep never multiplies the thread count.
+    let seen = |threads: usize, items: usize| -> Vec<usize> {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(|| {
+                (0..items)
+                    .into_par_iter()
+                    .map(|_| rayon::current_num_threads())
+                    .collect()
+            })
+    };
+    assert_eq!(seen(4, 2), vec![2, 2]);
+    assert_eq!(seen(2, 12), vec![1; 12]);
+    // A single chunk runs inline with the caller's count.
+    assert_eq!(seen(3, 1), vec![3]);
 }
