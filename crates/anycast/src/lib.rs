@@ -23,4 +23,4 @@ pub mod site;
 pub use facility::FacilityTable;
 pub use policy::{LoadBalancerMode, OverloadTracker, StressPolicy};
 pub use service::{AnycastService, CatchmentIndex, ProbeView, RoutingChanges};
-pub use site::{FacilityId, SiteIdx, SiteSpec, SiteState, SiteTuning};
+pub use site::{FacilityId, SiteIdx, SiteProbe, SiteSpec, SiteState, SiteTuning};

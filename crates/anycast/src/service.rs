@@ -9,7 +9,7 @@
 
 use crate::facility::FacilityTable;
 use crate::policy::StressPolicy;
-use crate::site::{SiteIdx, SiteSpec, SiteState};
+use crate::site::{SiteIdx, SiteProbe, SiteSpec, SiteState};
 use rootcast_bgp::{compute_rib_scoped_into, Origin, Rib, RibScratch};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
@@ -27,7 +27,8 @@ pub struct ProbeView {
     pub server: u16,
     /// Round-trip time if the query is answered.
     pub rtt: SimDuration,
-    /// Probability the query (or its response) is dropped.
+    /// Probability the query (or its response) is dropped, sanitized to
+    /// `[0, 1]`.
     pub drop_prob: f64,
 }
 
@@ -412,20 +413,59 @@ impl AnycastService {
 
     /// What a probe from `asn` (client hash `client_hash`) would see
     /// right now, or `None` if the service is unreachable from there.
+    /// Snapshots only the catchment site; a caller resolving many probes
+    /// at one instant fills [`Self::site_probes_into`] once and uses
+    /// [`Self::probe_view_in`], which applies the same formula.
     pub fn probe_view(&self, asn: AsId, client_hash: u64) -> Option<ProbeView> {
+        self.view_through(asn, client_hash, |site| self.sites[site].probe_snapshot())
+    }
+
+    /// Every site's [`SiteProbe`] snapshot, in site order, into a
+    /// caller-owned buffer. Valid until the next fluid step or routing
+    /// change.
+    pub fn site_probes_into(&self, out: &mut Vec<SiteProbe>) {
+        out.clear();
+        out.extend(self.sites.iter().map(SiteState::probe_snapshot));
+    }
+
+    /// [`Self::probe_view`] with the sites read from `snaps`, this
+    /// service's current [`Self::site_probes_into`] output.
+    #[inline]
+    pub fn probe_view_in(
+        &self,
+        snaps: &[SiteProbe],
+        asn: AsId,
+        client_hash: u64,
+    ) -> Option<ProbeView> {
+        debug_assert_eq!(
+            snaps.len(),
+            self.sites.len(),
+            "{}: stale snapshot",
+            self.name
+        );
+        self.view_through(asn, client_hash, |site| snaps[site])
+    }
+
+    #[inline]
+    fn view_through(
+        &self,
+        asn: AsId,
+        client_hash: u64,
+        snapshot: impl FnOnce(SiteIdx) -> SiteProbe,
+    ) -> Option<ProbeView> {
         let route = self.rib.route(asn)?;
-        let site_idx = route.origin.0 as usize;
-        let site = &self.sites[site_idx];
-        let server = site.server_for(client_hash);
+        let site = route.origin.0 as usize;
+        let snap = snapshot(site);
+        let server = snap.server_for(client_hash);
         let rtt = (route.latency + self.access[asn.0 as usize]) * 2
-            + site.queue_delay()
-            + site.server_extra_delay(server)
+            + snap.queue_delay
+            + snap.server_extra_delay(server)
             + SERVER_PROCESSING;
         Some(ProbeView {
-            site: site_idx,
+            site,
             server,
             rtt,
-            drop_prob: site.probe_drop_probability(),
+            drop_prob: snap.drop_prob,
         })
     }
 
@@ -617,6 +657,103 @@ mod tests {
         assert!(stressed.rtt > healthy.rtt + SimDuration::from_millis(100));
         assert!(stressed.drop_prob > 0.9);
         let _ = g;
+    }
+
+    /// The per-probe formula the site snapshot replaced, kept as the
+    /// oracle: every term read straight from the live site state.
+    fn per_probe_view(svc: &AnycastService, asn: AsId, client_hash: u64) -> Option<ProbeView> {
+        use rootcast_netsim::stats::mix64;
+        let route = svc.rib.route(asn)?;
+        let site_idx = route.origin.0 as usize;
+        let site = &svc.sites[site_idx];
+        let n = u64::from(site.spec.n_servers);
+        let host = u64::from(site.spec.host_as.0);
+        let server = site
+            .survivor()
+            .unwrap_or_else(|| (mix64(client_hash ^ host << 17) % n) as u16 + 1);
+        let hot = (mix64(host) % n) as u16 + 1;
+        let extra = if site.spec.lb_mode == LoadBalancerMode::SharedLink
+            && site.utilization() > 1.0
+            && server == hot
+        {
+            SimDuration::from_nanos(site.queue_delay().as_nanos() / 2)
+        } else {
+            SimDuration::ZERO
+        };
+        Some(ProbeView {
+            site: site_idx,
+            server,
+            rtt: (route.latency + svc.access[asn.0 as usize]) * 2
+                + site.queue_delay()
+                + extra
+                + SERVER_PROCESSING,
+            drop_prob: site.probe_drop_probability(),
+        })
+    }
+
+    #[test]
+    fn snapshot_views_match_the_per_probe_formula() {
+        use crate::facility::FacilityTable;
+        use crate::site::FacilityId;
+        let g = gen::generate(&TopologyParams::tiny(), &SimRng::new(5));
+        let stubs = g.by_tier(Tier::Stub);
+        let fac = FacilityId(0);
+        let specs = vec![
+            SiteSpec::global("AMS", stubs[0], 1000.0).with_facility(fac),
+            SiteSpec::global("IAD", stubs[1], 1000.0)
+                .with_lb_mode(LoadBalancerMode::FailoverConcentrate)
+                .with_facility(fac),
+            SiteSpec::global("NRT", stubs[2], 1000.0),
+        ];
+        let mut svc = AnycastService::new("test", Some(Letter::K), &g, specs);
+        let mut facilities = FacilityTable::new();
+        facilities.register(fac, 20_000.0, 0.0);
+        let mut snaps = Vec::new();
+        let check = |svc: &AnycastService, snaps: &mut Vec<SiteProbe>| {
+            svc.site_probes_into(snaps);
+            for asn in (0..g.len() as u32).map(AsId) {
+                for h in [0, 42, u64::MAX, 0x9e37_79b9_7f4a_7c15] {
+                    let expected = per_probe_view(svc, asn, h);
+                    assert_eq!(svc.probe_view(asn, h), expected, "{asn:?} hash {h}");
+                    assert_eq!(
+                        svc.probe_view_in(snaps, asn, h),
+                        expected,
+                        "{asn:?} hash {h}"
+                    );
+                }
+            }
+        };
+        // Healthy: no hot server, no survivor, no loss.
+        check(&svc, &mut snaps);
+        assert!(snaps
+            .iter()
+            .all(|s| s.hot.is_none() && s.survivor.is_none()));
+        // Overload both facility-sharing sites: AMS (SharedLink) gets a
+        // hot server, IAD (FailoverConcentrate) a survivor, and the
+        // shared facility link drops part of the stream.
+        let offered = vec![40_000.0, 40_000.0, 10.0];
+        let mut t = SimTime::ZERO;
+        for _ in 0..5 {
+            t += SimDuration::from_mins(1);
+            svc.stage_facility_load(&offered, &mut facilities);
+            facilities.advance(t);
+            svc.advance_queues(t, &offered, &facilities);
+            svc.apply_policies(t, &g);
+        }
+        check(&svc, &mut snaps);
+        assert!(
+            svc.site(0).facility_loss > 0.0,
+            "facility link not congested"
+        );
+        assert!(
+            snaps[0].hot.is_some(),
+            "SharedLink overload has no hot server"
+        );
+        assert!(
+            snaps[1].survivor.is_some(),
+            "FailoverConcentrate has no survivor"
+        );
+        assert!(snaps[0].drop_prob > 0.0 && snaps[2].drop_prob == 0.0);
     }
 
     #[test]

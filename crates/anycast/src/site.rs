@@ -2,7 +2,7 @@
 
 use crate::policy::{LoadBalancerMode, OverloadTracker, StressPolicy};
 use rootcast_bgp::Scope;
-use rootcast_netsim::stats::mix64;
+use rootcast_netsim::stats::{mix64, sanitize_probability};
 use rootcast_netsim::{FluidQueue, SimDuration, SimTime};
 use rootcast_topology::AsId;
 
@@ -231,28 +231,70 @@ impl SiteState {
         }
     }
 
+    /// Everything a probe reads from this site, computed once: the
+    /// probe tick snapshots every site of a letter per tick, and
+    /// [`AnycastService::probe_view`](crate::AnycastService::probe_view)
+    /// snapshots the one site it needs, so both use the same formulas.
+    pub fn probe_snapshot(&self) -> SiteProbe {
+        let n_servers = self.spec.n_servers;
+        let queue_delay = self.queue_delay();
+        // In `SharedLink` mode under load, one hash-designated server is
+        // more loaded than its siblings (K-NRT-S2 in Figure 13) and adds
+        // half the queue delay again.
+        let hot = (self.spec.lb_mode == LoadBalancerMode::SharedLink && self.utilization() > 1.0)
+            .then(|| {
+                let server =
+                    (mix64(u64::from(self.spec.host_as.0)) % u64::from(n_servers)) as u16 + 1;
+                (server, SimDuration::from_nanos(queue_delay.as_nanos() / 2))
+            });
+        SiteProbe {
+            queue_delay,
+            hot,
+            survivor: self.survivor(),
+            drop_prob: sanitize_probability(self.probe_drop_probability()),
+            host: self.spec.host_as.0,
+            n_servers,
+        }
+    }
+}
+
+/// One site as a probe sees it at one instant, from
+/// [`SiteState::probe_snapshot`]. Per-tick state (queue delay, hot
+/// server, survivor, drop probability) is computed once here, so a
+/// probe only hashes its client to a server and sums integer delays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SiteProbe {
+    /// Queueing delay added to an accepted query.
+    pub queue_delay: SimDuration,
+    /// The `SharedLink` hot server under load and the extra delay it
+    /// adds; `None` when every server is equally fast.
+    pub hot: Option<(u16, SimDuration)>,
+    /// The one server still answering, see [`SiteState::survivor`].
+    pub survivor: Option<u16>,
+    /// Combined probe drop probability, sanitized to `[0, 1]` (NaN
+    /// fails closed to 1).
+    pub drop_prob: f64,
+    host: u32,
+    n_servers: u16,
+}
+
+impl SiteProbe {
     /// Deterministically map a client hash to the server that answers
     /// it: the survivor if there is one, else a hash over all servers.
+    #[inline]
     pub fn server_for(&self, client_hash: u64) -> u16 {
-        self.survivor().unwrap_or_else(|| {
-            (mix64(client_hash ^ u64::from(self.spec.host_as.0) << 17)
-                % u64::from(self.spec.n_servers)) as u16
-                + 1
+        self.survivor.unwrap_or_else(|| {
+            (mix64(client_hash ^ u64::from(self.host) << 17) % u64::from(self.n_servers)) as u16 + 1
         })
     }
 
-    /// Per-server latency skew under load: in `SharedLink` mode, one
-    /// hash-designated server is more loaded than its siblings (K-NRT-S2
-    /// in Figure 13) and adds half the queue delay again.
+    /// Extra latency of `server` beyond the site's queue delay.
+    #[inline]
     pub fn server_extra_delay(&self, server: u16) -> SimDuration {
-        if self.spec.lb_mode == LoadBalancerMode::SharedLink && self.utilization() > 1.0 {
-            let hot =
-                (mix64(u64::from(self.spec.host_as.0)) % u64::from(self.spec.n_servers)) as u16 + 1;
-            if server == hot {
-                return SimDuration::from_nanos(self.queue.queue_delay().as_nanos() / 2);
-            }
+        match self.hot {
+            Some((hot, extra)) if hot == server => extra,
+            _ => SimDuration::ZERO,
         }
-        SimDuration::ZERO
     }
 }
 
@@ -286,8 +328,9 @@ mod tests {
     fn all_servers_respond_when_healthy() {
         let st = SiteState::new(spec());
         assert_eq!(st.survivor(), None);
+        let snap = st.probe_snapshot();
         let answering: std::collections::BTreeSet<u16> =
-            (0..64u64).map(|h| st.server_for(h)).collect();
+            (0..64u64).map(|h| snap.server_for(h)).collect();
         assert_eq!(answering.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
@@ -315,8 +358,9 @@ mod tests {
         st.tracker.overloaded = true;
         st.tracker.episodes = 3;
         let survivor = st.survivor().expect("one survivor while overloaded");
+        let snap = st.probe_snapshot();
         for h in 0..50u64 {
-            assert_eq!(st.server_for(h), survivor);
+            assert_eq!(snap.server_for(h), survivor);
         }
     }
 
@@ -334,11 +378,12 @@ mod tests {
         let mut st = SiteState::new(spec());
         st.offered_qps = 500.0;
         for s in 1..=3 {
-            assert_eq!(st.server_extra_delay(s), SimDuration::ZERO);
+            assert_eq!(st.probe_snapshot().server_extra_delay(s), SimDuration::ZERO);
         }
         st.offered_qps = 5000.0;
         st.queue.advance(SimTime::from_secs(10), 5000.0);
-        let extras: Vec<SimDuration> = (1..=3).map(|s| st.server_extra_delay(s)).collect();
+        let snap = st.probe_snapshot();
+        let extras: Vec<SimDuration> = (1..=3).map(|s| snap.server_extra_delay(s)).collect();
         let hot = extras.iter().filter(|d| !d.is_zero()).count();
         assert_eq!(hot, 1, "exactly one hot server, got {extras:?}");
     }

@@ -24,7 +24,7 @@ pub mod vp;
 pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
 pub use pipeline::{
     raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
-    PipelineError, ProbeOutcomeStats, ServerWatch,
+    PipelineError, ProbeOutcomeStats, RecordSlot, ServerWatch,
 };
 pub use probe::{
     execute_probe, execute_probe_fused, IndexedView, RawMeasurement, RawOutcome, TargetView,

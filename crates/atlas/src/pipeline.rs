@@ -251,6 +251,15 @@ pub struct LetterShard {
     rtt_subsample: u32,
 }
 
+/// A probe time resolved against a shard's binning, from
+/// [`LetterShard::slot`]: the aggregate bin and, when the time falls
+/// inside the raster's probe grid, the raster column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordSlot {
+    bin: u32,
+    raster_seq: Option<usize>,
+}
+
 impl LetterShard {
     /// The letter this shard records.
     pub fn letter(&self) -> Letter {
@@ -268,24 +277,44 @@ impl LetterShard {
         }
     }
 
+    /// Where a probe at `at` records: its bin and its raster slot,
+    /// computed once per tick since every probe of a tick shares `at`.
+    /// `None` at or past the horizon, where observations are ignored.
+    pub fn slot(&self, at: SimTime) -> Option<RecordSlot> {
+        if at >= self.horizon {
+            return None;
+        }
+        let probe_seq = (at.as_nanos() / self.probe_interval.as_nanos()) as usize;
+        let n_probes = (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize;
+        Some(RecordSlot {
+            bin: at.bin_index(self.data.success.bin_width()) as u32,
+            raster_seq: (probe_seq < n_probes).then_some(probe_seq),
+        })
+    }
+
     /// Record one observation already resolved to a site index. A VP
     /// beyond the fleet is a [`PipelineError::VpOutOfRange`]; a site
     /// index beyond the letter's registered sites is an
     /// [`PipelineError::UnknownSite`] (reported as `#idx`).
     pub fn record(&mut self, vp: VpId, at: SimTime, obs: FastObs) -> Result<(), PipelineError> {
-        if at >= self.horizon {
-            return Ok(());
+        match self.slot(at) {
+            Some(slot) => self.record_in(&slot, vp, obs),
+            None => Ok(()),
         }
+    }
+
+    /// [`Self::record`] at a slot from [`Self::slot`].
+    pub fn record_in(
+        &mut self,
+        slot: &RecordSlot,
+        vp: VpId,
+        obs: FastObs,
+    ) -> Result<(), PipelineError> {
         let n_vps = self.state.len();
         if vp.0 as usize >= n_vps {
             return Err(PipelineError::VpOutOfRange { vp, n_vps });
         }
         let data = &mut self.data;
-        let bin = at.bin_index(data.success.bin_width()) as u32;
-
-        // Raster: per-probe timeline, padded for any missed slots.
-        let probe_seq = (at.as_nanos() / self.probe_interval.as_nanos()) as usize;
-        let n_probes = (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize;
         let code = match obs {
             FastObs::Timeout => raster_code::TIMEOUT,
             FastObs::Error => raster_code::ERROR,
@@ -305,28 +334,27 @@ impl LetterShard {
             FastObs::Error => self.outcomes.error += 1,
             FastObs::Site { .. } => self.outcomes.site += 1,
         }
-        if let Some(raster) = &mut data.raster {
-            if probe_seq < n_probes {
-                let row = &mut raster[vp.0 as usize];
-                while row.len() < probe_seq {
-                    row.push(raster_code::MISSING);
-                }
-                if row.len() == probe_seq {
-                    row.push(code);
-                } else {
-                    // Second probe in the same slot: prefer the "better"
-                    // outcome, mirroring bin preference.
-                    let existing = row[probe_seq];
-                    if code_rank(code) > code_rank(existing) {
-                        row[probe_seq] = code;
-                    }
+        // Raster: per-probe timeline, padded for any missed slots.
+        if let (Some(raster), Some(probe_seq)) = (&mut data.raster, slot.raster_seq) {
+            let row = &mut raster[vp.0 as usize];
+            while row.len() < probe_seq {
+                row.push(raster_code::MISSING);
+            }
+            if row.len() == probe_seq {
+                row.push(code);
+            } else {
+                // Second probe in the same slot: prefer the "better"
+                // outcome, mirroring bin preference.
+                let existing = row[probe_seq];
+                if code_rank(code) > code_rank(existing) {
+                    row[probe_seq] = code;
                 }
             }
         }
 
         // Binning with site > error > timeout preference.
         let state = &mut self.state[vp.0 as usize];
-        if bin != state.cur_bin {
+        if slot.bin != state.cur_bin {
             let finished = *state;
             commit(data, vp, finished, self.rtt_subsample);
             if let BinBest::Site { site, .. } = finished.best {
@@ -334,7 +362,7 @@ impl LetterShard {
                 // for flip detection in later bins.
                 state.last_site = Some(site);
             }
-            state.cur_bin = bin;
+            state.cur_bin = slot.bin;
             state.best = BinBest::Empty;
         }
         let cand = match obs {
@@ -361,19 +389,19 @@ impl LetterShard {
 /// Fold one VP's finished bin into the letter's aggregates. The caller
 /// updates the VP's `last_site` (it owns the mutable state).
 fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32) {
-    let bin_start = SimTime::ZERO + data.success.bin_width() * u64::from(st.cur_bin);
+    let bin = st.cur_bin as usize;
     match st.best {
         BinBest::Empty | BinBest::Timeout => {}
-        BinBest::Error => data.errors.incr_at(bin_start),
+        BinBest::Error => data.errors.incr_bin(bin),
         BinBest::Site { site, server, rtt } => {
-            data.success.incr_at(bin_start);
-            data.site_counts[site as usize].incr_at(bin_start);
+            data.success.incr_bin(bin);
+            data.site_counts[site as usize].incr_bin(bin);
             if vp.0.is_multiple_of(rtt_subsample) {
-                data.rtt.push(bin_start, rtt.as_nanos() as f64);
+                data.rtt.push_bin(bin, rtt.as_nanos() as f64);
             }
             if let Some(prev) = st.last_site {
                 if prev != site {
-                    data.flips.incr_at(bin_start);
+                    data.flips.incr_bin(bin);
                     data.flip_events.push(FlipEvent {
                         at_bin: st.cur_bin,
                         vp,
@@ -389,13 +417,13 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32
                     .counts
                     .entry(server)
                     .or_insert_with(|| BinnedSeries::zeros(bw, n_bins))
-                    .incr_at(bin_start);
+                    .incr_bin(bin);
                 watch
                     .rtts
                     .entry(server)
                     .or_insert_with(|| SampleBins::new(bw, n_bins))
-                    .push(bin_start, rtt.as_nanos() as f64);
-                watch.site_rtt.push(bin_start, rtt.as_nanos() as f64);
+                    .push_bin(bin, rtt.as_nanos() as f64);
+                watch.site_rtt.push_bin(bin, rtt.as_nanos() as f64);
             }
         }
     }
@@ -743,8 +771,13 @@ mod tests {
             .unwrap();
         p.record(VpId(0), Letter::K, t(12), &site_obs("AMS", 1, 30))
             .unwrap();
+        // The last probe slot before the 1 h horizon (56–60 min).
+        p.record(VpId(1), Letter::K, t(59), &CleanObs::Error)
+            .unwrap();
         p.finalize();
         let d = p.letter(Letter::K);
+        let last = &d.raster.as_ref().unwrap()[1];
+        assert_eq!((last.len(), last[14]), (15, raster_code::ERROR));
         let row = &d.raster.as_ref().unwrap()[0];
         let fra = raster_code::SITE_BASE + d.site_idx("FRA").unwrap() as u8;
         let ams = raster_code::SITE_BASE + d.site_idx("AMS").unwrap() as u8;
@@ -813,18 +846,22 @@ mod tests {
 
     #[test]
     fn shard_record_matches_record_and_preserves_error_order() {
-        // Same observation stream through the string path and straight
-        // into the shard produces identical aggregates (record() resolves
-        // the site code and hands off to the shard).
+        // Same observation stream through the string path, straight
+        // into the shard, and through a precomputed slot produces
+        // identical aggregates (record() resolves the site code and hands
+        // off to the shard; the shard's record() is slot() + record_in()).
         let mut slow = pipeline();
         let mut fast = pipeline();
-        let stream: [(u32, u64, CleanObs); 6] = [
+        let mut slotted = pipeline();
+        let stream: [(u32, u64, CleanObs); 8] = [
             (0, 1, site_obs("AMS", 1, 30)),
             (1, 2, site_obs("FRA", 2, 20)),
             (2, 3, CleanObs::Timeout),
             (0, 11, CleanObs::Error),
             (1, 12, site_obs("AMS", 1, 25)),
             (1, 22, site_obs("FRA", 1, 25)), // flip
+            (2, 22, site_obs("FRA", 1, 40)), // same slot, second VP
+            (0, 61, site_obs("AMS", 1, 30)), // past the 1 h horizon
         ];
         for (vp, mins, obs) in &stream {
             slow.record(VpId(*vp), Letter::K, t(*mins), obs).unwrap();
@@ -838,11 +875,23 @@ mod tests {
                 },
             };
             fast.shards_mut()[0].record(VpId(*vp), t(*mins), f).unwrap();
+            let shard = &mut slotted.shards_mut()[0];
+            match shard.slot(t(*mins)) {
+                Some(slot) => shard.record_in(&slot, VpId(*vp), f).unwrap(),
+                None => assert!(
+                    t(*mins) >= SimTime::from_hours(1),
+                    "slot dropped {mins} min"
+                ),
+            }
         }
         slow.finalize();
         fast.finalize();
+        slotted.finalize();
         assert_eq!(slow.letter(Letter::K), fast.letter(Letter::K));
+        assert_eq!(slow.letter(Letter::K), slotted.letter(Letter::K));
         assert_eq!(slow.outcome_stats(), fast.outcome_stats());
+        assert_eq!(slow.outcome_stats(), slotted.outcome_stats());
+        assert_eq!(slotted.letter(Letter::K).observed_probes, 7);
 
         // The string path checks the letter, then the VP range, then
         // the site; the shard checks the VP range, then the site index,
@@ -880,7 +929,24 @@ mod tests {
                 site: "#7".into()
             })
         );
+        // record_in keeps that order at a precomputed slot.
+        let slot = shard.slot(t(0)).expect("inside the horizon");
+        assert_eq!(
+            shard.record_in(&slot, VpId(99), bad),
+            Err(PipelineError::VpOutOfRange {
+                vp: VpId(99),
+                n_vps: 4
+            })
+        );
+        assert_eq!(
+            shard.record_in(&slot, VpId(0), bad),
+            Err(PipelineError::UnknownSite {
+                letter: Letter::K,
+                site: "#7".into()
+            })
+        );
         // Beyond-horizon observations are ignored, even invalid ones.
+        assert_eq!(shard.slot(SimTime::from_hours(1)), None);
         assert_eq!(shard.record(VpId(0), SimTime::from_hours(2), bad), Ok(()));
     }
 

@@ -12,6 +12,7 @@
 use crate::vp::VantagePoint;
 use rand::Rng;
 use rootcast_dns::{Letter, ServerIdentity};
+use rootcast_netsim::stats::sanitize_probability;
 use rootcast_netsim::{SimDuration, SimTime};
 
 /// The Atlas query timeout: replies slower than this count as lost.
@@ -43,16 +44,11 @@ impl TargetView {
         rtt: SimDuration,
         drop_prob: f64,
     ) -> TargetView {
-        let drop_prob = if drop_prob.is_nan() {
-            1.0
-        } else {
-            drop_prob.clamp(0.0, 1.0)
-        };
         TargetView {
             site_code: site_code.into(),
             server,
             rtt,
-            drop_prob,
+            drop_prob: sanitize_probability(drop_prob),
         }
     }
 
@@ -81,17 +77,13 @@ impl IndexedView {
     /// Build a view, sanitizing `drop_prob` exactly like
     /// [`TargetView::new`]: clamped to `[0, 1]`, NaN fails closed to
     /// certain loss.
+    #[inline]
     pub fn new(site: u16, server: u16, rtt: SimDuration, drop_prob: f64) -> IndexedView {
-        let drop_prob = if drop_prob.is_nan() {
-            1.0
-        } else {
-            drop_prob.clamp(0.0, 1.0)
-        };
         IndexedView {
             site,
             server,
             rtt,
-            drop_prob,
+            drop_prob: sanitize_probability(drop_prob),
         }
     }
 

@@ -43,6 +43,7 @@ pub struct VantagePoint {
 impl VantagePoint {
     /// Stable per-VP hash used for server selection (stands in for the
     /// VP's source address as seen by load balancers).
+    #[inline]
     pub fn client_hash(&self) -> u64 {
         mix64(0xA71A5 ^ u64::from(self.id.0))
     }
@@ -165,6 +166,7 @@ impl VpFleet {
         self.vps.is_empty()
     }
 
+    #[inline]
     pub fn vp(&self, id: VpId) -> &VantagePoint {
         &self.vps[id.0 as usize]
     }

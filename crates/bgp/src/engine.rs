@@ -43,6 +43,7 @@ pub struct Rib {
 
 impl Rib {
     /// The chosen route at `asn`.
+    #[inline]
     pub fn route(&self, asn: AsId) -> Option<&RouteEntry> {
         self.entries[asn.0 as usize].as_ref()
     }

@@ -5,14 +5,19 @@
 //! precomputed per minute slot and letter — the full scenario would
 //! otherwise evaluate ~350 M phase checks — and each tick runs one rayon
 //! task per letter that probes and records into that letter's pipeline
-//! shard in the same pass. Every (letter, minute) pair draws from its own
-//! named RNG stream, each letter records in VP order and shards share
-//! nothing, so outputs are bit-identical at any thread count.
+//! shard in the same pass. State shared by every probe of a tick is
+//! resolved once per (letter, tick): the service's site snapshots
+//! ([`SiteProbe`]: queue delay, hot server, survivor, drop probability)
+//! and the shard's record slot (bin and raster column). Every (letter,
+//! minute) pair draws from its own named RNG stream, each letter records
+//! in VP order and shards share nothing, so outputs are bit-identical at
+//! any thread count.
 
 use crate::engine::faults::ProbeAction;
 use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
+use rootcast_anycast::SiteProbe;
 use rootcast_atlas::{execute_probe_fused, IndexedView, LetterShard, VpId};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
@@ -34,6 +39,9 @@ pub struct ProbeWheel {
     site_map: Vec<Vec<u16>>,
     /// Per letter index: the `probes-{letter}` RNG stream key.
     stream_keys: Vec<String>,
+    /// Per letter index: the service's site snapshots, refilled every
+    /// tick (owned here so the buffers are reused).
+    site_probes: Vec<Vec<SiteProbe>>,
 }
 
 impl ProbeWheel {
@@ -101,6 +109,7 @@ impl ProbeWheel {
             wheel_period,
             site_map,
             stream_keys,
+            site_probes: vec![Vec::new(); world.letters.len()],
         }
     }
 
@@ -124,8 +133,10 @@ impl Subsystem for ProbeWheel {
         vec![SimTime::ZERO + SimDuration::from_mins(1)]
     }
 
-    /// One parallel pass over the letter shards: each task executes its
-    /// letter's due probes in VP order and records each into its shard.
+    /// One parallel pass over the letter shards: each task snapshots its
+    /// letter's sites and resolves the shard's record slot once, then
+    /// executes its due probes in VP order and records each into its
+    /// shard.
     fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
         let minute = t.as_secs() / 60;
         let (services, fleet, rngf, faults) = (
@@ -134,16 +145,31 @@ impl Subsystem for ProbeWheel {
             world.rng_factory,
             &world.faults,
         );
-        let mut shards: Vec<(usize, &mut LetterShard)> =
-            world.pipeline.shards_mut().iter_mut().enumerate().collect();
-        let probed: Vec<u64> = shards
+        let ProbeWheel {
+            wheel,
+            wheel_period,
+            site_map,
+            stream_keys,
+            site_probes,
+        } = self;
+        let due_now = &wheel[(minute as usize) % *wheel_period];
+        let mut tasks: Vec<(usize, (&mut LetterShard, &mut Vec<SiteProbe>))> = world
+            .pipeline
+            .shards_mut()
+            .iter_mut()
+            .zip(site_probes)
+            .enumerate()
+            .collect();
+        let probed: Vec<u64> = tasks
             .par_iter_mut()
-            .map(|(i, shard)| {
+            .map(|(i, (shard, snaps))| {
                 let i = *i;
                 let letter = shard.letter();
-                let mut rng = rngf.indexed_stream(&self.stream_keys[i], minute);
-                let (svc, sites) = (&services[i], &self.site_map[i]);
-                let due = self.due(minute, i);
+                let mut rng = rngf.indexed_stream(&stream_keys[i], minute);
+                let (svc, sites) = (&services[i], &site_map[i]);
+                svc.site_probes_into(snaps);
+                let slot = shard.slot(t);
+                let due = &due_now[i];
                 for &vp_id in due {
                     // A dropped-out VP never probes (no RNG draw); a
                     // firmware-downgraded VP probes (same draws as a
@@ -154,18 +180,22 @@ impl Subsystem for ProbeWheel {
                         continue;
                     }
                     let vp = fleet.vp(VpId(vp_id));
-                    let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
-                        IndexedView::new(sites[pv.site], pv.server, pv.rtt, pv.drop_prob)
-                    });
+                    let view = svc
+                        .probe_view_in(snaps, vp.asn, vp.client_hash())
+                        .map(|pv| {
+                            IndexedView::new(sites[pv.site], pv.server, pv.rtt, pv.drop_prob)
+                        });
                     let obs = execute_probe_fused(vp, view, &mut rng);
                     if action == ProbeAction::Discard {
                         shard.note_missed(t);
-                    } else if let Err(err) = shard.record(vp.id, t, obs) {
-                        // The wheel only probes kept VPs at registered
-                        // sites, so this is a programmer error, not data
-                        // to skip.
-                        debug_assert!(false, "pipeline rejected wheel observation: {err}");
-                        let _ = err;
+                    } else if let Some(slot) = &slot {
+                        if let Err(err) = shard.record_in(slot, vp.id, obs) {
+                            // The wheel only probes kept VPs at registered
+                            // sites, so this is a programmer error, not
+                            // data to skip.
+                            debug_assert!(false, "pipeline rejected wheel observation: {err}");
+                            let _ = err;
+                        }
                     }
                 }
                 due.len() as u64

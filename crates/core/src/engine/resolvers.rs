@@ -9,6 +9,7 @@
 
 use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
+use rootcast_anycast::SiteProbe;
 use rootcast_attack::LetterObservation;
 use rootcast_netsim::{SimDuration, SimTime};
 
@@ -34,6 +35,16 @@ impl Subsystem for ResolverRefresh {
     }
 
     fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
+        // Site state is fixed for the whole refresh: snapshot it once.
+        let snaps: Vec<Vec<SiteProbe>> = world
+            .services
+            .iter()
+            .map(|svc| {
+                let mut snap = Vec::new();
+                svc.site_probes_into(&mut snap);
+                snap
+            })
+            .collect();
         for node in world.graph.nodes() {
             let a = node.id.0 as usize;
             if world.pop_weights[a] <= 0.0 {
@@ -42,7 +53,7 @@ impl Subsystem for ResolverRefresh {
             let mut obs = [LetterObservation::unreachable(); 13];
             for (i, &letter) in world.letters.iter().enumerate() {
                 let svc = &world.services[i];
-                if let Some(pv) = svc.probe_view(node.id, u64::from(node.id.0)) {
+                if let Some(pv) = svc.probe_view_in(&snaps[i], node.id, u64::from(node.id.0)) {
                     obs[letter as usize] = LetterObservation {
                         rtt: Some(pv.rtt),
                         loss: pv.drop_prob,

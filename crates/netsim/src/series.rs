@@ -73,6 +73,15 @@ impl BinnedSeries {
         self.add_at(t, 1.0);
     }
 
+    /// Increment bin `i` by one; out-of-range indices are ignored, like
+    /// out-of-range instants in [`Self::incr_at`].
+    #[inline]
+    pub fn incr_bin(&mut self, i: usize) {
+        if let Some(v) = self.values.get_mut(i) {
+            *v += 1.0;
+        }
+    }
+
     /// Element-wise sum with another series of identical shape.
     pub fn add_series(&mut self, other: &BinnedSeries) {
         assert_eq!(self.bin, other.bin, "bin widths differ");
@@ -161,7 +170,12 @@ impl SampleBins {
 
     /// Record one sample at instant `t`. Out-of-range samples are dropped.
     pub fn push(&mut self, t: SimTime, v: f64) {
-        let i = t.bin_index(self.bin) as usize;
+        self.push_bin(t.bin_index(self.bin) as usize, v);
+    }
+
+    /// Record one sample in bin `i`. Out-of-range indices are dropped.
+    #[inline]
+    pub fn push_bin(&mut self, i: usize, v: f64) {
         if let Some(bin) = self.samples.get_mut(i) {
             bin.push(v);
         }
@@ -227,6 +241,23 @@ mod tests {
         let mut s = BinnedSeries::zeros(SimDuration::from_mins(10), 2);
         s.incr_at(mins(25));
         assert_eq!(s.values(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn bin_indexed_writes_match_instant_writes() {
+        let bin = SimDuration::from_mins(10);
+        let (mut by_t, mut by_i) = (BinnedSeries::zeros(bin, 3), BinnedSeries::zeros(bin, 3));
+        let (mut sb_t, mut sb_i) = (SampleBins::new(bin, 3), SampleBins::new(bin, 3));
+        // 35 lies past the last bin: both forms drop it.
+        for m in [0, 9, 10, 25, 35] {
+            by_t.incr_at(mins(m));
+            by_i.incr_bin((m / 10) as usize);
+            sb_t.push(mins(m), m as f64);
+            sb_i.push_bin((m / 10) as usize, m as f64);
+        }
+        assert_eq!(by_i.values(), &[2.0, 1.0, 1.0]);
+        assert_eq!(by_t, by_i);
+        assert_eq!(sb_t, sb_i);
     }
 
     #[test]

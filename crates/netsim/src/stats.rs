@@ -175,11 +175,23 @@ impl CardinalitySketch {
 }
 
 /// SplitMix64 finalizer: a fast, well-distributed 64-bit mixer.
+#[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// A probability made safe for `gen_bool`: clamped to `[0, 1]`, with
+/// NaN (a broken loss estimate) failing closed to certain loss.
+#[inline]
+pub fn sanitize_probability(p: f64) -> f64 {
+    if p.is_nan() {
+        1.0
+    } else {
+        p.clamp(0.0, 1.0)
+    }
 }
 
 #[cfg(test)]

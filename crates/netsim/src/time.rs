@@ -112,12 +112,23 @@ impl SimDuration {
     }
 
     /// Build from a float number of seconds, rounding to the nearest
-    /// nanosecond. Negative inputs clamp to zero.
+    /// nanosecond (halves away from zero, as `f64::round`). Negative and
+    /// non-finite inputs clamp to zero; values of 2^64 ns or more
+    /// saturate.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 || !s.is_finite() {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1e9).round() as u64)
+        let ns = s * 1e9;
+        if ns >= 18_446_744_073_709_551_616.0 {
+            return SimDuration(u64::MAX);
+        }
+        // Rounding without the libm call: below 2^53 both the truncation
+        // and the remainder are exact, and at or above 2^52 `ns` is
+        // already an integer, so the remainder is zero.
+        let whole = ns as u64;
+        SimDuration(whole + u64::from(ns - whole as f64 >= 0.5))
     }
 
     pub const fn as_nanos(self) -> u64 {
@@ -282,6 +293,48 @@ mod tests {
             SimDuration::from_secs_f64(0.001),
             SimDuration::from_millis(1)
         );
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let reference = |s: f64| -> u64 {
+            if s <= 0.0 || !s.is_finite() {
+                0
+            } else {
+                (s * 1e9).round() as u64
+            }
+        };
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let two64 = 18_446_744_073_709_551_616.0_f64;
+        let cases = [
+            0.5e-9,
+            1.5e-9,
+            2.5e-9,
+            0.5f64.next_down() / 1e9,
+            (two52 + 0.5) / 1e9,
+            (two52 - 0.5) / 1e9,
+            two52 * 2.0 / 1e9,
+            two64 * (1.0 - f64::EPSILON) / 1e9,
+            two64 / 1e9,
+            two64 * (1.0 + f64::EPSILON) / 1e9,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::MAX,
+            -0.0,
+            -1.5e-9,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for s in cases {
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_nanos(),
+                reference(s),
+                "s = {s:e}"
+            );
+        }
+        assert_eq!(SimDuration::from_secs_f64(two64 / 1e9).as_nanos(), u64::MAX);
     }
 
     #[test]

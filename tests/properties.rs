@@ -219,6 +219,25 @@ proptest! {
         prop_assert_eq!(total as usize, times.len());
     }
 
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round(
+        bits in any::<u64>(),
+        ns in 0.0f64..1e12,
+        half in 0u64..(1 << 52),
+    ) {
+        let reference = |s: f64| if s.is_finite() { (s * 1e9).round() as u64 } else { 0 };
+        // Any positive bit pattern (subnormals, beyond 2^64 ns, +inf and
+        // NaN payloads), sub-millisecond to 1000 s durations, and values
+        // near a half nanosecond.
+        for s in [f64::from_bits(bits >> 1), ns / 1e9, (half as f64 + 0.5) / 1e9] {
+            // Paired with the input's bits so a failure names it.
+            prop_assert_eq!(
+                (s.to_bits(), SimDuration::from_secs_f64(s).as_nanos()),
+                (s.to_bits(), reference(s))
+            );
+        }
+    }
+
     // ---------------------------------------------------- policy model
 
     #[test]

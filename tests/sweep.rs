@@ -265,6 +265,6 @@ fn nested_fan_outs_stay_within_the_pool() {
     };
     assert_eq!(seen(4, 2), vec![2, 2]);
     assert_eq!(seen(2, 12), vec![1; 12]);
-    // A single chunk runs inline with the caller's count.
+    // A single item runs inline with the caller's count.
     assert_eq!(seen(3, 1), vec![3]);
 }
