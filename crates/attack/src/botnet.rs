@@ -7,13 +7,13 @@
 //! cloud of random addresses. Geographically, the traffic origin shapes
 //! which anycast *sites* absorb it (attack volume per catchment, §2.2).
 //!
-//! [`Botnet`] models both aspects: a weighted distribution of member ASes
-//! (true origins, routing-relevant) and a spoofing model (claimed source
-//! addresses, RRL- and RSSAC-relevant).
+//! [`Botnet`] models both aspects in aggregate: a weighted distribution of
+//! member ASes (true origins, routing-relevant) and a two-class source
+//! model — a heavy-hitter core plus uniformly spoofed addresses — whose
+//! expected unique-source count feeds RSSAC and whose heavy share feeds
+//! the analytic RRL.
 
-use rand::Rng;
 use rootcast_netsim::rng::weighted_index;
-use rootcast_netsim::stats::mix64;
 use rootcast_netsim::SimRng;
 use rootcast_topology::{city, AsGraph, NamedFn, Region, Tier};
 
@@ -69,8 +69,6 @@ pub struct Botnet {
     /// Member AS count actually placed.
     pub n_members: usize,
     params: BotnetParams,
-    /// Seed for the spoofed-address stream.
-    spoof_seed: u64,
 }
 
 impl Botnet {
@@ -109,7 +107,6 @@ impl Botnet {
             weights,
             n_members: placed,
             params,
-            spoof_seed: rng.gen(),
         }
     }
 
@@ -128,24 +125,6 @@ impl Botnet {
         let n = 2f64.powi(32);
         let spoofed_unique = n * (1.0 - (-spoofed_queries / n).exp());
         self.params.n_heavy_sources as f64 + spoofed_unique
-    }
-
-    /// Sample the claimed source address of the `i`-th attack query.
-    /// With probability `heavy_share` it is one of the heavy-hitter
-    /// addresses; otherwise a pseudo-random spoofed address. Fully
-    /// deterministic in `(botnet, i)`.
-    pub fn source_address(&self, i: u64) -> [u8; 4] {
-        let h = mix64(self.spoof_seed ^ i);
-        let heavy = (h % 10_000) as f64 / 10_000.0 < self.params.heavy_share;
-        if heavy {
-            let idx = mix64(h) % self.params.n_heavy_sources as u64;
-            // Heavy hitters get stable addresses in 100.64.x.x.
-            let b = (idx as u32).to_be_bytes();
-            [100, 64, b[2], b[3]]
-        } else {
-            let v = (mix64(h ^ 0xDEAD) as u32).to_be_bytes();
-            [v[0].max(1), v[1], v[2], v[3]]
-        }
     }
 
     /// The heavy-hitter share configured for this botnet.
@@ -191,7 +170,6 @@ mod tests {
         let b1 = Botnet::generate(&g, BotnetParams::default(), &rng);
         let b2 = Botnet::generate(&g, BotnetParams::default(), &rng);
         assert_eq!(b1.weights(), b2.weights());
-        assert_eq!(b1.source_address(42), b2.source_address(42));
     }
 
     #[test]
@@ -221,34 +199,5 @@ mod tests {
         // And the ratio explosion the paper shows in Table 3 (13x-340x
         // against a ~1e6-address baseline) is easily reproduced:
         assert!(many / 5.35e6 > 100.0, "ratio {}", many / 5.35e6);
-    }
-
-    #[test]
-    fn source_addresses_mix_heavy_and_spoofed() {
-        let (_, b) = botnet();
-        let mut heavy = 0usize;
-        let n = 20_000u64;
-        let mut distinct = std::collections::HashSet::new();
-        for i in 0..n {
-            let a = b.source_address(i);
-            if a[0] == 100 && a[1] == 64 {
-                heavy += 1;
-            }
-            distinct.insert(a);
-        }
-        let share = heavy as f64 / n as f64;
-        assert!((share - 0.68).abs() < 0.02, "heavy share {share}");
-        // Spoofed addresses are all over the space: distinct count is
-        // heavy-source-count + almost-all spoofed draws.
-        assert!(distinct.len() > 6_000, "distinct {}", distinct.len());
-        assert!(distinct.len() < 7_000, "distinct {}", distinct.len());
-    }
-
-    #[test]
-    fn no_zero_first_octet() {
-        let (_, b) = botnet();
-        for i in 0..10_000u64 {
-            assert_ne!(b.source_address(i)[0], 0);
-        }
     }
 }

@@ -8,7 +8,7 @@
 //!   fixed qnames, targeted letters (all but D, L, M) and per-letter
 //!   offered rate (~5 Mq/s);
 //! * [`botnet`] — [`Botnet`]: weighted true-origin ASes (which catchments
-//!   absorb the attack) plus the spoofed-source model reproducing the
+//!   absorb the attack) plus an aggregate source model reproducing the
 //!   unique-address explosion and heavy-hitter skew Verisign reported;
 //! * [`legit`] — population-weighted background load and
 //!   [`ResolverPopulation`], the RTT/loss-driven letter-selection model

@@ -10,7 +10,7 @@
 //! at +6h50m and +29h10m.
 
 use rootcast_dns::Letter;
-use rootcast_netsim::{RateSignal, SimDuration, SimTime};
+use rootcast_netsim::{SimDuration, SimTime};
 
 /// One attack window.
 #[derive(Debug, Clone)]
@@ -114,31 +114,6 @@ impl AttackSchedule {
             _ => 0.0,
         }
     }
-
-    /// The attack rate for `letter` as a [`RateSignal`] over the run.
-    pub fn rate_signal(&self, letter: Letter) -> RateSignal {
-        let mut s = RateSignal::zero();
-        for w in &self.windows {
-            if w.targets_letter(letter) {
-                s.set_from(w.start, w.rate_qps);
-                s.set_from(w.end(), 0.0);
-            }
-        }
-        s
-    }
-
-    /// All instants at which any letter's attack rate changes. The fluid
-    /// driver aligns steps on these so window edges are exact.
-    pub fn change_points(&self) -> Vec<SimTime> {
-        let mut out: Vec<SimTime> = self
-            .windows
-            .iter()
-            .flat_map(|w| [w.start, w.end()])
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -179,24 +154,6 @@ mod tests {
         assert_eq!(s.rate_for(Letter::K, SimTime::from_hours(3)), 0.0);
         assert_eq!(s.rate_for(Letter::K, SimTime::from_hours(12)), 0.0);
         assert_eq!(s.rate_for(Letter::K, SimTime::from_hours(40)), 0.0);
-    }
-
-    #[test]
-    fn rate_signal_integrates_to_total_queries() {
-        let s = AttackSchedule::nov2015(5e6);
-        let sig = s.rate_signal(Letter::K);
-        let total = sig.integrate(SimTime::ZERO, SimTime::from_hours(48));
-        // 160 min + 60 min at 5 Mq/s = 220 * 60 * 5e6 = 6.6e10 queries.
-        assert!((total - 6.6e10).abs() < 1.0, "total={total}");
-        // Untargeted letters: zero.
-        let quiet = s.rate_signal(Letter::L);
-        assert_eq!(quiet.integrate(SimTime::ZERO, SimTime::from_hours(48)), 0.0);
-    }
-
-    #[test]
-    fn change_points_cover_edges() {
-        let s = AttackSchedule::nov2015(5e6);
-        assert_eq!(s.change_points().len(), 4);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::render::{num, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
 use rootcast_netsim::Coverage;
+use rootcast_rssac::gbps;
 
 /// One (letter, event-day) row of Table 3.
 #[derive(Debug, Clone)]
@@ -135,23 +136,14 @@ pub fn table3(out: &SimOutput) -> Table3 {
             // by the attack bins during events). An empty histogram (the
             // whole day gapped out) has no mean size; the delta is zero
             // there, so the traffic estimate is too.
-            let q_pkt = report.query_sizes.mean_size() + 28.0;
-            let r_pkt = report.response_sizes.mean_size() + 28.0;
-            let gbps = |delta: f64, pkt: f64| {
-                if delta > 0.0 {
-                    delta * pkt * 8.0 / secs / 1e9
-                } else {
-                    0.0
-                }
-            };
             rows.push(Table3Row {
                 letter,
                 day,
                 attacked,
                 dq_mqps,
-                dq_gbps: gbps(dq, q_pkt),
+                dq_gbps: gbps(dq, &report.query_sizes, secs),
                 dr_mqps,
-                dr_gbps: gbps(dr, r_pkt),
+                dr_gbps: gbps(dr, &report.response_sizes, secs),
                 unique_m: report.unique_sources / 1e6,
                 unique_ratio: report.unique_sources / baseline.unique_sources.max(1.0),
                 baseline_mqps: baseline.queries / 86_400.0 / 1e6,

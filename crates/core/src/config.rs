@@ -229,6 +229,21 @@ impl ScenarioConfig {
         if self.horizon <= SimTime::ZERO {
             return Err(ConfigError::BadTiming("horizon must be positive".into()));
         }
+        // The Atlas pipeline bins over its own copy of the horizon and
+        // indexes rasters on its own copy of the probe interval; a stale
+        // copy would silently misalign them with the rest of the run.
+        if self.pipeline.horizon != self.horizon {
+            return Err(ConfigError::BadTiming(format!(
+                "pipeline.horizon {} must equal horizon {}",
+                self.pipeline.horizon, self.horizon
+            )));
+        }
+        if self.pipeline.probe_interval != self.probe_interval {
+            return Err(ConfigError::BadTiming(format!(
+                "pipeline.probe_interval {} must equal probe_interval {}",
+                self.pipeline.probe_interval, self.probe_interval
+            )));
+        }
         if self.fluid_step.is_zero()
             || !SimDuration::from_mins(1)
                 .as_nanos()
@@ -385,6 +400,16 @@ mod tests {
 
         let mut cfg = ScenarioConfig::small();
         cfg.probe_interval = SimDuration::from_secs(90);
+        assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
+
+        // The pipeline's copies of the horizon and the probe interval
+        // must match the scenario's.
+        let mut cfg = ScenarioConfig::small();
+        cfg.horizon = SimTime::from_hours(6);
+        assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
+
+        let mut cfg = ScenarioConfig::small();
+        cfg.probe_interval = SimDuration::from_mins(8);
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
 
         let mut cfg = ScenarioConfig::small();

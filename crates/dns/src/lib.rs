@@ -7,16 +7,16 @@
 //!
 //! * [`name`] — RFC 1035 domain names with compression-pointer decoding;
 //! * [`wire`] — message encode/decode (IN + CHAOS classes; A/AAAA/NS/
-//!   SOA/TXT/OPT), used so probe traffic is real packets and attack
-//!   traffic has exact byte sizes for Table 3;
+//!   SOA/TXT/OPT), used to give legitimate and attack traffic exact
+//!   byte sizes for Table 3;
 //! * [`chaos`] — [`Letter`] (A–M) and [`ServerIdentity`]: per-operator
 //!   `hostname.bind` formats and the parser that maps TXT replies back to
 //!   (letter, site, server) — the instrument behind every catchment
 //!   figure in the paper;
-//! * [`rrl`] — token-bucket Response Rate Limiting plus the analytic
-//!   steady-state form used by the fluid traffic model;
+//! * [`rrl`] — Response Rate Limiting in the analytic steady-state form
+//!   used by the fluid traffic model;
 //! * [`rootzone`] — priming responses, `.com`-shaped referrals (the
-//!   ~490-byte responses of Table 3), NXDOMAIN, and CHAOS answers.
+//!   ~490-byte responses of Table 3) and NXDOMAIN.
 
 pub mod chaos;
 pub mod name;
@@ -26,8 +26,7 @@ pub mod wire;
 
 pub use chaos::{Letter, ServerIdentity};
 pub use name::{Name, NameError};
-pub use rootzone::{parse_chaos_response, RootZone};
-pub use rrl::{RateLimiter, RrlAction, RrlConfig};
+pub use rootzone::RootZone;
 pub use wire::{
     edns0_opt, packet_bytes, Flags, Message, Question, Rcode, Rdata, Record, RrClass, RrType,
     WireError,

@@ -2,13 +2,14 @@
 //!
 //! Enough of the root to serve the traffic classes in the events: priming
 //! queries (`. NS`), TLD referrals (the attack queried `www.336901.com`
-//! and `www.916yy.com`, both answered with a `.com` referral), negative
-//! answers for nonexistent TLDs, and CHAOS identification.
+//! and `www.916yy.com`, both answered with a `.com` referral) and
+//! negative answers for nonexistent TLDs. CHAOS identification lives in
+//! [`crate::chaos`]: probes carry the identity string, not a packet.
 //!
 //! Response sizes produced here feed Table 3's bandwidth estimates, so the
 //! referral shape (13 NS + glue) matches the real root's.
 
-use crate::chaos::{Letter, ServerIdentity};
+use crate::chaos::Letter;
 use crate::name::Name;
 use crate::wire::{Message, Rcode, Rdata, Record, RrClass, RrType};
 
@@ -81,7 +82,7 @@ impl RootZone {
     /// * `. NS` → the 13 root NS records plus glue (priming response);
     /// * `<name under delegated TLD>` → referral: TLD NS set + glue;
     /// * `<name under unknown TLD>` → NXDOMAIN with SOA;
-    /// * non-IN class → handled by [`RootZone::answer_chaos`] or REFUSED.
+    /// * non-IN class → REFUSED.
     pub fn answer(&self, query: &Message) -> Message {
         let Some(q) = query.questions.first() else {
             let mut r = query.response_to(Rcode::FormErr);
@@ -163,48 +164,6 @@ impl RootZone {
         }
         r
     }
-
-    /// Answer a CHAOS-class TXT query (`hostname.bind` / `id.server`)
-    /// with the responding server's identity.
-    pub fn answer_chaos(query: &Message, identity: &ServerIdentity) -> Message {
-        let Some(q) = query.questions.first() else {
-            return query.response_to(Rcode::FormErr);
-        };
-        let qname = q.qname.to_string();
-        let known = qname == "hostname.bind." || qname == "id.server.";
-        if q.qclass != RrClass::Chaos || q.qtype != RrType::Txt || !known {
-            let mut r = query.response_to(Rcode::Refused);
-            r.flags.authoritative = false;
-            return r;
-        }
-        let mut r = query.response_to(Rcode::NoError);
-        r.answers.push(Record {
-            name: q.qname.clone(),
-            rtype: RrType::Txt,
-            class: RrClass::Chaos,
-            ttl: 0,
-            rdata: Rdata::Txt(vec![identity.format_txt().into_bytes()]),
-        });
-        r
-    }
-}
-
-/// Extract the server identity from a CHAOS response, if present and
-/// well-formed for `letter`. This is the measurement-side complement of
-/// [`RootZone::answer_chaos`], used by the Atlas probing pipeline.
-pub fn parse_chaos_response(letter: Letter, response: &Message) -> Option<ServerIdentity> {
-    let rec = response
-        .answers
-        .iter()
-        .find(|r| r.rtype == RrType::Txt && r.class == RrClass::Chaos)?;
-    match &rec.rdata {
-        Rdata::Txt(strings) => {
-            let txt = strings.first()?;
-            let txt = std::str::from_utf8(txt).ok()?;
-            ServerIdentity::parse_txt(letter, txt)
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -278,52 +237,6 @@ mod tests {
             RrClass::Chaos,
         );
         assert_eq!(z.answer(&q).rcode(), Rcode::Refused);
-    }
-
-    #[test]
-    fn chaos_identity_roundtrips_through_wire() {
-        let id = ServerIdentity::new(Letter::K, "AMS", 2);
-        let q = Message::query(
-            7,
-            Name::parse("hostname.bind").unwrap(),
-            RrType::Txt,
-            RrClass::Chaos,
-        );
-        let r = RootZone::answer_chaos(&q, &id);
-        let wire = r.encode();
-        let decoded = Message::decode(&wire).unwrap();
-        let parsed = parse_chaos_response(Letter::K, &decoded).unwrap();
-        assert_eq!(parsed, id);
-        // Wrong letter: the pattern must not parse.
-        assert!(parse_chaos_response(Letter::E, &decoded).is_none());
-    }
-
-    #[test]
-    fn chaos_rejects_wrong_qname() {
-        let id = ServerIdentity::new(Letter::K, "AMS", 2);
-        let q = Message::query(
-            7,
-            Name::parse("version.bind").unwrap(),
-            RrType::Txt,
-            RrClass::Chaos,
-        );
-        let r = RootZone::answer_chaos(&q, &id);
-        assert_eq!(r.rcode(), Rcode::Refused);
-        assert!(parse_chaos_response(Letter::K, &r).is_none());
-    }
-
-    #[test]
-    fn id_server_also_accepted() {
-        let id = ServerIdentity::new(Letter::E, "FRA", 1);
-        let q = Message::query(
-            7,
-            Name::parse("id.server").unwrap(),
-            RrType::Txt,
-            RrClass::Chaos,
-        );
-        let r = RootZone::answer_chaos(&q, &id);
-        assert_eq!(r.rcode(), Rcode::NoError);
-        assert_eq!(parse_chaos_response(Letter::E, &r), Some(id));
     }
 
     #[test]

@@ -3,148 +3,13 @@
 //! Verisign reported that RRL "identified duplicated queries to drop 60%
 //! of the responses" during the Nov. 30 event (§2.3), and the paper
 //! attributes the query/response asymmetry in Table 3 to it. RRL tracks
-//! per-source response rates and suppresses responses beyond a budget,
-//! optionally "slipping" an occasional truncated reply so legitimate
-//! clients can fall back to TCP.
+//! per-source response rates and suppresses responses beyond a budget.
 //!
-//! We implement the classic token-bucket-per-/24 design with bounded
-//! memory, plus an analytic aggregate helper used by the fluid traffic
-//! model (per-packet simulation of 5 Mq/s over 48 h is deliberately out
-//! of scope; the analytic form is exact for the steady state).
-
-use rootcast_netsim::{SimDuration, SimTime};
-use std::collections::HashMap;
-
-/// Decision for one response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RrlAction {
-    /// Send the response normally.
-    Respond,
-    /// Suppress the response entirely.
-    Drop,
-    /// Send a minimal truncated response (every `slip`-th drop).
-    Slip,
-}
-
-/// RRL configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RrlConfig {
-    /// Sustained responses per second allowed per /24 source block.
-    pub responses_per_second: f64,
-    /// Bucket depth in responses (burst allowance).
-    pub burst: f64,
-    /// Every n-th dropped response is slipped (0 = never slip).
-    pub slip: u32,
-    /// Maximum tracked source blocks; beyond this the oldest-seen block
-    /// is evicted (bounded memory under spoofed floods).
-    pub max_entries: usize,
-}
-
-impl Default for RrlConfig {
-    fn default() -> Self {
-        RrlConfig {
-            responses_per_second: 5.0,
-            burst: 15.0,
-            slip: 2,
-            max_entries: 100_000,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    tokens: f64,
-    updated: SimTime,
-    drops: u32,
-}
-
-/// Token-bucket RRL state for one server.
-#[derive(Debug)]
-pub struct RateLimiter {
-    config: RrlConfig,
-    buckets: HashMap<u32, Bucket>,
-    /// Count of responses allowed/dropped/slipped, for reporting.
-    pub allowed: u64,
-    pub dropped: u64,
-    pub slipped: u64,
-}
-
-impl RateLimiter {
-    pub fn new(config: RrlConfig) -> Self {
-        assert!(config.responses_per_second > 0.0);
-        assert!(config.burst >= 1.0);
-        RateLimiter {
-            config,
-            buckets: HashMap::new(),
-            allowed: 0,
-            dropped: 0,
-            slipped: 0,
-        }
-    }
-
-    /// The /24 block key for a source address.
-    fn key(src: [u8; 4]) -> u32 {
-        u32::from_be_bytes([src[0], src[1], src[2], 0])
-    }
-
-    /// Decide the fate of a response to `src` at time `now`.
-    pub fn check(&mut self, src: [u8; 4], now: SimTime) -> RrlAction {
-        let key = Self::key(src);
-        if !self.buckets.contains_key(&key) && self.buckets.len() >= self.config.max_entries {
-            self.evict_oldest();
-        }
-        let cfg = self.config;
-        let bucket = self.buckets.entry(key).or_insert(Bucket {
-            tokens: cfg.burst,
-            updated: now,
-            drops: 0,
-        });
-        // Refill.
-        let dt = now.saturating_since(bucket.updated).as_secs_f64();
-        bucket.tokens = (bucket.tokens + dt * cfg.responses_per_second).min(cfg.burst);
-        bucket.updated = now;
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
-            bucket.drops = 0;
-            self.allowed += 1;
-            RrlAction::Respond
-        } else {
-            bucket.drops += 1;
-            if cfg.slip > 0 && bucket.drops.is_multiple_of(cfg.slip) {
-                self.slipped += 1;
-                RrlAction::Slip
-            } else {
-                self.dropped += 1;
-                RrlAction::Drop
-            }
-        }
-    }
-
-    /// Number of tracked source blocks.
-    pub fn tracked_blocks(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Evict the stalest of a small sample of entries (approximate LRU).
-    /// A full min-scan would be O(n) per insert — under the spoofed
-    /// floods RRL exists for, that is exactly the hot path — while an
-    /// 8-entry sample keeps eviction O(1) with near-LRU behaviour.
-    fn evict_oldest(&mut self) {
-        if let Some((&key, _)) = self.buckets.iter().take(8).min_by_key(|(_, b)| b.updated) {
-            self.buckets.remove(&key);
-        }
-    }
-
-    /// Fraction of responses suppressed so far (drops excluding slips).
-    pub fn suppression_ratio(&self) -> f64 {
-        let total = self.allowed + self.dropped + self.slipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / total as f64
-        }
-    }
-}
+//! The fluid traffic model never sees individual sources, so RRL is
+//! modelled in its analytic steady state: the fraction of responses a
+//! per-source budget suppresses, given how the offered rate splits
+//! across sources. Per-packet simulation of 5 Mq/s over 48 h is out of
+//! scope; the analytic form is exact for the steady state.
 
 /// Analytic steady-state RRL suppression for the fluid model.
 ///
@@ -179,110 +44,15 @@ pub fn blended_suppression(
     heavy_share * steady_state_suppression(heavy_qps_each, limit_per_source)
 }
 
-/// RRL's effect expressed as [`SimDuration`]-free aggregate: given an
-/// offered response rate, the rate actually sent.
+/// RRL's effect as an aggregate: given an offered response rate, the
+/// rate actually sent.
 pub fn effective_response_rate(offered_qps: f64, suppression: f64) -> f64 {
     offered_qps * (1.0 - suppression.clamp(0.0, 1.0))
-}
-
-/// Convenience: the interval between allowed responses for a saturating
-/// source under the default config (used in tests and docs).
-pub fn min_response_interval(config: &RrlConfig) -> SimDuration {
-    SimDuration::from_secs_f64(1.0 / config.responses_per_second)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(s: f64) -> SimTime {
-        SimTime::from_nanos((s * 1e9) as u64)
-    }
-
-    #[test]
-    fn slow_source_never_limited() {
-        let mut rrl = RateLimiter::new(RrlConfig::default());
-        let src = [192, 0, 2, 1];
-        for i in 0..100 {
-            // One query per second: well under the 5/s budget.
-            assert_eq!(rrl.check(src, t(i as f64)), RrlAction::Respond);
-        }
-        assert_eq!(rrl.suppression_ratio(), 0.0);
-    }
-
-    #[test]
-    fn flood_source_is_suppressed() {
-        let mut rrl = RateLimiter::new(RrlConfig::default());
-        let src = [192, 0, 2, 1];
-        let mut dropped = 0;
-        let mut slipped = 0;
-        // 1000 queries in one second from one source.
-        for i in 0..1000 {
-            match rrl.check(src, t(i as f64 * 0.001)) {
-                RrlAction::Drop => dropped += 1,
-                RrlAction::Slip => slipped += 1,
-                RrlAction::Respond => {}
-            }
-        }
-        // With slip=2, drops and slips split the suppressed responses
-        // roughly evenly; together they must dominate.
-        assert!(
-            dropped + slipped > 900,
-            "dropped {dropped} slipped {slipped}"
-        );
-        assert!(dropped > 400, "dropped {dropped}");
-        assert!(slipped > 400, "slipped {slipped}");
-        assert!(rrl.suppression_ratio() > 0.4);
-    }
-
-    #[test]
-    fn sources_in_different_blocks_are_independent() {
-        let mut rrl = RateLimiter::new(RrlConfig::default());
-        // Saturate one /24 …
-        for i in 0..100 {
-            rrl.check([10, 0, 0, 1], t(i as f64 * 0.001));
-        }
-        // … another /24 is unaffected.
-        assert_eq!(rrl.check([10, 0, 1, 1], t(0.2)), RrlAction::Respond);
-    }
-
-    #[test]
-    fn same_block_shares_bucket() {
-        let mut rrl = RateLimiter::new(RrlConfig::default());
-        for i in 0..100 {
-            rrl.check([10, 0, 0, (i % 250) as u8], t(i as f64 * 0.001));
-        }
-        // Different host, same /24 — still limited.
-        assert_ne!(rrl.check([10, 0, 0, 251], t(0.11)), RrlAction::Respond);
-    }
-
-    #[test]
-    fn bucket_refills_over_time() {
-        let cfg = RrlConfig::default();
-        let mut rrl = RateLimiter::new(cfg);
-        let src = [10, 0, 0, 1];
-        // Exhaust the burst.
-        for i in 0..(cfg.burst as usize + 5) {
-            rrl.check(src, t(i as f64 * 0.001));
-        }
-        assert_ne!(rrl.check(src, t(0.05)), RrlAction::Respond);
-        // After 2 seconds, ~10 tokens have refilled.
-        assert_eq!(rrl.check(src, t(2.1)), RrlAction::Respond);
-    }
-
-    #[test]
-    fn memory_is_bounded() {
-        let cfg = RrlConfig {
-            max_entries: 100,
-            ..RrlConfig::default()
-        };
-        let mut rrl = RateLimiter::new(cfg);
-        for i in 0u32..10_000 {
-            let b = i.to_be_bytes();
-            rrl.check([b[0], b[1], b[2], 1], t(i as f64 * 0.0001));
-        }
-        assert!(rrl.tracked_blocks() <= 100);
-    }
 
     #[test]
     fn analytic_suppression_matches_intuition() {
@@ -307,11 +77,5 @@ mod tests {
         assert_eq!(effective_response_rate(100.0, 0.25), 75.0);
         assert_eq!(effective_response_rate(100.0, 2.0), 0.0);
         assert_eq!(effective_response_rate(100.0, -1.0), 100.0);
-    }
-
-    #[test]
-    fn min_interval_inverse_of_rate() {
-        let cfg = RrlConfig::default();
-        assert_eq!(min_response_interval(&cfg), SimDuration::from_millis(200));
     }
 }

@@ -1,9 +1,9 @@
 //! DNS message wire format: header, questions, resource records.
 //!
-//! The simulation sends *real encoded packets* for probe traffic and uses
-//! encoded sizes for the fluid attack model, so Table 3's query/response
-//! byte accounting (84/85-byte queries, 493/494-byte responses) rests on
-//! an actual codec rather than constants.
+//! The simulation moves traffic as fluid rates, not packets, but it sizes
+//! that traffic by encoding real queries and responses, so Table 3's
+//! query/response byte accounting (84/85-byte queries, 493/494-byte
+//! responses) rests on an actual codec rather than constants.
 //!
 //! Scope: everything the root service and the paper's measurements need —
 //! IN and CHAOS classes; A, AAAA, NS, SOA, TXT and OPT (EDNS0) types;

@@ -15,22 +15,22 @@
 //!   through ([`fnv1a`], [`Fnv1a`]);
 //! * [`rng`] — seeded, stream-split randomness ([`SimRng`]) so components
 //!   never perturb each other's draws;
-//! * [`rate`] — piecewise-constant fluid traffic signals ([`RateSignal`])
-//!   and the fluid queue model ([`FluidQueue`]) that converts overload into
-//!   loss and bufferbloat delay;
+//! * [`rate`] — the fluid queue model ([`FluidQueue`]) that converts
+//!   overload into loss and bufferbloat delay;
 //! * [`series`] — fixed-width time-series bins matching the paper's
 //!   10-minute methodology ([`BinnedSeries`], [`SampleBins`]);
-//! * [`stats`] — medians, quantiles, OLS regression and a cardinality
-//!   sketch for unique-source counting;
+//! * [`stats`] — medians, quantiles and OLS regression;
 //! * [`metrics`] — counters, gauges, and fixed-bucket histograms behind
 //!   static handles ([`MetricsRegistry`], [`MetricsSnapshot`]).
 //!
 //! ## Design
 //!
-//! Simulations are single-threaded and fully deterministic: the same master
-//! seed always reproduces the same run, bit for bit. Parallelism (used by
-//! the benchmark harness for parameter sweeps) happens only *across*
-//! independent simulations, never inside one.
+//! Simulations are fully deterministic: the same master seed always
+//! reproduces the same run, bit for bit, at any thread count. Randomness
+//! is split into named [`SimRng`] streams, so a run may fan work out
+//! inside one simulation (the probe tick gives each letter its own task
+//! and its own stream per minute) as well as across simulations (sweeps)
+//! without any draw depending on scheduling.
 
 pub mod coverage;
 pub mod event;
@@ -50,7 +50,7 @@ pub use metrics::{
     MetricsSnapshot,
 };
 pub use rand_chacha::ChaCha8Rng;
-pub use rate::{FluidQueue, RateSignal};
+pub use rate::FluidQueue;
 pub use rng::SimRng;
 pub use series::{BinnedSeries, Reduce, SampleBins};
 pub use time::{SimDuration, SimTime};

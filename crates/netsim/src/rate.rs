@@ -1,131 +1,13 @@
-//! Piecewise-constant fluid rate signals.
+//! The fluid queue model.
 //!
 //! Aggregate traffic (attack load, legitimate query load) is modeled as a
 //! *fluid*: a rate in queries/second that changes at discrete instants.
-//! This hybrid style — fluid for bulk traffic, discrete events for probe
-//! packets — keeps a 48-hour, multi-million-qps scenario tractable while
+//! This hybrid style — fluid for bulk traffic, discrete per-VP probes —
+//! keeps a 48-hour, multi-million-qps scenario tractable while
 //! preserving the queueing behaviour the paper observes (loss and
 //! bufferbloat-driven RTT inflation at overloaded sites, §3.3.2).
 
 use crate::time::{SimDuration, SimTime};
-
-/// A rate signal: value changes at breakpoints and is constant in between.
-///
-/// Breakpoints are kept sorted by construction; `set_from` truncates any
-/// later history, which matches how simulations build signals forward in
-/// time.
-#[derive(Debug, Clone, Default)]
-pub struct RateSignal {
-    /// `(since, rate)` pairs sorted by `since`; the signal is 0 before the
-    /// first breakpoint.
-    points: Vec<(SimTime, f64)>,
-}
-
-impl RateSignal {
-    /// A signal that is zero everywhere.
-    pub fn zero() -> Self {
-        RateSignal { points: Vec::new() }
-    }
-
-    /// A signal constant at `rate` from time zero.
-    pub fn constant(rate: f64) -> Self {
-        assert!(rate >= 0.0 && rate.is_finite());
-        RateSignal {
-            points: vec![(SimTime::ZERO, rate)],
-        }
-    }
-
-    /// Set the rate from `t` onward, discarding any breakpoints at or after
-    /// `t` (simulations only ever extend signals forward).
-    pub fn set_from(&mut self, t: SimTime, rate: f64) {
-        assert!(
-            rate >= 0.0 && rate.is_finite(),
-            "rate must be >= 0, got {rate}"
-        );
-        while let Some(&(since, _)) = self.points.last() {
-            if since >= t {
-                self.points.pop();
-            } else {
-                break;
-            }
-        }
-        // Skip no-op breakpoints to keep the vector compact.
-        if self.points.last().map(|&(_, r)| r) == Some(rate) {
-            return;
-        }
-        if self.points.is_empty() && rate == 0.0 {
-            return;
-        }
-        self.points.push((t, rate));
-    }
-
-    /// The rate at instant `t`.
-    pub fn at(&self, t: SimTime) -> f64 {
-        match self.points.binary_search_by(|&(since, _)| since.cmp(&t)) {
-            Ok(i) => self.points[i].1,
-            Err(0) => 0.0,
-            Err(i) => self.points[i - 1].1,
-        }
-    }
-
-    /// Integrate the signal over `[from, to)`: total quantity (e.g. number
-    /// of queries) carried in the window.
-    pub fn integrate(&self, from: SimTime, to: SimTime) -> f64 {
-        assert!(to >= from);
-        if self.points.is_empty() || from == to {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        let mut cursor = from;
-        // Index of the first breakpoint strictly after `from`.
-        let mut idx = match self.points.binary_search_by(|&(since, _)| since.cmp(&from)) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        let mut rate = self.at(from);
-        while cursor < to {
-            let next = match self.points.get(idx) {
-                Some(&(since, _)) if since < to => since,
-                _ => to,
-            };
-            total += rate * (next - cursor).as_secs_f64();
-            if next < to {
-                rate = self.points[idx].1;
-                idx += 1;
-            }
-            cursor = next;
-        }
-        total
-    }
-
-    /// The mean rate over `[from, to)`.
-    pub fn mean(&self, from: SimTime, to: SimTime) -> f64 {
-        let span = (to - from).as_secs_f64();
-        if span == 0.0 {
-            return 0.0;
-        }
-        self.integrate(from, to) / span
-    }
-
-    /// All breakpoints `(since, rate)` in order. Mostly for tests and
-    /// debugging.
-    pub fn breakpoints(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Times at which the signal changes within `[from, to)`, including
-    /// `from` itself. Useful for stepping a queue model across exactly the
-    /// intervals where its input is constant.
-    pub fn change_points(&self, from: SimTime, to: SimTime) -> Vec<SimTime> {
-        let mut out = vec![from];
-        for &(since, _) in &self.points {
-            if since > from && since < to {
-                out.push(since);
-            }
-        }
-        out
-    }
-}
 
 /// A leaky-bucket / fluid queue that converts offered load vs. capacity
 /// into loss fraction and queueing delay.
@@ -239,64 +121,6 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn zero_signal_is_zero() {
-        let s = RateSignal::zero();
-        assert_eq!(s.at(t(5)), 0.0);
-        assert_eq!(s.integrate(t(0), t(100)), 0.0);
-    }
-
-    #[test]
-    fn constant_signal() {
-        let s = RateSignal::constant(3.0);
-        assert_eq!(s.at(SimTime::ZERO), 3.0);
-        assert_eq!(s.at(t(1000)), 3.0);
-        assert_eq!(s.integrate(t(10), t(20)), 30.0);
-    }
-
-    #[test]
-    fn step_changes_apply_from_breakpoint() {
-        let mut s = RateSignal::zero();
-        s.set_from(t(10), 5.0);
-        s.set_from(t(20), 1.0);
-        assert_eq!(s.at(t(9)), 0.0);
-        assert_eq!(s.at(t(10)), 5.0);
-        assert_eq!(s.at(t(19)), 5.0);
-        assert_eq!(s.at(t(20)), 1.0);
-        // 0*10 + 5*10 + 1*10
-        assert_eq!(s.integrate(t(0), t(30)), 60.0);
-        assert_eq!(s.mean(t(0), t(30)), 2.0);
-    }
-
-    #[test]
-    fn set_from_truncates_future() {
-        let mut s = RateSignal::zero();
-        s.set_from(t(10), 5.0);
-        s.set_from(t(20), 9.0);
-        s.set_from(t(15), 2.0); // rewrites history after t=15
-        assert_eq!(s.at(t(20)), 2.0);
-        assert_eq!(s.breakpoints().len(), 2);
-    }
-
-    #[test]
-    fn redundant_breakpoints_are_skipped() {
-        let mut s = RateSignal::zero();
-        s.set_from(t(0), 0.0);
-        assert!(s.breakpoints().is_empty());
-        s.set_from(t(5), 2.0);
-        s.set_from(t(7), 2.0);
-        assert_eq!(s.breakpoints().len(), 1);
-    }
-
-    #[test]
-    fn change_points_cover_window() {
-        let mut s = RateSignal::zero();
-        s.set_from(t(10), 5.0);
-        s.set_from(t(20), 1.0);
-        assert_eq!(s.change_points(t(5), t(25)), vec![t(5), t(10), t(20)]);
-        assert_eq!(s.change_points(t(12), t(18)), vec![t(12)]);
     }
 
     #[test]

@@ -9,4 +9,4 @@
 
 pub mod report;
 
-pub use report::{DailyReport, RssacCollector, SizeHistogram, SIZE_BIN};
+pub use report::{gbps, DailyReport, RssacCollector, SizeHistogram, SIZE_BIN};

@@ -14,6 +14,7 @@
 //! attack windows, so the generated reports exhibit the same
 //! under-reporting the estimation procedure must correct for.
 
+use rootcast_dns::wire::IP_UDP_HEADER_BYTES;
 use rootcast_dns::Letter;
 use rootcast_netsim::{Coverage, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -91,31 +92,16 @@ pub struct DailyReport {
     pub coverage: Coverage,
 }
 
-impl DailyReport {
-    /// Mean query rate over the day, q/s.
-    pub fn mean_qps(&self) -> f64 {
-        self.queries / 86_400.0
+/// Bandwidth in Gb/s of `packets` DNS packets sent over `secs` seconds,
+/// each counted at the mean payload size of `sizes` plus the IPv4 and UDP
+/// headers. Zero when there are no packets (an empty histogram has no
+/// mean size) or no time to spread them over.
+pub fn gbps(packets: f64, sizes: &SizeHistogram, secs: f64) -> f64 {
+    if packets <= 0.0 || secs <= 0.0 {
+        return 0.0;
     }
-
-    /// Estimated inbound bandwidth in Gb/s over an interval of
-    /// `active_secs` (the paper evaluates event traffic over the event
-    /// window, not the whole day). Adds IPv4+UDP header bytes.
-    pub fn query_gbps_over(&self, active_secs: f64) -> f64 {
-        if active_secs <= 0.0 || self.queries == 0.0 {
-            return 0.0;
-        }
-        let mean_packet = self.query_sizes.mean_size() + 28.0;
-        self.queries * mean_packet * 8.0 / active_secs / 1e9
-    }
-
-    /// Same for responses.
-    pub fn response_gbps_over(&self, active_secs: f64) -> f64 {
-        if active_secs <= 0.0 || self.responses == 0.0 {
-            return 0.0;
-        }
-        let mean_packet = self.response_sizes.mean_size() + 28.0;
-        self.responses * mean_packet * 8.0 / active_secs / 1e9
-    }
+    let packet = sizes.mean_size() + IP_UDP_HEADER_BYTES as f64;
+    packets * packet * 8.0 / secs / 1e9
 }
 
 /// Per-letter best-effort collector.
@@ -379,8 +365,11 @@ mod tests {
         c.add_fluid(t(0), SimDuration::from_secs(1000), 1e6, 0.0, 44, 488, false);
         let r = c.report(0);
         // Mean packet = bin midpoint (40) + 28 = 68 B -> 0.544 Gb/s.
-        let gbps = r.query_gbps_over(1000.0);
-        assert!((gbps - 0.544).abs() < 0.01, "gbps={gbps}");
+        let g = gbps(r.queries, &r.query_sizes, 1000.0);
+        assert!((g - 0.544).abs() < 0.01, "gbps={g}");
+        // No packets or no time: no bandwidth, even with no mean size.
+        assert_eq!(gbps(0.0, &SizeHistogram::default(), 1000.0), 0.0);
+        assert_eq!(gbps(r.queries, &r.query_sizes, 0.0), 0.0);
     }
 
     #[test]

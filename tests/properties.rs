@@ -10,7 +10,7 @@ use proptest::strategy::Strategy as _;
 use rootcast::policy_model::{paper_deployment, Strategy};
 use rootcast_bgp::{compute_rib_scoped, Origin, Scope};
 use rootcast_dns::{Letter, Message, Name, Rcode, Rdata, Record, RrClass, RrType, ServerIdentity};
-use rootcast_netsim::{BinnedSeries, FluidQueue, RateSignal, SimDuration, SimRng, SimTime};
+use rootcast_netsim::{BinnedSeries, FluidQueue, SimDuration, SimRng, SimTime};
 use rootcast_topology::{gen, Tier, TopologyParams};
 
 // ---------------------------------------------------------------- names
@@ -186,23 +186,6 @@ proptest! {
             "accepted {accepted} > served {served_bound} + backlog {}",
             q.backlog()
         );
-    }
-
-    #[test]
-    fn rate_signal_integral_matches_mean(
-        rates in proptest::collection::vec(0.0f64..1000.0, 1..6),
-        width in 1u64..1000,
-    ) {
-        let mut s = RateSignal::zero();
-        for (i, &r) in rates.iter().enumerate() {
-            s.set_from(SimTime::from_secs(i as u64 * width), r);
-        }
-        let end = SimTime::from_secs(rates.len() as u64 * width);
-        let integral = s.integrate(SimTime::ZERO, end);
-        let expected: f64 = rates.iter().map(|r| r * width as f64).sum();
-        prop_assert!((integral - expected).abs() < 1e-6 * expected.max(1.0));
-        let mean = s.mean(SimTime::ZERO, end);
-        prop_assert!((mean - expected / (rates.len() as f64 * width as f64)).abs() < 1e-9);
     }
 
     // ---------------------------------------------------------- series

@@ -10,7 +10,7 @@ use rootcast_atlas::{
 };
 use rootcast_attack::{Botnet, BotnetParams};
 use rootcast_bgp::RouteCollector;
-use rootcast_dns::{Letter, RootZone, ServerIdentity};
+use rootcast_dns::{Letter, ServerIdentity};
 use rootcast_netsim::{SimDuration, SimRng, SimTime};
 use rootcast_topology::{gen, Tier, TopologyParams};
 
@@ -149,20 +149,30 @@ fn withdrawal_is_visible_to_collectors_and_probes() {
 
 #[test]
 fn chaos_identity_survives_the_full_wire_path() {
-    // Format → answer → encode → decode → parse, for every letter.
-    let zone_q = rootcast_dns::Message::query(
+    // Format → TXT answer → encode → decode → parse, for every letter.
+    use rootcast_dns::{Message, Name, Rcode, Rdata, Record, RrClass, RrType};
+    let q = Message::query(
         7,
-        rootcast_dns::Name::parse("hostname.bind").unwrap(),
-        rootcast_dns::RrType::Txt,
-        rootcast_dns::RrClass::Chaos,
+        Name::parse("hostname.bind").unwrap(),
+        RrType::Txt,
+        RrClass::Chaos,
     );
     for letter in Letter::ALL {
         let id = ServerIdentity::new(letter, "AMS", 3);
-        let resp = RootZone::answer_chaos(&zone_q, &id);
-        let wire = resp.encode();
-        let decoded = rootcast_dns::Message::decode(&wire).expect("decodes");
-        let parsed = rootcast_dns::parse_chaos_response(letter, &decoded).expect("parses");
-        assert_eq!(parsed, id);
+        let mut resp = q.response_to(Rcode::NoError);
+        resp.answers.push(Record {
+            name: q.questions[0].qname.clone(),
+            rtype: RrType::Txt,
+            class: RrClass::Chaos,
+            ttl: 0,
+            rdata: Rdata::Txt(vec![id.format_txt().into_bytes()]),
+        });
+        let decoded = Message::decode(&resp.encode()).expect("decodes");
+        let Rdata::Txt(strings) = &decoded.answers[0].rdata else {
+            panic!("TXT answer decoded as {:?}", decoded.answers[0].rdata);
+        };
+        let txt = std::str::from_utf8(&strings[0]).expect("utf-8");
+        assert_eq!(ServerIdentity::parse_txt(letter, txt), Some(id));
     }
 }
 
