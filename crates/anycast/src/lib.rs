@@ -13,7 +13,10 @@
 //! * [`facility`] — shared data-center links that couple co-located
 //!   services (collateral damage, §3.6);
 //! * [`service`] — [`AnycastService`]: origins + RIB + fluid stepping +
-//!   probe interface; the unit the simulation advances.
+//!   probe interface (per-epoch [`ProbeRoute`]s viewed through per-tick
+//!   [`SiteProbe`] snapshots); the unit the simulation advances.
+
+#![forbid(unsafe_code)]
 
 pub mod facility;
 pub mod policy;
@@ -22,5 +25,5 @@ pub mod site;
 
 pub use facility::FacilityTable;
 pub use policy::{LoadBalancerMode, OverloadTracker, StressPolicy};
-pub use service::{AnycastService, CatchmentIndex, ProbeView, RoutingChanges};
+pub use service::{AnycastService, CatchmentIndex, ProbeRoute, ProbeView, RoutingChanges};
 pub use site::{FacilityId, SiteIdx, SiteProbe, SiteSpec, SiteState, SiteTuning};

@@ -32,6 +32,41 @@ pub struct ProbeView {
     pub drop_prob: f64,
 }
 
+/// The part of a [`ProbeView`] that changes only with routing: a probe
+/// route from one AS and client hash, from
+/// [`AnycastService::probe_route`]. Valid while the service's
+/// [`catchment_epoch`](AnycastService::catchment_epoch) is the one it was
+/// resolved at; [`ProbeRoute::view`] adds the per-tick site state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeRoute {
+    /// Index of the site whose catchment contains the prober.
+    pub site: SiteIdx,
+    /// The hash-designated server: 1-based, over all the site's servers.
+    pub server: u16,
+    /// Round-trip network delay: `(route latency + access delay) * 2`.
+    pub path_rtt: SimDuration,
+}
+
+impl ProbeRoute {
+    /// The probe's view through `snap`, this route's site as of now: the
+    /// survivor (if any) answers instead of the designated server, and
+    /// the RTT adds the queue delay, the hot server's extra delay and
+    /// the server processing time to the path RTT.
+    #[inline]
+    pub fn view(&self, snap: &SiteProbe) -> ProbeView {
+        let server = snap.survivor.unwrap_or(self.server);
+        ProbeView {
+            site: self.site,
+            server,
+            rtt: self.path_rtt
+                + snap.queue_delay
+                + snap.server_extra_delay(server)
+                + SERVER_PROCESSING,
+            drop_prob: snap.drop_prob,
+        }
+    }
+}
+
 /// One anycast deployment.
 #[derive(Debug, Clone)]
 pub struct AnycastService {
@@ -412,12 +447,26 @@ impl AnycastService {
     }
 
     /// What a probe from `asn` (client hash `client_hash`) would see
-    /// right now, or `None` if the service is unreachable from there.
-    /// Snapshots only the catchment site; a caller resolving many probes
-    /// at one instant fills [`Self::site_probes_into`] once and uses
-    /// [`Self::probe_view_in`], which applies the same formula.
+    /// right now, or `None` if the service is unreachable from there:
+    /// [`Self::probe_route`] viewed through the catchment site's
+    /// snapshot. A caller resolving many probes keeps the routes for an
+    /// epoch and the snapshots for a tick ([`Self::site_probes_into`]).
     pub fn probe_view(&self, asn: AsId, client_hash: u64) -> Option<ProbeView> {
-        self.view_through(asn, client_hash, |site| self.sites[site].probe_snapshot())
+        let route = self.probe_route(asn, client_hash)?;
+        Some(route.view(&self.sites[route.site].probe_snapshot()))
+    }
+
+    /// The routing half of a probe from `asn` (client hash
+    /// `client_hash`), or `None` if the service is unreachable from
+    /// there. Valid for the current [`Self::catchment_epoch`].
+    pub fn probe_route(&self, asn: AsId, client_hash: u64) -> Option<ProbeRoute> {
+        let route = self.rib.route(asn)?;
+        let site = route.origin.0 as usize;
+        Some(ProbeRoute {
+            site,
+            server: self.sites[site].spec.server_for(client_hash),
+            path_rtt: (route.latency + self.access[asn.0 as usize]) * 2,
+        })
     }
 
     /// Every site's [`SiteProbe`] snapshot, in site order, into a
@@ -426,47 +475,6 @@ impl AnycastService {
     pub fn site_probes_into(&self, out: &mut Vec<SiteProbe>) {
         out.clear();
         out.extend(self.sites.iter().map(SiteState::probe_snapshot));
-    }
-
-    /// [`Self::probe_view`] with the sites read from `snaps`, this
-    /// service's current [`Self::site_probes_into`] output.
-    #[inline]
-    pub fn probe_view_in(
-        &self,
-        snaps: &[SiteProbe],
-        asn: AsId,
-        client_hash: u64,
-    ) -> Option<ProbeView> {
-        debug_assert_eq!(
-            snaps.len(),
-            self.sites.len(),
-            "{}: stale snapshot",
-            self.name
-        );
-        self.view_through(asn, client_hash, |site| snaps[site])
-    }
-
-    #[inline]
-    fn view_through(
-        &self,
-        asn: AsId,
-        client_hash: u64,
-        snapshot: impl FnOnce(SiteIdx) -> SiteProbe,
-    ) -> Option<ProbeView> {
-        let route = self.rib.route(asn)?;
-        let site = route.origin.0 as usize;
-        let snap = snapshot(site);
-        let server = snap.server_for(client_hash);
-        let rtt = (route.latency + self.access[asn.0 as usize]) * 2
-            + snap.queue_delay
-            + snap.server_extra_delay(server)
-            + SERVER_PROCESSING;
-        Some(ProbeView {
-            site,
-            server,
-            rtt,
-            drop_prob: snap.drop_prob,
-        })
     }
 
     /// Aggregate served rate (qps) per site under the last-advanced load:
@@ -709,17 +717,20 @@ mod tests {
         let mut facilities = FacilityTable::new();
         facilities.register(fac, 20_000.0, 0.0);
         let mut snaps = Vec::new();
+        let hashes: Vec<u64> = (0..63u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .chain([u64::MAX])
+            .collect();
+        // Both entry points — the one-off `probe_view` and a route
+        // viewed through the tick's snapshots — against the formula.
         let check = |svc: &AnycastService, snaps: &mut Vec<SiteProbe>| {
             svc.site_probes_into(snaps);
             for asn in (0..g.len() as u32).map(AsId) {
-                for h in [0, 42, u64::MAX, 0x9e37_79b9_7f4a_7c15] {
+                for &h in &hashes {
                     let expected = per_probe_view(svc, asn, h);
                     assert_eq!(svc.probe_view(asn, h), expected, "{asn:?} hash {h}");
-                    assert_eq!(
-                        svc.probe_view_in(snaps, asn, h),
-                        expected,
-                        "{asn:?} hash {h}"
-                    );
+                    let routed = svc.probe_route(asn, h).map(|r| r.view(&snaps[r.site]));
+                    assert_eq!(routed, expected, "{asn:?} hash {h}");
                 }
             }
         };
@@ -754,6 +765,21 @@ mod tests {
             "FailoverConcentrate has no survivor"
         );
         assert!(snaps[0].drop_prob > 0.0 && snaps[2].drop_prob == 0.0);
+
+        // A withdrawal moves NRT's catchment: routes resolved at the old
+        // epoch go stale, and fresh ones match the formula again.
+        let routes = |svc: &AnycastService| -> Vec<Option<ProbeRoute>> {
+            (0..g.len() as u32)
+                .map(|i| svc.probe_route(AsId(i), 42))
+                .collect()
+        };
+        let (stale, epoch) = (routes(&svc), svc.catchment_epoch());
+        assert!(svc.set_announced(2, false, &g));
+        assert_ne!(svc.catchment_epoch(), epoch);
+        let fresh = routes(&svc);
+        assert!(stale.iter().any(|r| r.is_some_and(|r| r.site == 2)));
+        assert!(fresh.iter().all(|r| r.is_none_or(|r| r.site != 2)));
+        check(&svc, &mut snaps);
     }
 
     #[test]

@@ -136,6 +136,15 @@ impl SiteSpec {
         self.buffer_queries = queries;
         self
     }
+
+    /// The server a client hash is designated to when every server
+    /// answers: a 1-based hash over all `n_servers`. Fixed for the
+    /// site's life, since the host AS and server count never change.
+    #[inline]
+    pub fn server_for(&self, client_hash: u64) -> u16 {
+        (mix64(client_hash ^ u64::from(self.host_as.0) << 17) % u64::from(self.n_servers)) as u16
+            + 1
+    }
 }
 
 /// Dynamic state of one site during a run.
@@ -234,7 +243,8 @@ impl SiteState {
     /// Everything a probe reads from this site, computed once: the
     /// probe tick snapshots every site of a letter per tick, and
     /// [`AnycastService::probe_view`](crate::AnycastService::probe_view)
-    /// snapshots the one site it needs, so both use the same formulas.
+    /// snapshots the one site it needs, so both use the same formulas
+    /// ([`ProbeRoute::view`](crate::ProbeRoute::view)).
     pub fn probe_snapshot(&self) -> SiteProbe {
         let n_servers = self.spec.n_servers;
         let queue_delay = self.queue_delay();
@@ -252,8 +262,6 @@ impl SiteState {
             hot,
             survivor: self.survivor(),
             drop_prob: sanitize_probability(self.probe_drop_probability()),
-            host: self.spec.host_as.0,
-            n_servers,
         }
     }
 }
@@ -261,7 +269,8 @@ impl SiteState {
 /// One site as a probe sees it at one instant, from
 /// [`SiteState::probe_snapshot`]. Per-tick state (queue delay, hot
 /// server, survivor, drop probability) is computed once here, so a
-/// probe only hashes its client to a server and sums integer delays.
+/// probe with its [`ProbeRoute`](crate::ProbeRoute) only picks a server
+/// and sums integer delays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteProbe {
     /// Queueing delay added to an accepted query.
@@ -274,20 +283,9 @@ pub struct SiteProbe {
     /// Combined probe drop probability, sanitized to `[0, 1]` (NaN
     /// fails closed to 1).
     pub drop_prob: f64,
-    host: u32,
-    n_servers: u16,
 }
 
 impl SiteProbe {
-    /// Deterministically map a client hash to the server that answers
-    /// it: the survivor if there is one, else a hash over all servers.
-    #[inline]
-    pub fn server_for(&self, client_hash: u64) -> u16 {
-        self.survivor.unwrap_or_else(|| {
-            (mix64(client_hash ^ u64::from(self.host) << 17) % u64::from(self.n_servers)) as u16 + 1
-        })
-    }
-
     /// Extra latency of `server` beyond the site's queue delay.
     #[inline]
     pub fn server_extra_delay(&self, server: u16) -> SimDuration {
@@ -328,9 +326,8 @@ mod tests {
     fn all_servers_respond_when_healthy() {
         let st = SiteState::new(spec());
         assert_eq!(st.survivor(), None);
-        let snap = st.probe_snapshot();
         let answering: std::collections::BTreeSet<u16> =
-            (0..64u64).map(|h| snap.server_for(h)).collect();
+            (0..64u64).map(|h| st.spec.server_for(h)).collect();
         assert_eq!(answering.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
@@ -360,7 +357,12 @@ mod tests {
         let survivor = st.survivor().expect("one survivor while overloaded");
         let snap = st.probe_snapshot();
         for h in 0..50u64 {
-            assert_eq!(snap.server_for(h), survivor);
+            let route = crate::ProbeRoute {
+                site: 0,
+                server: st.spec.server_for(h),
+                path_rtt: SimDuration::ZERO,
+            };
+            assert_eq!(route.view(&snap).server, survivor);
         }
     }
 

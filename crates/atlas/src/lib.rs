@@ -16,6 +16,8 @@
 //!   timeout preference, producing the aggregates behind Figures 3–8 and
 //!   10–14 without materializing ~90 M raw measurements.
 
+#![forbid(unsafe_code)]
+
 pub mod clean;
 pub mod pipeline;
 pub mod probe;
@@ -24,7 +26,7 @@ pub mod vp;
 pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
 pub use pipeline::{
     raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
-    PipelineError, ProbeOutcomeStats, RecordSlot, ServerWatch,
+    PipelineError, ProbeOutcomeStats, Raster, RecordSlot, ServerWatch,
 };
 pub use probe::{
     execute_probe, execute_probe_fused, IndexedView, RawMeasurement, RawOutcome, TargetView,

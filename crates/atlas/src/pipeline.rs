@@ -37,6 +37,12 @@ pub enum PipelineError {
     UnknownSite { letter: Letter, site: String },
     /// A VP id at or beyond the fleet size the pipeline was built for.
     VpOutOfRange { vp: VpId, n_vps: usize },
+    /// [`MeasurementPipeline::register_letter`] was called twice for
+    /// one letter.
+    DuplicateLetter(Letter),
+    /// A rastered letter has more sites than one raster cell can encode
+    /// ([`raster_code::MAX_SITES`]).
+    TooManyRasterSites { letter: Letter, sites: usize },
 }
 
 impl fmt::Display for PipelineError {
@@ -49,6 +55,12 @@ impl fmt::Display for PipelineError {
             PipelineError::VpOutOfRange { vp, n_vps } => {
                 write!(f, "VP {} beyond fleet size {n_vps}", vp.0)
             }
+            PipelineError::DuplicateLetter(l) => write!(f, "letter {l} registered twice"),
+            PipelineError::TooManyRasterSites { letter, sites } => write!(
+                f,
+                "{letter} has {sites} sites but a raster encodes at most {}",
+                raster_code::MAX_SITES
+            ),
         }
     }
 }
@@ -94,6 +106,12 @@ impl PipelineConfig {
     fn n_bins(&self) -> usize {
         (self.horizon.as_nanos() / self.bin.as_nanos()) as usize
     }
+
+    /// Probe slots on the raster grid: whole probe intervals within the
+    /// horizon.
+    fn n_probes(&self) -> usize {
+        (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize
+    }
 }
 
 /// Raster cell codes (per-probe site timeline).
@@ -106,6 +124,66 @@ pub mod raster_code {
     pub const SITE_BASE: u8 = 2;
     /// No probe recorded for this slot (VP not yet active).
     pub const MISSING: u8 = 255;
+    /// Most sites a rastered letter may have.
+    pub const MAX_SITES: usize = (MISSING - SITE_BASE - 1) as usize;
+}
+
+/// Per-probe site timelines of one letter ([`raster_code`] cells), one
+/// per VP. Stored column-major — one column per probe slot, one cell per
+/// VP — because the probe tick writes a whole column in VP order; a row
+/// is read back with [`Raster::row`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Raster {
+    n_vps: usize,
+    /// `n_probes × n_vps` cells at `[probe_seq * n_vps + vp]`, `MISSING`
+    /// until a probe lands there.
+    cells: Vec<u8>,
+}
+
+impl Raster {
+    fn new(n_probes: usize, n_vps: usize) -> Raster {
+        Raster {
+            n_vps,
+            cells: vec![raster_code::MISSING; n_probes * n_vps],
+        }
+    }
+
+    /// Number of VP rows.
+    pub fn n_vps(&self) -> usize {
+        self.n_vps
+    }
+
+    /// Record `code` at (probe slot, VP). A second probe in the same
+    /// slot keeps the better code, by [`code_rank`].
+    #[inline]
+    fn record(&mut self, probe_seq: usize, vp: usize, code: u8) {
+        let cell = &mut self.cells[probe_seq * self.n_vps + vp];
+        if code_rank(code) > code_rank(*cell) {
+            *cell = code;
+        }
+    }
+
+    /// Every probe slot of one VP's timeline, in order, `MISSING` where
+    /// it recorded nothing; empty beyond the fleet. Lazy, so a scan for
+    /// the first answer stops there.
+    pub fn slots(&self, vp: usize) -> impl DoubleEndedIterator<Item = u8> + ExactSizeIterator + '_ {
+        let column = match self.cells.get(vp..) {
+            Some(cells) if vp < self.n_vps => cells,
+            _ => &[],
+        };
+        column.iter().step_by(self.n_vps).copied()
+    }
+
+    /// One VP's timeline: one cell per probe slot up to its last
+    /// recorded probe, earlier unprobed slots `MISSING`. Empty for a VP
+    /// that never probed (or beyond the fleet).
+    pub fn row(&self, vp: usize) -> Vec<u8> {
+        let len = self
+            .slots(vp)
+            .rposition(|c| c != raster_code::MISSING)
+            .map_or(0, |last| last + 1);
+        self.slots(vp).take(len).collect()
+    }
 }
 
 /// One recorded site-flip event.
@@ -149,7 +227,7 @@ pub struct LetterData {
     /// Watched-site per-server data, keyed by site index.
     pub watches: BTreeMap<u16, ServerWatch>,
     /// Per-probe site timeline per VP (raster letters only).
-    pub raster: Option<Vec<Vec<u8>>>,
+    pub raster: Option<Raster>,
     /// Probes recorded within the horizon.
     pub observed_probes: u64,
     /// Scheduled probes that never produced a measurement (probe-fleet
@@ -315,41 +393,29 @@ impl LetterShard {
             return Err(PipelineError::VpOutOfRange { vp, n_vps });
         }
         let data = &mut self.data;
-        let code = match obs {
-            FastObs::Timeout => raster_code::TIMEOUT,
-            FastObs::Error => raster_code::ERROR,
-            FastObs::Site { site, .. } => {
-                if site as usize >= data.site_codes.len() {
-                    return Err(PipelineError::UnknownSite {
-                        letter: data.letter,
-                        site: format!("#{site}"),
-                    });
-                }
-                raster_code::SITE_BASE + site as u8
+        if let FastObs::Site { site, .. } = obs {
+            if site as usize >= data.site_codes.len() {
+                return Err(PipelineError::UnknownSite {
+                    letter: data.letter,
+                    site: format!("#{site}"),
+                });
             }
-        };
+        }
         data.observed_probes += 1;
         match obs {
             FastObs::Timeout => self.outcomes.timeout += 1,
             FastObs::Error => self.outcomes.error += 1,
             FastObs::Site { .. } => self.outcomes.site += 1,
         }
-        // Raster: per-probe timeline, padded for any missed slots.
         if let (Some(raster), Some(probe_seq)) = (&mut data.raster, slot.raster_seq) {
-            let row = &mut raster[vp.0 as usize];
-            while row.len() < probe_seq {
-                row.push(raster_code::MISSING);
-            }
-            if row.len() == probe_seq {
-                row.push(code);
-            } else {
-                // Second probe in the same slot: prefer the "better"
-                // outcome, mirroring bin preference.
-                let existing = row[probe_seq];
-                if code_rank(code) > code_rank(existing) {
-                    row[probe_seq] = code;
-                }
-            }
+            // Registration capped a rastered letter's sites at
+            // `MAX_SITES`, so the site code fits a cell.
+            let code = match obs {
+                FastObs::Timeout => raster_code::TIMEOUT,
+                FastObs::Error => raster_code::ERROR,
+                FastObs::Site { site, .. } => raster_code::SITE_BASE + site as u8,
+            };
+            raster.record(probe_seq, vp.0 as usize, code);
         }
 
         // Binning with site > error > timeout preference.
@@ -368,7 +434,7 @@ impl LetterShard {
         let cand = match obs {
             FastObs::Timeout => BinBest::Timeout,
             FastObs::Error => BinBest::Error,
-            // The site index was validated above, at raster-code time.
+            // The site index was validated above.
             FastObs::Site { site, server, rtt } => BinBest::Site { site, server, rtt },
         };
         if cand.rank() > state.best.rank() {
@@ -466,16 +532,25 @@ impl MeasurementPipeline {
             })
     }
 
-    /// Register a letter and its site codes before recording for it.
-    pub fn register_letter(&mut self, letter: Letter, site_codes: Vec<String>) {
-        assert!(
-            self.try_letter(letter).is_none(),
-            "letter {letter} registered twice"
-        );
-        assert!(
-            site_codes.len() < (raster_code::MISSING - raster_code::SITE_BASE) as usize,
-            "too many sites for raster encoding"
-        );
+    /// Register a letter and its site codes before recording for it. A
+    /// letter registered twice is a [`PipelineError::DuplicateLetter`];
+    /// a rastered letter with more than [`raster_code::MAX_SITES`] sites
+    /// is a [`PipelineError::TooManyRasterSites`].
+    pub fn register_letter(
+        &mut self,
+        letter: Letter,
+        site_codes: Vec<String>,
+    ) -> Result<(), PipelineError> {
+        if self.try_letter(letter).is_some() {
+            return Err(PipelineError::DuplicateLetter(letter));
+        }
+        let rastered = self.cfg.raster_letters.contains(&letter);
+        if rastered && site_codes.len() > raster_code::MAX_SITES {
+            return Err(PipelineError::TooManyRasterSites {
+                letter,
+                sites: site_codes.len(),
+            });
+        }
         let n_bins = self.cfg.n_bins();
         let bin = self.cfg.bin;
         let site_codes: Vec<String> = site_codes.iter().map(|c| c.to_ascii_uppercase()).collect();
@@ -500,11 +575,7 @@ impl MeasurementPipeline {
                     })
             })
             .collect();
-        let raster = self
-            .cfg
-            .raster_letters
-            .contains(&letter)
-            .then(|| vec![Vec::new(); self.n_vps]);
+        let raster = rastered.then(|| Raster::new(self.cfg.n_probes(), self.n_vps));
         let data = LetterData {
             letter,
             site_counts: site_codes
@@ -530,6 +601,7 @@ impl MeasurementPipeline {
             probe_interval: self.cfg.probe_interval,
             rtt_subsample: self.cfg.rtt_subsample,
         });
+        Ok(())
     }
 
     /// The letter shards, in registration order.
@@ -605,6 +677,8 @@ impl MeasurementPipeline {
     }
 }
 
+/// Preference rank of a raster cell, mirroring the bin preference:
+/// site > error > timeout > missing.
 fn code_rank(code: u8) -> u8 {
     match code {
         raster_code::MISSING => 0,
@@ -639,7 +713,8 @@ mod tests {
 
     fn pipeline() -> MeasurementPipeline {
         let mut p = MeasurementPipeline::new(cfg(), 4);
-        p.register_letter(Letter::K, vec!["AMS".into(), "FRA".into()]);
+        p.register_letter(Letter::K, vec!["AMS".into(), "FRA".into()])
+            .unwrap();
         p
     }
 
@@ -776,15 +851,86 @@ mod tests {
             .unwrap();
         p.finalize();
         let d = p.letter(Letter::K);
-        let last = &d.raster.as_ref().unwrap()[1];
+        let raster = d.raster.as_ref().unwrap();
+        let last = raster.row(1);
         assert_eq!((last.len(), last[14]), (15, raster_code::ERROR));
-        let row = &d.raster.as_ref().unwrap()[0];
+        let row = raster.row(0);
         let fra = raster_code::SITE_BASE + d.site_idx("FRA").unwrap() as u8;
         let ams = raster_code::SITE_BASE + d.site_idx("AMS").unwrap() as u8;
         assert_eq!(
             row.as_slice(),
             &[fra, raster_code::TIMEOUT, raster_code::MISSING, ams]
         );
+    }
+
+    #[test]
+    fn raster_rows_pad_gaps_trim_tails_and_keep_the_better_code() {
+        let mut r = Raster::new(6, 3);
+        // VP 0: slots 0 and 3, with a gap between and none after.
+        r.record(0, 0, raster_code::TIMEOUT);
+        r.record(3, 0, raster_code::SITE_BASE + 1);
+        let gap = raster_code::MISSING;
+        assert_eq!(
+            r.row(0),
+            vec![raster_code::TIMEOUT, gap, gap, raster_code::SITE_BASE + 1]
+        );
+        // VP 1: two probes in slot 2 keep the better code either way
+        // round; a worse one never overwrites it.
+        r.record(2, 1, raster_code::ERROR);
+        r.record(2, 1, raster_code::SITE_BASE);
+        r.record(2, 1, raster_code::TIMEOUT);
+        assert_eq!(r.row(1), vec![gap, gap, raster_code::SITE_BASE]);
+        r.record(1, 1, raster_code::TIMEOUT);
+        r.record(1, 1, raster_code::ERROR);
+        assert_eq!(r.row(1)[1], raster_code::ERROR);
+        // VP 2 never probed; a VP beyond the fleet has no row either.
+        assert!(r.row(2).is_empty());
+        assert!(r.row(3).is_empty());
+        assert_eq!(r.n_vps(), 3);
+        assert_eq!(r.slots(0).len(), 6);
+        // A horizon shorter than one probe interval has no slots.
+        assert!(Raster::new(0, 3).row(1).is_empty());
+    }
+
+    #[test]
+    fn registration_errors_are_typed() {
+        let mut p = pipeline();
+        assert_eq!(
+            p.register_letter(Letter::K, vec!["AMS".into()]),
+            Err(PipelineError::DuplicateLetter(Letter::K))
+        );
+        // The raster's site limit binds only rastered letters.
+        let many: Vec<String> = (0..=raster_code::MAX_SITES)
+            .map(|i| format!("S{i}"))
+            .collect();
+        assert_eq!(p.register_letter(Letter::E, many.clone()), Ok(()));
+        let mut cfg = cfg();
+        cfg.raster_letters.push(Letter::E);
+        let mut q = MeasurementPipeline::new(cfg, 4);
+        assert_eq!(
+            q.register_letter(Letter::E, many.clone()),
+            Err(PipelineError::TooManyRasterSites {
+                letter: Letter::E,
+                sites: raster_code::MAX_SITES + 1
+            })
+        );
+        assert_eq!(
+            q.register_letter(Letter::E, many[..raster_code::MAX_SITES].to_vec()),
+            Ok(())
+        );
+        // An unrastered letter records site indices past the raster's
+        // encoding.
+        let e = p.shards_mut().iter_mut().find(|s| s.letter() == Letter::E);
+        let obs = FastObs::Site {
+            site: raster_code::MAX_SITES as u16,
+            server: 1,
+            rtt: SimDuration::from_millis(20),
+        };
+        e.unwrap().record(VpId(0), t(0), obs).unwrap();
+        p.finalize();
+        let d = p.letter(Letter::E);
+        assert_eq!(d.site_counts[raster_code::MAX_SITES].values()[0], 1.0);
+        assert!(d.raster.is_none());
     }
 
     #[test]

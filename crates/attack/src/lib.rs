@@ -14,6 +14,8 @@
 //!   [`ResolverPopulation`], the RTT/loss-driven letter-selection model
 //!   behind "letter flips" (§3.2.2).
 
+#![forbid(unsafe_code)]
+
 pub mod botnet;
 pub mod legit;
 pub mod schedule;

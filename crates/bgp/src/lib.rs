@@ -20,6 +20,8 @@
 //! * [`collector`] — BGPmon-style update observation ([`RouteCollector`])
 //!   backing Figure 9.
 
+#![forbid(unsafe_code)]
+
 pub mod collector;
 pub mod engine;
 pub mod route;

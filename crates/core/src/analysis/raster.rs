@@ -76,22 +76,22 @@ pub fn figure11(
         .map(|(i, _)| raster_code::SITE_BASE + i as u8)
         .collect();
     let mut rows = Vec::new();
-    for (vp, cells) in raster.iter().enumerate() {
+    for vp in 0..raster.n_vps() {
         if rows.len() >= max_vps {
             break;
         }
         // The VP's first site answer determines its start site.
-        let first_site = cells
-            .iter()
-            .find(|&&c| c >= raster_code::SITE_BASE && c != raster_code::MISSING);
-        let Some(&start) = first_site else { continue };
+        let first_site = raster
+            .slots(vp)
+            .find(|&c| c >= raster_code::SITE_BASE && c != raster_code::MISSING);
+        let Some(start) = first_site else { continue };
         if !focal.contains(&start) {
             continue;
         }
         rows.push(RasterRow {
             vp: vp as u32,
             start_site: u16::from(start - raster_code::SITE_BASE),
-            cells: cells.clone(),
+            cells: raster.row(vp),
         });
     }
     let probe_ns = out.pipeline.config().probe_interval.as_nanos();

@@ -4,7 +4,7 @@
 use crate::deployment::facilities;
 use crate::engine::faults::{FaultKind, FaultPlan};
 use crate::engine::trace::TraceConfig;
-use rootcast_atlas::{FleetParams, PipelineConfig};
+use rootcast_atlas::{FleetParams, PipelineConfig, PipelineError};
 use rootcast_attack::{AttackSchedule, BotnetParams, DEFAULT_LEGIT_TOTAL_QPS};
 use rootcast_dns::{Letter, Name};
 use rootcast_netsim::{fnv1a, SimDuration, SimTime};
@@ -34,6 +34,9 @@ pub enum ConfigError {
     BadTrace(String),
     /// A site override names an unknown site or carries a bad value.
     BadOverride(String),
+    /// The measurement pipeline cannot hold the deployment, e.g. a
+    /// rastered letter with more sites than a raster cell encodes.
+    BadPipeline(PipelineError),
 }
 
 impl fmt::Display for ConfigError {
@@ -47,6 +50,7 @@ impl fmt::Display for ConfigError {
             ConfigError::BadTopology(m) => write!(f, "bad topology: {m}"),
             ConfigError::BadTrace(m) => write!(f, "bad trace config: {m}"),
             ConfigError::BadOverride(m) => write!(f, "bad site override: {m}"),
+            ConfigError::BadPipeline(e) => write!(f, "bad pipeline: {e}"),
         }
     }
 }

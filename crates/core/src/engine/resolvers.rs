@@ -53,7 +53,8 @@ impl Subsystem for ResolverRefresh {
             let mut obs = [LetterObservation::unreachable(); 13];
             for (i, &letter) in world.letters.iter().enumerate() {
                 let svc = &world.services[i];
-                if let Some(pv) = svc.probe_view_in(&snaps[i], node.id, u64::from(node.id.0)) {
+                let route = svc.probe_route(node.id, u64::from(node.id.0));
+                if let Some(pv) = route.map(|r| r.view(&snaps[i][r.site])) {
                     obs[letter as usize] = LetterObservation {
                         rtt: Some(pv.rtt),
                         loss: pv.drop_prob,

@@ -241,8 +241,10 @@ impl<'a> SimWorld<'a> {
     /// clone the baseline services (cheap next to recomputing their
     /// RIBs), apply the config's site overrides, and build all per-run
     /// accounting state. Fails with [`ConfigError::BadOverride`] when an
-    /// override names a site the deployment doesn't have, and rejects a
-    /// substrate built for different substrate knobs.
+    /// override names a site the deployment doesn't have or the
+    /// substrate was built for different substrate knobs, and with
+    /// [`ConfigError::BadPipeline`] when a rastered letter has more sites
+    /// than a raster cell encodes.
     pub fn from_substrate(
         cfg: &'a ScenarioConfig,
         rng_factory: &'a SimRng,
@@ -311,7 +313,9 @@ impl<'a> SimWorld<'a> {
                 .iter()
                 .map(|s| s.spec.code.clone())
                 .collect();
-            pipeline.register_letter(letter, codes);
+            pipeline
+                .register_letter(letter, codes)
+                .map_err(ConfigError::BadPipeline)?;
         }
 
         let mut collectors: BTreeMap<Letter, RouteCollector> = BTreeMap::new();

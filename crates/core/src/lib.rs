@@ -19,6 +19,8 @@
 //! println!("K-root successful VPs per bin: {:?}", k.success.values());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod config;
 pub mod deployment;

@@ -18,6 +18,8 @@
 //! * [`rootzone`] — priming responses, `.com`-shaped referrals (the
 //!   ~490-byte responses of Table 3) and NXDOMAIN.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod name;
 pub mod rootzone;

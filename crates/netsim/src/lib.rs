@@ -32,6 +32,8 @@
 //! and its own stream per minute) as well as across simulations (sweeps)
 //! without any draw depending on scheduling.
 
+#![forbid(unsafe_code)]
+
 pub mod coverage;
 pub mod event;
 pub mod hash;

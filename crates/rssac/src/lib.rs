@@ -7,6 +7,8 @@
 //! Table 3's raw numbers inconsistent across letters and forces the
 //! paper's lower/upper-bound estimation.
 
+#![forbid(unsafe_code)]
+
 pub mod report;
 
 pub use report::{gbps, DailyReport, RssacCollector, SizeHistogram, SIZE_BIN};

@@ -17,6 +17,8 @@
 //!
 //! Policy routing over the graph lives in `rootcast-bgp`.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod geo;
 pub mod graph;

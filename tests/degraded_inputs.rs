@@ -14,9 +14,13 @@ use rootcast::analysis::{
 };
 use rootcast::render::TextTable;
 use rootcast::{
-    render_metrics, run, run_sweep, AttackSchedule, ConfigPatch, FaultKind, FaultPlan, Letter,
-    ScenarioConfig, SimDuration, SimTime, SweepPlan, SweepRun,
+    render_metrics, run, run_sweep, run_with_substrate, AttackSchedule, ConfigError, ConfigPatch,
+    FaultKind, FaultPlan, Letter, RootcastError, ScenarioConfig, SimDuration, SimTime, Substrate,
+    SweepPlan, SweepRun,
 };
+use rootcast_anycast::{AnycastService, SiteSpec};
+use rootcast_atlas::PipelineError;
+use rootcast_topology::AsId;
 
 /// Zero attack, zero observation: all VPs disconnected, all RSSAC
 /// records and collectors gapped for effectively the whole horizon.
@@ -152,4 +156,39 @@ fn sweep_over_dead_scenario_reports_finite_headlines() {
     let text = report.render();
     assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
     assert_finite_rendering(&[report.comparison()]);
+}
+
+#[test]
+fn oversized_deployment_fails_only_where_rastered() {
+    // 253 sites are more than one raster cell encodes. An unrastered
+    // letter may deploy them and runs; a rastered one is a typed error
+    // from the world build, not a panic.
+    let mut cfg = ScenarioConfig::small();
+    cfg.horizon = SimTime::from_hours(1);
+    cfg.pipeline.horizon = cfg.horizon;
+    let mut substrate = Substrate::build(&cfg);
+    let e = substrate
+        .letters
+        .iter()
+        .position(|&l| l == Letter::E)
+        .expect("E deployed");
+    let n_ases = substrate.graph.len();
+    let sites: Vec<SiteSpec> = (0..253)
+        .map(|i| SiteSpec::global(&format!("X{i:03}"), AsId((i * 7 % n_ases) as u32), 5_000.0))
+        .collect();
+    substrate.services[e] = AnycastService::new("E-root", Some(Letter::E), &substrate.graph, sites);
+
+    assert!(!cfg.pipeline.raster_letters.contains(&Letter::E));
+    let out = run_with_substrate(&cfg, &substrate).expect("an unrastered letter has no site cap");
+    let data = out.pipeline.letter(Letter::E);
+    assert_eq!(data.site_codes.len(), 253);
+    assert!(data.observed_probes > 0 && data.raster.is_none());
+
+    cfg.pipeline.raster_letters.push(Letter::E);
+    match run_with_substrate(&cfg, &substrate) {
+        Err(RootcastError::Config(ConfigError::BadPipeline(
+            PipelineError::TooManyRasterSites { letter, sites },
+        ))) => assert_eq!((letter, sites), (Letter::E, 253)),
+        other => panic!("expected TooManyRasterSites, got {:?}", other.err()),
+    }
 }

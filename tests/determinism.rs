@@ -13,6 +13,7 @@
 //! everything the analysis layer consumes (floats via `to_bits`, so
 //! "close" is not enough).
 
+use rootcast::analysis::raster;
 use rootcast::engine::{
     drive, FaultInjector, FluidTraffic, MaintenanceChurn, ProbeWheel, ResolverRefresh,
     RssacAccounting, SimWorld,
@@ -21,7 +22,7 @@ use rootcast::{
     output_digest, run, run_with_substrate, FaultKind, FaultPlan, Letter, NoopInstrumentation,
     ScenarioConfig, SimDuration, SimTime, Substrate, Subsystem, TraceEventKind,
 };
-use rootcast_netsim::SimRng;
+use rootcast_netsim::{Fnv1a, SimRng};
 
 /// `output_digest` of `ScenarioConfig::small()`. A change that moves it
 /// changes simulation output and must say why.
@@ -51,6 +52,25 @@ fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     assert_eq!(
         first, single,
         "single-thread run diverged from the default pool"
+    );
+}
+
+/// FNV-1a of `small()`'s Figure 11 (K, LHR/FRA starts, 300 VPs): the
+/// full ASCII raster followed by the cohort table. `output_digest` skips
+/// the raster, so this pins the per-probe timelines.
+const SMALL_FIGURE11_GOLDEN: u64 = 0x29dbc17209f92d77;
+
+#[test]
+fn small_scenario_figure11_raster_is_pinned() {
+    let out = run(&ScenarioConfig::small()).expect("valid scenario");
+    let fig = raster::figure11(&out, Letter::K, &["LHR", "FRA"], 300).expect("K is rastered");
+    let mut h = Fnv1a::new();
+    h.write(fig.render_ascii(usize::MAX).as_bytes());
+    h.write(fig.render_cohorts().to_string().as_bytes());
+    let digest = h.finish();
+    assert_eq!(
+        digest, SMALL_FIGURE11_GOLDEN,
+        "small() Figure 11 moved: {digest:#018x} vs golden {SMALL_FIGURE11_GOLDEN:#018x}"
     );
 }
 

@@ -83,7 +83,8 @@ fn manual_wiring_topology_to_pipeline() {
     pipe.register_letter(
         Letter::K,
         svc.sites().iter().map(|s| s.spec.code.clone()).collect(),
-    );
+    )
+    .expect("K registers once");
     let excluded = report.excluded_set();
     let mut t = SimTime::ZERO;
     for _ in 0..12 {
