@@ -12,7 +12,7 @@ use rand::Rng;
 use rootcast_netsim::rng::weighted_index;
 use rootcast_netsim::stats::mix64;
 use rootcast_netsim::SimRng;
-use rootcast_topology::{city, AsGraph, AsId, NamedFn, Region, Tier};
+use rootcast_topology::{city, AsGraph, AsId, Region, Tier};
 
 /// Identifier of a vantage point (index into the fleet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,7 +50,7 @@ impl VantagePoint {
 }
 
 /// Fleet generation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetParams {
     /// Number of VPs (the paper's dataset: 9363 active, >9000 kept).
     pub n_vps: usize,
@@ -60,17 +60,12 @@ pub struct FleetParams {
     pub hijacked_fraction: f64,
     /// Fraction of flaky VPs that fail independently now and then.
     pub flaky_fraction: f64,
-    /// Regional placement bias. RIPE Atlas is Europe-heavy; the default
-    /// puts ~2/3 of VPs in Europe. Named so the config's `Debug` form
-    /// (and every hash built from it) is stable across processes.
-    pub region_bias: NamedFn<fn(Region) -> f64>,
-    /// Per-metro probe-density multiplier on top of the regional bias.
-    /// Atlas is operated from Amsterdam and its probe density peaks in
-    /// the Benelux/DE/UK corridor — the reason the paper's largest
-    /// site medians are AMS, FRA and LHR.
-    pub city_bias: NamedFn<fn(&str) -> f64>,
 }
 
+/// Per-metro probe-density multiplier on top of the regional bias.
+/// Atlas is operated from Amsterdam and its probe density peaks in
+/// the Benelux/DE/UK corridor — the reason the paper's largest
+/// site medians are AMS, FRA and LHR.
 fn atlas_city_bias(code: &str) -> f64 {
     match code {
         "AMS" => 4.0,
@@ -81,6 +76,8 @@ fn atlas_city_bias(code: &str) -> f64 {
     }
 }
 
+/// Regional placement bias. RIPE Atlas is Europe-heavy; this puts
+/// ~2/3 of VPs in Europe.
 fn atlas_region_bias(r: Region) -> f64 {
     match r {
         Region::Europe => 8.0,
@@ -100,8 +97,6 @@ impl Default for FleetParams {
             old_firmware_fraction: 0.03,
             hijacked_fraction: 74.0 / 9363.0,
             flaky_fraction: 0.05,
-            region_bias: NamedFn::new("atlas", atlas_region_bias),
-            city_bias: NamedFn::new("atlas", atlas_city_bias),
         }
     }
 }
@@ -133,8 +128,8 @@ impl VpFleet {
             .iter()
             .map(|&s| {
                 let c = city(graph.node(s).city);
-                (params.region_bias.f)(c.region)
-                    * (params.city_bias.f)(c.code)
+                atlas_region_bias(c.region)
+                    * atlas_city_bias(c.code)
                     * c.population_weight.max(0.01)
             })
             .collect();

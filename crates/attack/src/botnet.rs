@@ -15,13 +15,10 @@
 
 use rootcast_netsim::rng::weighted_index;
 use rootcast_netsim::SimRng;
-use rootcast_topology::{city, AsGraph, NamedFn, Region, Tier};
+use rootcast_topology::{city, AsGraph, Region, Tier};
 
 /// Botnet construction parameters.
-///
-/// The regional bias is a function pointer so scenarios can plug
-/// arbitrary shapes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BotnetParams {
     /// Number of member (true-origin) stub ASes.
     pub n_members: usize,
@@ -29,14 +26,11 @@ pub struct BotnetParams {
     pub heavy_share: f64,
     /// Number of heavy-hitter source addresses (Verisign: top 200 = 68%).
     pub n_heavy_sources: usize,
-    /// Regional mix of members: weight multiplier per region. A botnet
-    /// concentrated in Asia stresses different catchments than a European
-    /// one; the default skews Asia/NA the way large 2015-era botnets did.
-    /// Named so the config's `Debug` form (and every hash built from
-    /// it) is stable across processes.
-    pub region_bias: NamedFn<fn(Region) -> f64>,
 }
 
+/// Regional mix of members: weight multiplier per region. A botnet
+/// concentrated in Asia stresses different catchments than a European
+/// one; this skews Asia/NA the way large 2015-era botnets did.
 fn default_region_bias(r: Region) -> f64 {
     match r {
         Region::Asia => 2.0,
@@ -55,7 +49,6 @@ impl Default for BotnetParams {
             n_members: 400,
             heavy_share: 0.68,
             n_heavy_sources: 200,
-            region_bias: NamedFn::new("nov2015", default_region_bias),
         }
     }
 }
@@ -85,7 +78,7 @@ impl Botnet {
             .iter()
             .map(|&s| {
                 let c = city(graph.node(s).city);
-                (params.region_bias.f)(c.region) * c.population_weight.max(0.01)
+                default_region_bias(c.region) * c.population_weight.max(0.01)
             })
             .collect();
         let mut weights = vec![0.0f64; graph.len()];

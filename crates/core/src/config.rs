@@ -7,7 +7,7 @@ use crate::engine::trace::TraceConfig;
 use rootcast_atlas::{FleetParams, PipelineConfig, PipelineError};
 use rootcast_attack::{AttackSchedule, BotnetParams, DEFAULT_LEGIT_TOTAL_QPS};
 use rootcast_dns::{Letter, Name};
-use rootcast_netsim::{fnv1a, SimDuration, SimTime};
+use rootcast_netsim::{SimDuration, SimTime};
 use rootcast_topology::TopologyParams;
 use std::fmt;
 
@@ -37,6 +37,10 @@ pub enum ConfigError {
     /// The measurement pipeline cannot hold the deployment, e.g. a
     /// rastered letter with more sites than a raster cell encodes.
     BadPipeline(PipelineError),
+    /// A prebuilt [`Substrate`](crate::engine::Substrate) was built for
+    /// other substrate knobs; names the ones that differ
+    /// ([`ScenarioConfig::substrate_diff`]).
+    SubstrateMismatch(Vec<&'static str>),
 }
 
 impl fmt::Display for ConfigError {
@@ -51,6 +55,11 @@ impl fmt::Display for ConfigError {
             ConfigError::BadTrace(m) => write!(f, "bad trace config: {m}"),
             ConfigError::BadOverride(m) => write!(f, "bad site override: {m}"),
             ConfigError::BadPipeline(e) => write!(f, "bad pipeline: {e}"),
+            ConfigError::SubstrateMismatch(knobs) => write!(
+                f,
+                "substrate built for other knobs: {} differ",
+                knobs.join(", ")
+            ),
         }
     }
 }
@@ -129,8 +138,8 @@ pub struct ScenarioConfig {
     pub faults: FaultPlan,
     /// Per-run overrides of deployed sites' non-routing knobs
     /// (capacity / buffer / stress policy), applied after the substrate
-    /// is built. Empty by default. These do not enter
-    /// [`Self::substrate_key`]: two configs differing only here can
+    /// is built. Empty by default. These are not substrate knobs
+    /// ([`Self::substrate_diff`]): two configs differing only here can
     /// share one substrate.
     pub site_overrides: Vec<SiteOverride>,
     /// Run the fluid tick through its reference implementation (uncached
@@ -199,23 +208,26 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// Digest of exactly the knobs the expensive immutable substrate
-    /// (topology, deployments, baseline RIBs, botnet, fleet,
-    /// calibration) is a function of: seed, topology, fleet, botnet,
-    /// and `.nl` inclusion. Two configs with equal keys can share one
+    /// The substrate knobs on which `self` and `other` differ, in
+    /// declaration order. The expensive immutable substrate (topology,
+    /// deployments, baseline RIBs, botnet, fleet, calibration) is a
+    /// function of exactly these: seed, topology, fleet, botnet, and
+    /// `.nl` inclusion. Configs with an empty difference can share one
     /// [`Substrate`](crate::engine::Substrate); everything else
     /// (attack, faults, policies, capacities, rates, cadences) is
-    /// applied per run. The sweep runner shards its runs by this key.
-    ///
-    /// FNV-1a over the `Debug` rendering of those fields — Rust's f64
-    /// `Debug` is shortest-roundtrip, so distinct values never collide
-    /// through formatting.
-    pub fn substrate_key(&self) -> u64 {
-        let repr = format!(
-            "seed={};topology={:?};fleet={:?};botnet={:?};nl={}",
-            self.seed, self.topology, self.fleet, self.botnet, self.include_nl
-        );
-        fnv1a(repr.as_bytes())
+    /// applied per run. The sweep runner shards its runs by it.
+    pub fn substrate_diff(&self, other: &ScenarioConfig) -> Vec<&'static str> {
+        [
+            ("seed", self.seed == other.seed),
+            ("topology", self.topology == other.topology),
+            ("fleet", self.fleet == other.fleet),
+            ("botnet", self.botnet == other.botnet),
+            ("include_nl", self.include_nl == other.include_nl),
+        ]
+        .into_iter()
+        .filter(|&(_, same)| !same)
+        .map(|(knob, _)| knob)
+        .collect()
     }
 
     /// Check every invariant a run depends on. Called by
@@ -267,6 +279,11 @@ impl ScenarioConfig {
                     "{name} must be a positive whole number of minutes, got {iv:?}"
                 )));
             }
+        }
+        if self.maintenance_mean.is_some_and(|m| m.is_zero()) {
+            return Err(ConfigError::BadTiming(
+                "maintenance_mean must be positive (None disables churn)".into(),
+            ));
         }
         if self.resolver_update.is_zero() {
             return Err(ConfigError::BadTiming(
@@ -414,6 +431,12 @@ mod tests {
 
         let mut cfg = ScenarioConfig::small();
         cfg.probe_interval = SimDuration::from_mins(8);
+        assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
+
+        // A zero churn mean would reschedule maintenance at the same
+        // instant forever.
+        let mut cfg = ScenarioConfig::small();
+        cfg.maintenance_mean = Some(SimDuration::ZERO);
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
 
         let mut cfg = ScenarioConfig::small();

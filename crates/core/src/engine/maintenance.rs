@@ -18,6 +18,14 @@ use rootcast_netsim::{ChaCha8Rng, SimDuration, SimTime};
 /// How long one maintenance window keeps a site withdrawn.
 const MAINTENANCE_DOWNTIME: SimDuration = SimDuration::from_mins(10);
 
+/// Draw the exponential gap to the next churn. A draw that rounds to
+/// 0 ns (a mean of a few nanoseconds) is lifted to 1 ns, so every
+/// rescheduled churn lies strictly after the tick that drew it.
+fn churn_gap(rng: &mut ChaCha8Rng, mean: SimDuration) -> SimDuration {
+    SimDuration::from_secs_f64(exp_sample(rng, 1.0 / mean.as_secs_f64()))
+        .max(SimDuration::from_nanos(1))
+}
+
 /// The maintenance-churn subsystem.
 pub struct MaintenanceChurn {
     rng: ChaCha8Rng,
@@ -31,9 +39,7 @@ impl MaintenanceChurn {
     /// `rng` must be a dedicated stream (the driver uses
     /// `"maintenance"`); `mean` of `None` disables churn entirely.
     pub fn new(mut rng: ChaCha8Rng, mean: Option<SimDuration>) -> MaintenanceChurn {
-        let next_churn = mean.map(|m| {
-            SimTime::ZERO + SimDuration::from_secs_f64(exp_sample(&mut rng, 1.0 / m.as_secs_f64()))
-        });
+        let next_churn = mean.map(|m| SimTime::ZERO + churn_gap(&mut rng, m));
         MaintenanceChurn {
             rng,
             mean,
@@ -105,9 +111,7 @@ impl Subsystem for MaintenanceChurn {
                     wakeups.push(end);
                 }
             }
-            self.next_churn = self.mean.map(|m| {
-                t + SimDuration::from_secs_f64(exp_sample(&mut self.rng, 1.0 / m.as_secs_f64()))
-            });
+            self.next_churn = self.mean.map(|m| t + churn_gap(&mut self.rng, m));
             if let Some(next) = self.next_churn {
                 wakeups.push(next);
             }
@@ -195,6 +199,28 @@ mod tests {
         let (withdrawn_b, schedule_b) = first_withdrawal(&cfg, &rngf_b);
         assert_eq!(schedule_a, schedule_b);
         assert_eq!(withdrawn_a, withdrawn_b);
+    }
+
+    #[test]
+    fn nanosecond_mean_still_advances_time() {
+        // Exponential draws around a 1 ns mean round to 0 ns most of
+        // the time; a wakeup at `t` itself would stall the engine.
+        let cfg = ScenarioConfig::small();
+        let rngf = SimRng::new(cfg.seed);
+        let mut obs = NoopInstrumentation;
+        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut churn =
+            MaintenanceChurn::new(rngf.stream("maintenance"), Some(SimDuration::from_nanos(1)));
+        let mut t = churn.initial_wakeups()[0];
+        for _ in 0..20 {
+            let wakeups = churn.tick(&mut world, t);
+            assert!(!wakeups.is_empty(), "churn reschedules itself");
+            assert!(
+                wakeups.iter().all(|&w| w > t),
+                "wakeups {wakeups:?} do not advance past {t:?}"
+            );
+            t = *wakeups.last().expect("non-empty");
+        }
     }
 
     #[test]

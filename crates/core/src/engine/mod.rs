@@ -80,6 +80,30 @@ pub trait Subsystem {
     }
 }
 
+/// The six production subsystems for `world`'s scenario, in seeding
+/// order. That order is the same-instant tie-break (see [`drive`]):
+/// accounting follows the fluid step whose window it settles, and
+/// faults apply after every production subsystem has ticked the
+/// instant.
+pub fn subsystems(world: &SimWorld) -> Vec<Box<dyn Subsystem>> {
+    let cfg = world.cfg;
+    let rng_factory = world.rng_factory;
+    vec![
+        Box::new(FluidTraffic::new(cfg.fluid_step).with_reference(cfg.reference_kernels)),
+        Box::new(RssacAccounting::new(cfg)),
+        Box::new(ProbeWheel::new(world)),
+        Box::new(ResolverRefresh::new(cfg.resolver_update)),
+        Box::new(MaintenanceChurn::new(
+            rng_factory.stream("maintenance"),
+            cfg.maintenance_mean,
+        )),
+        Box::new(FaultInjector::new(
+            rng_factory.stream("faults"),
+            cfg.faults.clone(),
+        )),
+    ]
+}
+
 /// Drive `subsystems` against `world` until `horizon`, each tick inside
 /// a span named after its subsystem.
 ///

@@ -121,7 +121,7 @@ pub struct SimWorld<'a> {
 /// baseline services with their computed RIBs, the botnet, population
 /// weights, the generated VP fleet, and the `t = 0` calibration pass's
 /// [`CleaningReport`]. Everything here is a pure function of the
-/// scenario's substrate knobs ([`ScenarioConfig::substrate_key`]: seed,
+/// scenario's substrate knobs ([`ScenarioConfig::substrate_diff`]: seed,
 /// topology, fleet, botnet, `.nl` inclusion) — build it once, wrap it
 /// in an `Arc`, and stamp out per-run [`SimWorld`]s with
 /// [`SimWorld::from_substrate`]. Per-run knobs (attack schedule, fault
@@ -134,9 +134,9 @@ pub struct SimWorld<'a> {
 /// bit-identical to a standalone [`run`](crate::sim::run) by
 /// construction: there is only one build path.
 pub struct Substrate {
-    /// [`ScenarioConfig::substrate_key`] of the config this was built
-    /// from; runs against a mismatching config are rejected.
-    pub key: u64,
+    /// The config this was built from; runs whose substrate knobs
+    /// differ from it ([`ScenarioConfig::substrate_diff`]) are rejected.
+    pub cfg: ScenarioConfig,
     pub graph: Arc<AsGraph>,
     pub deployments: Vec<LetterDeployment>,
     /// The 13 root letters, in service order.
@@ -208,7 +208,7 @@ impl Substrate {
         let cleaning = clean_fleet(&fleet, &calibration);
 
         Substrate {
-            key: cfg.substrate_key(),
+            cfg: cfg.clone(),
             graph: Arc::new(graph),
             deployments,
             letters,
@@ -240,24 +240,20 @@ impl<'a> SimWorld<'a> {
     /// Stamp out the per-run mutable world over a prebuilt [`Substrate`]:
     /// clone the baseline services (cheap next to recomputing their
     /// RIBs), apply the config's site overrides, and build all per-run
-    /// accounting state. Fails with [`ConfigError::BadOverride`] when an
-    /// override names a site the deployment doesn't have or the
-    /// substrate was built for different substrate knobs, and with
-    /// [`ConfigError::BadPipeline`] when a rastered letter has more sites
-    /// than a raster cell encodes.
+    /// accounting state. Fails with [`ConfigError::SubstrateMismatch`]
+    /// when the substrate was built for different substrate knobs, with
+    /// [`ConfigError::BadOverride`] when an override names a site the
+    /// deployment doesn't have, and with [`ConfigError::BadPipeline`]
+    /// when a rastered letter has more sites than a raster cell encodes.
     pub fn from_substrate(
         cfg: &'a ScenarioConfig,
         rng_factory: &'a SimRng,
         substrate: &Substrate,
         obs: &'a mut dyn Instrumentation,
     ) -> Result<SimWorld<'a>, ConfigError> {
-        if substrate.key != cfg.substrate_key() {
-            return Err(ConfigError::BadOverride(format!(
-                "substrate key mismatch: built for {:#018x}, config needs {:#018x} \
-                 (seed/topology/fleet/botnet/include_nl differ)",
-                substrate.key,
-                cfg.substrate_key()
-            )));
+        let differing = substrate.cfg.substrate_diff(cfg);
+        if !differing.is_empty() {
+            return Err(ConfigError::SubstrateMismatch(differing));
         }
         let graph = Arc::clone(&substrate.graph);
         let n_ases = graph.len();

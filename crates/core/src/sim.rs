@@ -5,25 +5,30 @@
 //!
 //! [`run`] validates the configuration ([`ScenarioConfig::validate`]),
 //! builds a [`SimWorld`] (topology, services, traffic sources, the
-//! calibrated VP fleet) and drives six subsystems against it on one
-//! deterministic schedule:
+//! calibrated VP fleet) and drives the six [`subsystems`] against it
+//! on one deterministic schedule:
 //!
-//! * [`FluidTraffic`] (every minute): distribute attack + legitimate
-//!   load over each service's current catchments, push it through the
-//!   shared-facility links and per-site ingress queues, and let stress
-//!   policies withdraw/re-announce.
-//! * [`RssacAccounting`] (same cadence, ticking after the fluid step):
-//!   RSSAC byte/query accounting and the `.nl` served-rate series.
-//! * [`ProbeWheel`] (every minute): the Atlas fleet's wheel — each
-//!   (VP, letter) pair probes on its own phase of the letter's probing
-//!   interval (§2.4.1), one parallel probe-and-record pass per letter.
-//! * [`ResolverRefresh`] (every 10 min): resolvers re-weight letter
-//!   preferences from current RTT/loss — the letter-flip mechanism
-//!   (§3.2.2).
-//! * [`MaintenanceChurn`] (at exponentially distributed instants):
-//!   background operator maintenance noise.
-//! * [`FaultInjector`] (seeded last, so same-instant faults land after
-//!   production ticks): scheduled fault injection from the scenario's
+//! * [`FluidTraffic`](crate::engine::FluidTraffic) (every minute):
+//!   distribute attack + legitimate load over each service's current
+//!   catchments, push it through the shared-facility links and
+//!   per-site ingress queues, and let stress policies
+//!   withdraw/re-announce.
+//! * [`RssacAccounting`](crate::engine::RssacAccounting) (same cadence,
+//!   ticking after the fluid step): RSSAC byte/query accounting and the
+//!   `.nl` served-rate series.
+//! * [`ProbeWheel`](crate::engine::ProbeWheel) (every minute): the Atlas
+//!   fleet's wheel — each (VP, letter) pair probes on its own phase of
+//!   the letter's probing interval (§2.4.1), one parallel
+//!   probe-and-record pass per letter.
+//! * [`ResolverRefresh`](crate::engine::ResolverRefresh) (every 10 min):
+//!   resolvers re-weight letter preferences from current RTT/loss — the
+//!   letter-flip mechanism (§3.2.2).
+//! * [`MaintenanceChurn`](crate::engine::MaintenanceChurn) (at
+//!   exponentially distributed instants): background operator
+//!   maintenance noise.
+//! * [`FaultInjector`](crate::engine::FaultInjector) (seeded last, so
+//!   same-instant faults land after production ticks): scheduled fault
+//!   injection from the scenario's
 //!   [`FaultPlan`](crate::engine::FaultPlan). An empty plan never
 //!   wakes, leaving the run bit-identical to a five-subsystem one.
 //!
@@ -34,8 +39,7 @@ use crate::deployment::LetterDeployment;
 use crate::engine::metrics::keys;
 use crate::engine::Substrate;
 use crate::engine::{
-    drive, FaultInjector, FluidTraffic, InjectedFault, Instrumentation, MaintenanceChurn,
-    ProbeWheel, ResolverRefresh, RssacAccounting, SimWorld, SpanProfile, SpanRecorder, Subsystem,
+    drive, subsystems, InjectedFault, Instrumentation, SimWorld, SpanProfile, SpanRecorder,
     TraceSnapshot,
 };
 use crate::error::RootcastError;
@@ -104,7 +108,7 @@ pub fn run(cfg: &ScenarioConfig) -> Result<SimOutput, RootcastError> {
 /// same config — the sweep runner's determinism contract rests on this
 /// single shared build path. Fails with a typed error when the
 /// substrate was built for different substrate knobs
-/// ([`ScenarioConfig::substrate_key`]) or an override names an unknown
+/// ([`ScenarioConfig::substrate_diff`]) or an override names an unknown
 /// site.
 pub fn run_with_substrate(
     cfg: &ScenarioConfig,
@@ -135,27 +139,10 @@ fn run_recorded(
 /// world's observer sees `drive` and `finalize`; the caller fills in
 /// [`SimOutput::spans`] once the observer is released.
 fn drive_world(mut world: SimWorld<'_>) -> SimOutput {
-    let cfg = world.cfg;
-    let rng_factory = world.rng_factory;
-    // Seeding order is the same-instant tie-break: accounting must
-    // follow the fluid step whose window it settles, and faults apply
-    // after every production subsystem has ticked the instant.
-    let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
-        Box::new(FluidTraffic::new(cfg.fluid_step).with_reference(cfg.reference_kernels)),
-        Box::new(RssacAccounting::new(cfg)),
-        Box::new(ProbeWheel::new(&world)),
-        Box::new(ResolverRefresh::new(cfg.resolver_update)),
-        Box::new(MaintenanceChurn::new(
-            rng_factory.stream("maintenance"),
-            cfg.maintenance_mean,
-        )),
-        Box::new(FaultInjector::new(
-            rng_factory.stream("faults"),
-            cfg.faults.clone(),
-        )),
-    ];
+    let horizon = world.cfg.horizon;
+    let mut subsystems = subsystems(&world);
     world.obs.enter("drive");
-    drive(&mut world, &mut subsystems, cfg.horizon);
+    drive(&mut world, &mut subsystems, horizon);
     world.obs.exit("drive");
     world.into_output()
 }

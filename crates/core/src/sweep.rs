@@ -11,7 +11,7 @@
 //!   [`ConfigPatch`] deltas — written explicitly or generated as the
 //!   cartesian product of [`SweepAxis`] values ([`SweepPlan::grid`]).
 //! * A sharded runner ([`run_sweep`] / [`run_sweep_with`]): runs are
-//!   grouped by [`ScenarioConfig::substrate_key`]; each shard builds
+//!   grouped by [`ScenarioConfig::substrate_diff`]; each shard builds
 //!   its expensive immutable [`Substrate`] (topology + baseline RIBs +
 //!   calibrated fleet) once and `Arc`-shares it across the shard's
 //!   runs, which execute in a deterministic rayon fan-out.
@@ -54,10 +54,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// A delta over a base [`ScenarioConfig`]: only per-run knobs, so the
-/// knobs a patch *cannot* express (topology, fleet, botnet sizing,
-/// `.nl` inclusion) are exactly the ones that would force a new
-/// substrate — except `seed`, which re-derives everything and lands
-/// the run in its own shard.
+/// knobs a patch *cannot* express (topology, fleet, botnet, `.nl`
+/// inclusion) are exactly the substrate knobs
+/// ([`ScenarioConfig::substrate_diff`]) — except `seed`, which
+/// re-derives everything and lands the run in its own shard.
 #[derive(Debug, Clone, Default)]
 pub struct ConfigPatch {
     /// Replace the master seed (puts the run in a different shard).
@@ -281,10 +281,12 @@ impl SweepPlan {
 }
 
 /// Hash identifying a resolved (label, config) pair — the checkpoint
-/// manifest key. Uses the config's `Debug` rendering: every knob
-/// (including attack windows, fault plans, and site overrides) feeds
-/// the digest, and f64 `Debug` is shortest-roundtrip so distinct
-/// values cannot collide through formatting.
+/// manifest key, and the only config identity that crosses processes.
+/// Uses the config's `Debug` rendering: every config type is plain
+/// derived data, so every knob (including attack windows, fault plans,
+/// and site overrides) feeds the digest, and f64 `Debug` is
+/// shortest-roundtrip so distinct values cannot collide through
+/// formatting. `every_config_field_moves_the_hash` pins the coverage.
 pub fn config_hash(label: &str, cfg: &ScenarioConfig) -> u64 {
     fnv1a(format!("{label}\u{1f}{cfg:?}").as_bytes())
 }
@@ -410,8 +412,6 @@ pub struct SweepRecord {
     pub label: String,
     /// The resolved master seed this run used.
     pub seed: u64,
-    /// [`ScenarioConfig::substrate_key`] — which shard served the run.
-    pub substrate_key: u64,
     /// [`config_hash`] of (label, resolved config): the manifest key.
     pub config_hash: u64,
     /// [`output_digest`] — the bit-exact identity of the run's output.
@@ -463,7 +463,6 @@ impl SweepRecord {
         Value::Object(BTreeMap::from([
             ("label".into(), Value::String(self.label.clone())),
             ("seed".into(), u(self.seed)),
-            ("substrate_key".into(), u(self.substrate_key)),
             ("config_hash".into(), u(self.config_hash)),
             ("output_digest".into(), u(self.output_digest)),
             ("wall_ms".into(), n(self.wall_ms)),
@@ -504,7 +503,6 @@ impl SweepRecord {
         Some(SweepRecord {
             label: v.get("label")?.as_str()?.to_string(),
             seed: u("seed")?,
-            substrate_key: u("substrate_key")?,
             config_hash: u("config_hash")?,
             output_digest: u("output_digest")?,
             wall_ms: v.get("wall_ms")?.as_f64()?,
@@ -697,7 +695,7 @@ pub fn run_sweep(plan: &SweepPlan) -> Result<SweepReport, RootcastError> {
 
 /// Run a sweep. Every run's config is resolved and validated up front
 /// (one bad variant fails the sweep before any work), pending runs are
-/// sharded by substrate key, and each shard executes as a deterministic
+/// sharded by substrate knobs, and each shard executes as a deterministic
 /// rayon fan-out over its `Arc`-shared [`Substrate`].
 pub fn run_sweep_with(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, RootcastError> {
     if plan.runs.is_empty() {
@@ -729,17 +727,20 @@ pub fn run_sweep_with(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepRepo
         .collect();
     let n_resumed = slots.iter().filter(|s| s.is_some()).count();
 
-    // Shard the pending runs by substrate key, shards ordered by first
-    // appearance in the plan, runs in plan order within a shard.
-    let mut shards: Vec<(u64, Vec<usize>)> = Vec::new();
+    // Shard the pending runs by their substrate knobs, shards ordered
+    // by first appearance in the plan, runs in plan order within a
+    // shard.
+    let mut shards: Vec<Vec<usize>> = Vec::new();
     for i in 0..n {
         if slots[i].is_some() {
             continue;
         }
-        let key = resolved[i].substrate_key();
-        match shards.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => shards.push((key, vec![i])),
+        let shard = shards
+            .iter_mut()
+            .find(|idxs| resolved[idxs[0]].substrate_diff(&resolved[i]).is_empty());
+        match shard {
+            Some(idxs) => idxs.push(i),
+            None => shards.push(vec![i]),
         }
     }
     let n_substrates = shards.len();
@@ -759,7 +760,7 @@ pub fn run_sweep_with(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepRepo
     // order = plan order per shard) execute. Deterministic regardless
     // of thread timing, unlike killing workers mid-flight.
     let mut budget = opts.stop_after.unwrap_or(usize::MAX);
-    for (_, idxs) in &shards {
+    for idxs in &shards {
         if budget == 0 {
             break;
         }
@@ -775,7 +776,6 @@ pub fn run_sweep_with(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepRepo
                     let rec = SweepRecord {
                         label: plan.runs[i].label.clone(),
                         seed: cfg.seed,
-                        substrate_key: cfg.substrate_key(),
                         config_hash: hashes[i],
                         output_digest: output_digest(&out),
                         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
@@ -841,18 +841,186 @@ mod tests {
 
     #[test]
     fn config_debug_carries_no_process_dependent_addresses() {
-        // `config_hash` and `substrate_key` hash the config's `Debug`
-        // form, and the checkpoint manifest compares those hashes
-        // *across processes*. A raw `fn`-pointer field debug-prints its
-        // ASLR-randomized address ("0x5570..."), which silently
-        // invalidated every manifest entry on resume — bias functions
-        // are `NamedFn`s now, and nothing else may regress.
+        // `config_hash` hashes the config's `Debug` form, and the
+        // checkpoint manifest compares those hashes *across processes*.
+        // A pointer field (a `fn` pointer, a `Box<dyn ..>`)
+        // debug-prints its ASLR-randomized address ("0x5570..."),
+        // which would silently invalidate every manifest entry on
+        // resume. Config types are plain data; keep them that way.
         let repr = format!("{:?}", ScenarioConfig::nov2015());
         assert!(
             !repr.contains("0x"),
             "ScenarioConfig Debug output contains a pointer address; \
              config hashes will not survive a process restart: {repr}"
         );
+    }
+
+    #[test]
+    #[deny(unused_variables)]
+    fn every_config_field_moves_the_hash() {
+        use crate::engine::FaultKind;
+        use rootcast_atlas::FleetParams;
+        use rootcast_attack::BotnetParams;
+        use rootcast_netsim::{SimDuration, SimTime};
+        use rootcast_topology::TopologyParams;
+
+        // Exhaustive destructuring: a new field fails to compile here,
+        // and (under `deny(unused_variables)`) stays an error until it
+        // gets a case below that classifies it as a substrate knob or
+        // a per-run knob.
+        let base = ScenarioConfig::small();
+        let ScenarioConfig {
+            seed,
+            topology,
+            fleet,
+            botnet,
+            attack,
+            horizon,
+            fluid_step,
+            probe_interval,
+            a_probe_interval,
+            legit_total_qps,
+            resolver_update,
+            pipeline,
+            n_collector_peers,
+            facility_capacities,
+            maintenance_mean,
+            include_nl,
+            nl_qps,
+            faults,
+            site_overrides,
+            reference_kernels,
+            trace,
+        } = base.clone();
+        let TopologyParams {
+            n_tier1,
+            n_tier2,
+            n_stub,
+            stub_multihome_prob,
+            peering_scale_km,
+        } = topology;
+        let FleetParams {
+            n_vps,
+            old_firmware_fraction,
+            hijacked_fraction,
+            flaky_fraction,
+        } = fleet;
+        let BotnetParams {
+            n_members,
+            heavy_share,
+            n_heavy_sources,
+        } = botnet;
+
+        let one_min = SimDuration::from_mins(1);
+        let mut cases: Vec<(&str, Option<&str>, ScenarioConfig)> = Vec::new();
+        let mut case = |field, knob, edit: &dyn Fn(&mut ScenarioConfig)| {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            cases.push((field, knob, cfg));
+        };
+        // Substrate knobs.
+        case("seed", Some("seed"), &|c| c.seed = seed + 1);
+        case("n_tier1", Some("topology"), &|c| {
+            c.topology.n_tier1 = n_tier1 + 1
+        });
+        case("n_tier2", Some("topology"), &|c| {
+            c.topology.n_tier2 = n_tier2 + 1
+        });
+        case("n_stub", Some("topology"), &|c| {
+            c.topology.n_stub = n_stub + 1
+        });
+        case("stub_multihome_prob", Some("topology"), &|c| {
+            c.topology.stub_multihome_prob = stub_multihome_prob + 0.01
+        });
+        case("peering_scale_km", Some("topology"), &|c| {
+            c.topology.peering_scale_km = peering_scale_km + 1.0
+        });
+        case("n_vps", Some("fleet"), &|c| c.fleet.n_vps = n_vps + 1);
+        case("old_firmware_fraction", Some("fleet"), &|c| {
+            c.fleet.old_firmware_fraction = old_firmware_fraction + 0.01
+        });
+        case("hijacked_fraction", Some("fleet"), &|c| {
+            c.fleet.hijacked_fraction = hijacked_fraction + 0.01
+        });
+        case("flaky_fraction", Some("fleet"), &|c| {
+            c.fleet.flaky_fraction = flaky_fraction + 0.01
+        });
+        case("n_members", Some("botnet"), &|c| {
+            c.botnet.n_members = n_members + 1
+        });
+        case("heavy_share", Some("botnet"), &|c| {
+            c.botnet.heavy_share = heavy_share + 0.01
+        });
+        case("n_heavy_sources", Some("botnet"), &|c| {
+            c.botnet.n_heavy_sources = n_heavy_sources + 1
+        });
+        case("include_nl", Some("include_nl"), &|c| {
+            c.include_nl = !include_nl
+        });
+        // Per-run knobs.
+        case("attack", None, &|c| {
+            c.attack = AttackSchedule::new(attack.windows()[1..].to_vec())
+        });
+        case("horizon", None, &|c| c.horizon = horizon + one_min);
+        case("fluid_step", None, &|c| c.fluid_step = fluid_step + one_min);
+        case("probe_interval", None, &|c| {
+            c.probe_interval = probe_interval + one_min
+        });
+        case("a_probe_interval", None, &|c| {
+            c.a_probe_interval = a_probe_interval + one_min
+        });
+        case("legit_total_qps", None, &|c| {
+            c.legit_total_qps = legit_total_qps + 1.0
+        });
+        case("resolver_update", None, &|c| {
+            c.resolver_update = resolver_update + one_min
+        });
+        case("pipeline", None, &|c| {
+            c.pipeline.rtt_subsample = pipeline.rtt_subsample + 1
+        });
+        case("n_collector_peers", None, &|c| {
+            c.n_collector_peers = n_collector_peers + 1
+        });
+        case("facility_capacities", None, &|c| {
+            c.facility_capacities = facility_capacities[1..].to_vec()
+        });
+        case("maintenance_mean", None, &|c| {
+            c.maintenance_mean = maintenance_mean.map(|m| m + one_min)
+        });
+        case("nl_qps", None, &|c| c.nl_qps = nl_qps + 1.0);
+        case("faults", None, &|c| {
+            c.faults = faults.clone().with(
+                SimTime::from_mins(1),
+                one_min,
+                FaultKind::RssacGap { letter: Letter::H },
+            )
+        });
+        case("site_overrides", None, &|c| {
+            c.site_overrides = site_overrides.clone();
+            c.site_overrides.push(SiteOverride::new(
+                Letter::K,
+                "LHR",
+                SiteTuning::none().with_capacity(10_000.0),
+            ));
+        });
+        case("reference_kernels", None, &|c| {
+            c.reference_kernels = !reference_kernels
+        });
+        case("trace", None, &|c| c.trace.enabled = !trace.enabled);
+
+        let base_hash = config_hash("x", &base);
+        for (field, knob, cfg) in &cases {
+            assert_eq!(
+                base.substrate_diff(cfg),
+                knob.iter().copied().collect::<Vec<_>>(),
+                "{field}: wrong substrate classification"
+            );
+            assert_ne!(
+                config_hash("x", cfg),
+                base_hash,
+                "{field}: config_hash ignores this field"
+            );
+        }
     }
 
     #[test]
@@ -891,10 +1059,10 @@ mod tests {
         assert_eq!(cfg.site_overrides.len(), 1);
         assert_eq!(cfg.site_overrides[0].letter, Letter::K);
         // Shared seed mode: every run keeps the base seed and shares a
-        // substrate key.
+        // substrate.
         assert!((0..6).all(|i| plan.resolve(i).seed == plan.base.seed));
-        let k0 = plan.resolve(0).substrate_key();
-        assert!((1..6).all(|i| plan.resolve(i).substrate_key() == k0));
+        let c0 = plan.resolve(0);
+        assert!((1..6).all(|i| c0.substrate_diff(&plan.resolve(i)).is_empty()));
     }
 
     #[test]
@@ -911,7 +1079,7 @@ mod tests {
         let a = plan.resolve(0);
         let b = plan.resolve(1);
         assert_ne!(a.seed, b.seed);
-        assert_ne!(a.substrate_key(), b.substrate_key());
+        assert_eq!(a.substrate_diff(&b), ["seed"]);
         // Derivation is stable: same label, same seed.
         assert_eq!(a.seed, plan.derived_seed("a"));
     }

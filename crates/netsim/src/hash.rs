@@ -1,9 +1,9 @@
 //! 64-bit FNV-1a: the workspace's one stable, dependency-free hash.
 //!
-//! Substrate keys, sweep config hashes and output digests fold through
-//! it, and RNG stream keys through the same fold with another prime
-//! (the crate-private `stream_key_hash`). None of it may change: every value is pinned
-//! by recorded digests and checkpoint manifests.
+//! Sweep config hashes and output digests fold through it, and RNG
+//! stream keys through the same fold with another prime (the
+//! crate-private `stream_key_hash`). None of it may change: every value
+//! is pinned by recorded digests and checkpoint manifests.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -47,7 +47,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// Generation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyParams {
     /// Number of Tier-1 backbones (full peer mesh).
     pub n_tier1: usize,

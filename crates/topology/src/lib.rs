@@ -26,32 +26,3 @@ pub mod graph;
 pub use gen::{generate, TopologyError, TopologyParams};
 pub use geo::{city, city_by_code, city_catalog, City, CityId, Region};
 pub use graph::{Adjacency, AsGraph, AsId, AsNode, Relation, Tier};
-
-/// A function pointer with a stable name.
-///
-/// Scenario parameter structs hold plugin shapes (regional placement
-/// bias, per-metro probe density) as plain `fn` pointers. Deriving
-/// `Debug` on such a struct prints the pointer *address*, which ASLR
-/// randomizes per process — and anything hashed from that `Debug`
-/// output (scenario config hashes, sweep checkpoint manifests) silently
-/// changes between runs. `NamedFn` carries the function together with a
-/// caller-chosen name and debug-prints only the name, so two processes
-/// agree on the representation while two *different* functions still
-/// read differently.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct NamedFn<F> {
-    pub name: &'static str,
-    pub f: F,
-}
-
-impl<F> NamedFn<F> {
-    pub fn new(name: &'static str, f: F) -> Self {
-        NamedFn { name, f }
-    }
-}
-
-impl<F> core::fmt::Debug for NamedFn<F> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "NamedFn({})", self.name)
-    }
-}

@@ -192,3 +192,30 @@ fn oversized_deployment_fails_only_where_rastered() {
         other => panic!("expected TooManyRasterSites, got {:?}", other.err()),
     }
 }
+
+#[test]
+fn substrate_built_for_other_knobs_is_a_typed_mismatch() {
+    // A prebuilt substrate serves exactly the configs whose substrate
+    // knobs match the one it was built from; the error names the
+    // knobs that differ. Per-run knobs never count.
+    let mut cfg = ScenarioConfig::small();
+    cfg.horizon = SimTime::from_hours(1);
+    cfg.pipeline.horizon = cfg.horizon;
+    let substrate = Substrate::build(&cfg);
+    let mismatch = |other: &ScenarioConfig| match run_with_substrate(other, &substrate) {
+        Err(RootcastError::Config(ConfigError::SubstrateMismatch(knobs))) => knobs,
+        other => panic!("expected SubstrateMismatch, got {:?}", other.err()),
+    };
+
+    let mut reseeded = cfg.clone();
+    reseeded.seed += 1;
+    assert_eq!(mismatch(&reseeded), ["seed"]);
+
+    let mut no_nl = cfg.clone();
+    no_nl.include_nl = false;
+    assert_eq!(mismatch(&no_nl), ["include_nl"]);
+
+    let mut busier = cfg.clone();
+    busier.legit_total_qps *= 2.0;
+    run_with_substrate(&busier, &substrate).expect("a per-run knob shares the substrate");
+}

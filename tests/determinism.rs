@@ -14,13 +14,10 @@
 //! "close" is not enough).
 
 use rootcast::analysis::raster;
-use rootcast::engine::{
-    drive, FaultInjector, FluidTraffic, MaintenanceChurn, ProbeWheel, ResolverRefresh,
-    RssacAccounting, SimWorld,
-};
+use rootcast::engine::{drive, subsystems, SimWorld};
 use rootcast::{
     output_digest, run, run_with_substrate, FaultKind, FaultPlan, Letter, NoopInstrumentation,
-    ScenarioConfig, SimDuration, SimTime, Substrate, Subsystem, TraceEventKind,
+    ScenarioConfig, SimDuration, SimTime, Substrate, TraceEventKind,
 };
 use rootcast_netsim::{Fnv1a, SimRng};
 
@@ -99,17 +96,7 @@ fn digest_unobserved(cfg: &ScenarioConfig) -> u64 {
     let mut obs = NoopInstrumentation;
     let mut world =
         SimWorld::from_substrate(cfg, &rng, &substrate, &mut obs).expect("world builds");
-    let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
-        Box::new(FluidTraffic::new(cfg.fluid_step).with_reference(cfg.reference_kernels)),
-        Box::new(RssacAccounting::new(cfg)),
-        Box::new(ProbeWheel::new(&world)),
-        Box::new(ResolverRefresh::new(cfg.resolver_update)),
-        Box::new(MaintenanceChurn::new(
-            rng.stream("maintenance"),
-            cfg.maintenance_mean,
-        )),
-        Box::new(FaultInjector::new(rng.stream("faults"), cfg.faults.clone())),
-    ];
+    let mut subsystems = subsystems(&world);
     drive(&mut world, &mut subsystems, cfg.horizon);
     let out = world.into_output();
     assert!(
