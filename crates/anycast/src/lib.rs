@@ -25,5 +25,7 @@ pub mod site;
 
 pub use facility::FacilityTable;
 pub use policy::{LoadBalancerMode, OverloadTracker, StressPolicy};
-pub use service::{AnycastService, CatchmentIndex, ProbeRoute, ProbeView, RoutingChanges};
+pub use service::{
+    AnycastService, CatchmentIndex, ProbeRoute, ProbeView, RoutingChanges, RIB_MEMO_CAP,
+};
 pub use site::{FacilityId, SiteIdx, SiteProbe, SiteSpec, SiteState, SiteTuning};

@@ -18,6 +18,25 @@ use rootcast_topology::{AsGraph, AsId};
 /// Base server processing time added to every successful reply.
 const SERVER_PROCESSING: SimDuration = SimDuration::from_micros(500);
 
+/// Route states a service keeps at most (one RIB is about 40 KB at
+/// 1,592 ASes). Pulse waves and withdraw/re-announce churn cycle a
+/// letter through a handful of announced-site sets, so a small memo
+/// turns nearly every recompute into a lookup.
+pub const RIB_MEMO_CAP: usize = 16;
+const _: () = assert!(RIB_MEMO_CAP >= 2, "eviction keeps the live state");
+
+/// One memoized route state: an announced-site set and the routing
+/// table it produces.
+#[derive(Debug, Clone)]
+struct RouteState {
+    /// `announced[site]`, the memo key.
+    announced: Vec<bool>,
+    rib: Rib,
+    /// Catchment epoch at the state's last use; the least recent is
+    /// evicted.
+    last_used: u64,
+}
+
 /// What a probe toward this service would experience right now.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeView {
@@ -76,7 +95,14 @@ pub struct AnycastService {
     pub letter: Option<Letter>,
     sites: Vec<SiteState>,
     origins: Vec<Origin>,
-    rib: Rib,
+    /// Route-state memo, at most [`RIB_MEMO_CAP`] states; `states[cur]`
+    /// is the live table. A recompute whose announced-site set is
+    /// already here only switches `cur`; a miss computes into a new
+    /// slot or into the least recently used one (never the live one).
+    states: Vec<RouteState>,
+    cur: usize,
+    /// Did the most recent recompute find its state in the memo?
+    last_hit: bool,
     /// Per-AS last-mile delay (indexed by `AsId.0`), snapshotted from the
     /// topology at construction; added to probe RTTs.
     access: Vec<SimDuration>,
@@ -84,13 +110,10 @@ pub struct AnycastService {
     /// else. A [`CatchmentIndex`] built at epoch E stays valid until the
     /// service reports a different epoch.
     epoch: u64,
-    /// The table before the most recent recompute (double-buffered with
-    /// `rib` so recomputes reuse allocations).
-    rib_prev: Rib,
     /// Per-AS flag: did this AS's chosen route change in the most recent
     /// recompute? Valid whenever `epoch > 1`.
     changed: Vec<bool>,
-    /// Reusable announcement buffer for recomputes.
+    /// Reusable announcement buffer for recomputes: the lookup key.
     active: Vec<bool>,
     rib_scratch: RibScratch,
 }
@@ -183,10 +206,15 @@ impl AnycastService {
             letter,
             sites,
             origins,
-            rib,
+            states: vec![RouteState {
+                announced: active.clone(),
+                rib,
+                last_used: 1,
+            }],
+            cur: 0,
+            last_hit: false,
             access,
             epoch: 1,
-            rib_prev: Rib::unreachable(graph.len()),
             changed: vec![false; graph.len()],
             active,
             rib_scratch,
@@ -208,13 +236,25 @@ impl AnycastService {
     }
 
     pub fn rib(&self) -> &Rib {
-        &self.rib
+        &self.states[self.cur].rib
     }
 
     /// The catchment epoch: changes exactly when the RIB does. Consumers
     /// caching anything derived from catchments key their cache on this.
     pub fn catchment_epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Whether the most recent recompute was served from the route-state
+    /// memo (its announced-site set was already there) rather than
+    /// computed. False before any recompute.
+    pub fn last_recompute_hit(&self) -> bool {
+        self.last_hit
+    }
+
+    /// Number of route states the memo holds, the live one included.
+    pub fn memo_len(&self) -> usize {
+        self.states.len()
     }
 
     /// Per-AS flags from the most recent recompute: `changed_ases()[asn]`
@@ -227,7 +267,7 @@ impl AnycastService {
     /// The site whose catchment contains `asn`, if the service is
     /// reachable from there.
     pub fn catchment_site(&self, asn: AsId) -> Option<SiteIdx> {
-        self.rib.origin_of(asn).map(|o| o.0 as usize)
+        self.rib().origin_of(asn).map(|o| o.0 as usize)
     }
 
     /// Distribute a total offered load over sites according to the
@@ -285,7 +325,7 @@ impl AnycastService {
         idx.wsum = weights.iter().sum();
         idx.site_wsum.clear();
         idx.site_wsum.resize(self.sites.len(), 0.0);
-        for (asn, route) in self.rib.iter() {
+        for (asn, route) in self.rib().iter() {
             let w = weights[asn.0 as usize];
             if w > 0.0 {
                 idx.site_wsum[route.origin.0 as usize] += w;
@@ -428,22 +468,67 @@ impl AnycastService {
         true
     }
 
+    /// Bump the epoch and switch to the route state of the current
+    /// announced-site set: look it up in the memo, compute it on a miss,
+    /// then diff it against the outgoing table. The table is a
+    /// pure function of (graph, origins, announced set), so a hit
+    /// yields the table a recompute would; debug builds recompute every
+    /// hit and compare.
     fn recompute_rib(&mut self, graph: &AsGraph) {
         self.active.clear();
         self.active.extend(self.sites.iter().map(|s| s.announced));
-        // Double-buffer: the outgoing table becomes the scratch target of
-        // the next recompute, and diffing the two yields the exact set of
-        // ASes whose routes moved (consumed by the collector fast path).
-        std::mem::swap(&mut self.rib, &mut self.rib_prev);
-        compute_rib_scoped_into(
-            graph,
-            &self.origins,
-            &self.active,
-            &mut self.rib,
-            &mut self.rib_scratch,
-        );
-        self.rib.diff_into(&self.rib_prev, &mut self.changed);
         self.epoch += 1;
+        let prev = self.cur;
+        let hit = self.states.iter().position(|s| s.announced == self.active);
+        let next = match hit {
+            Some(i) => {
+                #[cfg(debug_assertions)]
+                assert!(
+                    self.states[i].rib
+                        == rootcast_bgp::compute_rib_scoped(graph, &self.origins, &self.active),
+                    "{}: memoized route state for {:?} differs from a fresh recompute",
+                    self.name,
+                    self.active
+                );
+                i
+            }
+            None => {
+                let i = if self.states.len() < RIB_MEMO_CAP {
+                    self.states.push(RouteState {
+                        announced: Vec::new(),
+                        rib: Rib::unreachable(0),
+                        last_used: 0,
+                    });
+                    self.states.len() - 1
+                } else {
+                    // Evict the least recently used state other than the
+                    // live one (the cap is at least 2).
+                    let mut lru = usize::from(prev == 0);
+                    for (i, s) in self.states.iter().enumerate() {
+                        if i != prev && s.last_used < self.states[lru].last_used {
+                            lru = i;
+                        }
+                    }
+                    lru
+                };
+                let slot = &mut self.states[i];
+                slot.announced.clone_from(&self.active);
+                compute_rib_scoped_into(
+                    graph,
+                    &self.origins,
+                    &self.active,
+                    &mut slot.rib,
+                    &mut self.rib_scratch,
+                );
+                i
+            }
+        };
+        self.states[next].last_used = self.epoch;
+        self.states[next]
+            .rib
+            .diff_into(&self.states[prev].rib, &mut self.changed);
+        self.cur = next;
+        self.last_hit = hit.is_some();
     }
 
     /// What a probe from `asn` (client hash `client_hash`) would see
@@ -460,7 +545,7 @@ impl AnycastService {
     /// `client_hash`), or `None` if the service is unreachable from
     /// there. Valid for the current [`Self::catchment_epoch`].
     pub fn probe_route(&self, asn: AsId, client_hash: u64) -> Option<ProbeRoute> {
-        let route = self.rib.route(asn)?;
+        let route = self.rib().route(asn)?;
         let site = route.origin.0 as usize;
         Some(ProbeRoute {
             site,
@@ -671,7 +756,7 @@ mod tests {
     /// oracle: every term read straight from the live site state.
     fn per_probe_view(svc: &AnycastService, asn: AsId, client_hash: u64) -> Option<ProbeView> {
         use rootcast_netsim::stats::mix64;
-        let route = svc.rib.route(asn)?;
+        let route = svc.rib().route(asn)?;
         let site_idx = route.origin.0 as usize;
         let site = &svc.sites[site_idx];
         let n = u64::from(site.spec.n_servers);

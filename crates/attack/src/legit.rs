@@ -92,28 +92,42 @@ impl ResolverPopulation {
         &self.shares[asn]
     }
 
-    /// Re-derive one AS's preferences from fresh observations.
-    ///
-    /// Weight per letter: `(1000 / (rtt_ms + 5))^alpha × (1 - loss)²`,
-    /// zero if unreachable. Squaring the delivery probability reflects
-    /// that a resolver needs both its query and the answer to survive,
-    /// and that losses trigger costly retries it learns to avoid.
+    /// Re-derive one AS's preferences from fresh observations: each
+    /// letter's [`raw_weight`](Self::raw_weight), normalized by
+    /// [`set_raw`](Self::set_raw).
     pub fn update_as(&mut self, asn: usize, obs: &[LetterObservation; 13]) {
-        let mut weights = [0.0f64; 13];
-        for (w, o) in weights.iter_mut().zip(obs) {
-            if let Some(rtt) = o.rtt {
+        let raw = obs.map(|o| self.raw_weight(&o));
+        self.set_raw(asn, &raw);
+    }
+
+    /// The unnormalized preference weight of one letter observation:
+    /// `(1000 / (rtt_ms + 5))^alpha × (1 - loss)²`, zero if unreachable.
+    /// Squaring the delivery probability reflects that a resolver needs
+    /// both its query and the answer to survive, and that losses
+    /// trigger costly retries it learns to avoid.
+    pub fn raw_weight(&self, o: &LetterObservation) -> f64 {
+        match o.rtt {
+            Some(rtt) => {
                 let rtt_ms = rtt.as_millis_f64().max(0.1);
                 let delivery = (1.0 - o.loss).clamp(0.0, 1.0);
-                *w = (1000.0 / (rtt_ms + 5.0)).powf(self.alpha) * delivery * delivery;
+                (1000.0 / (rtt_ms + 5.0)).powf(self.alpha) * delivery * delivery
             }
+            None => 0.0,
         }
-        let total: f64 = weights.iter().sum();
+    }
+
+    /// Set one AS's shares from its 13 raw weights, normalized to sum
+    /// to 1 (left all zero when nothing is reachable). A row is a pure
+    /// function of its raw weights.
+    pub fn set_raw(&mut self, asn: usize, raw: &[f64; 13]) {
+        let total: f64 = raw.iter().sum();
+        let mut row = *raw;
         if total > 0.0 {
-            for w in &mut weights {
+            for w in &mut row {
                 *w /= total;
             }
         }
-        self.shares[asn] = weights;
+        self.shares[asn] = row;
     }
 
     /// Aggregate share of the whole population's queries going to each

@@ -23,6 +23,8 @@ pub enum ConfigError {
     BadRate(String),
     /// Fleet sizing or probability knobs out of range.
     BadFleet(String),
+    /// Botnet sizing or heavy-hitter share out of range.
+    BadBotnet(String),
     /// An attack window fails to parse or is inconsistent.
     BadAttack(String),
     /// A fault spec in the plan is malformed.
@@ -49,6 +51,7 @@ impl fmt::Display for ConfigError {
             ConfigError::BadTiming(m) => write!(f, "bad timing: {m}"),
             ConfigError::BadRate(m) => write!(f, "bad rate: {m}"),
             ConfigError::BadFleet(m) => write!(f, "bad fleet: {m}"),
+            ConfigError::BadBotnet(m) => write!(f, "bad botnet: {m}"),
             ConfigError::BadAttack(m) => write!(f, "bad attack window: {m}"),
             ConfigError::BadFault(m) => write!(f, "bad fault spec: {m}"),
             ConfigError::BadTopology(m) => write!(f, "bad topology: {m}"),
@@ -327,6 +330,17 @@ impl ScenarioConfig {
         check_fraction("old_firmware_fraction", self.fleet.old_firmware_fraction)?;
         check_fraction("hijacked_fraction", self.fleet.hijacked_fraction)?;
         check_fraction("flaky_fraction", self.fleet.flaky_fraction)?;
+        if self.botnet.n_members == 0 {
+            return Err(ConfigError::BadBotnet(
+                "botnet needs at least one member".into(),
+            ));
+        }
+        let heavy = self.botnet.heavy_share;
+        if !(0.0..=1.0).contains(&heavy) {
+            return Err(ConfigError::BadBotnet(format!(
+                "heavy_share must be a fraction in [0, 1], got {heavy}"
+            )));
+        }
         for w in self.attack.windows() {
             if let Err(e) = Name::parse(&w.qname) {
                 return Err(ConfigError::BadAttack(format!(
@@ -450,6 +464,16 @@ mod tests {
         let mut cfg = ScenarioConfig::small();
         cfg.fleet.hijacked_fraction = 1.5;
         assert!(matches!(cfg.validate(), Err(ConfigError::BadFleet(_))));
+
+        // Botnet knobs `Botnet::generate` would otherwise assert on.
+        let mut cfg = ScenarioConfig::small();
+        cfg.botnet.n_members = 0;
+        assert!(matches!(cfg.validate(), Err(ConfigError::BadBotnet(_))));
+        for heavy in [f64::NAN, -0.1, 1.5] {
+            let mut cfg = ScenarioConfig::small();
+            cfg.botnet.heavy_share = heavy;
+            assert!(matches!(cfg.validate(), Err(ConfigError::BadBotnet(_))));
+        }
 
         let mut cfg = ScenarioConfig::small();
         cfg.attack = AttackSchedule::new(vec![rootcast_attack::AttackWindow {

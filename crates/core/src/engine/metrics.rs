@@ -53,6 +53,9 @@ pub mod keys {
     pub const FAULT_RECOVERIES: CounterId = CounterId(23);
     // Trace bookkeeping.
     pub const TRACE_EVENTS_DROPPED: CounterId = CounterId(24);
+    // Route-state memo (counted at observe_routes, like the BGP block).
+    pub const BGP_RIB_MEMO_HITS: CounterId = CounterId(25);
+    pub const BGP_RIB_MEMO_MISSES: CounterId = CounterId(26);
 
     pub const SITES_SATURATED: GaugeId = GaugeId(0);
     pub const PEAK_OFFERED_QPS: GaugeId = GaugeId(1);
@@ -92,6 +95,8 @@ pub const COUNTER_NAMES: &[&str] = &[
     "faults.injections",
     "faults.recoveries",
     "trace.events_dropped",
+    "bgp.rib_memo.hits",
+    "bgp.rib_memo.misses",
 ];
 
 /// Gauge names, indexed by `GaugeId.0`.
@@ -185,7 +190,11 @@ mod tests {
             COUNTER_NAMES[keys::TRACE_EVENTS_DROPPED.0],
             "trace.events_dropped"
         );
-        assert_eq!(COUNTER_NAMES.len(), keys::TRACE_EVENTS_DROPPED.0 + 1);
+        assert_eq!(
+            COUNTER_NAMES[keys::BGP_RIB_MEMO_MISSES.0],
+            "bgp.rib_memo.misses"
+        );
+        assert_eq!(COUNTER_NAMES.len(), keys::BGP_RIB_MEMO_MISSES.0 + 1);
         assert_eq!(GAUGE_NAMES[keys::VPS_DROPPED.0], "atlas.vps_dropped");
         assert_eq!(GAUGE_NAMES.len(), keys::VPS_DROPPED.0 + 1);
         assert_eq!(

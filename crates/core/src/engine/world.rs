@@ -77,8 +77,9 @@ pub struct SimWorld<'a> {
     /// vector, so each letter's *total* rate is scaled by the
     /// aggregate shares separately.
     pub legit_weights: Vec<Vec<f64>>,
-    /// Content version of `legit_weights`, bumped whenever the resolver
-    /// subsystem rewrites the vectors. Catchment indices built over the
+    /// Content version of `legit_weights`, bumped by a resolver refresh
+    /// that changed some AS's row (and so rewrote that AS's cells); a
+    /// refresh that changed nothing leaves it. Catchment indices built over the
     /// legit weights key on this (botnet and population weights are
     /// immutable after build, so their version is a constant 1).
     pub legit_weights_version: u64,
@@ -392,7 +393,8 @@ impl<'a> SimWorld<'a> {
     /// Every call follows exactly one RIB recompute on that service, so
     /// the service's changed-AS set describes precisely the delta since
     /// the collector's last observation and the collector can skip
-    /// unchanged peers. Debug builds audit every skipped peer against
+    /// unchanged peers; whether that recompute was a route-state memo
+    /// hit is counted here too. Debug builds audit every skipped peer against
     /// the full table; the full-scan `RouteCollector::observe` stays as
     /// the bgp crate's unit-test oracle.
     pub fn observe_routes(&mut self, t: SimTime, svc_idx: usize) {
@@ -400,6 +402,12 @@ impl<'a> SimWorld<'a> {
         let popcount = svc.changed_ases().iter().filter(|&&c| c).count() as u64;
         let epoch = svc.catchment_epoch();
         self.metrics.inc(keys::BGP_ROUTE_RECOMPUTES, 1);
+        let memo = if svc.last_recompute_hit() {
+            keys::BGP_RIB_MEMO_HITS
+        } else {
+            keys::BGP_RIB_MEMO_MISSES
+        };
+        self.metrics.inc(memo, 1);
         self.metrics.inc(keys::BGP_CHANGED_ASES, popcount);
         self.metrics
             .observe(keys::CHANGED_AS_POPCOUNT, popcount as f64);

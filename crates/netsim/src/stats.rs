@@ -11,15 +11,15 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// Quantile `q` in `[0, 1]` of a slice using the nearest-rank method on the
-/// sorted finite values. Returns NaN when no finite values exist.
+/// Quantile `q` in `[0, 1]` of a slice: linear interpolation between the
+/// two closest ranks of the finite values in `f64::total_cmp` order.
+/// Returns NaN when no finite values exist.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
     if v.is_empty() {
         return f64::NAN;
     }
-    v.sort_by(f64::total_cmp);
     if v.len() == 1 {
         return v[0];
     }
@@ -28,12 +28,22 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    // Only ranks `lo` and `hi = lo + 1` are needed, so select instead of
+    // sorting. `total_cmp` is a total order, so each rank holds the value
+    // a full sort would put there (-0 before +0, duplicates included).
+    let (_, &mut lo_value, above) = v.select_nth_unstable_by(lo, f64::total_cmp);
     if lo == hi {
-        v[lo]
-    } else {
-        let frac = pos - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
+        return lo_value;
     }
+    // Everything above rank `lo` sorts at or after it; rank `hi` is the
+    // least of those (never empty here, since `hi` is a valid index).
+    let hi_value = above
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .unwrap_or(lo_value);
+    let frac = pos - lo as f64;
+    lo_value * (1.0 - frac) + hi_value * frac
 }
 
 /// Arithmetic mean; NaN for empty input, NaN values ignored.
@@ -117,6 +127,64 @@ pub fn sanitize_probability(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sort-based quantile the selection replaced, kept as the oracle.
+    fn sorted_quantile(values: &[f64], q: f64) -> f64 {
+        let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
+        if v.is_empty() {
+            return f64::NAN;
+        }
+        v.sort_by(f64::total_cmp);
+        if v.len() == 1 {
+            return v[0];
+        }
+        let pos = q * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        if lo == hi {
+            v[lo]
+        } else {
+            let frac = pos - lo as f64;
+            v[lo] * (1.0 - frac) + v[hi] * frac
+        }
+    }
+
+    #[test]
+    fn selected_quantiles_match_the_sorted_oracle_bit_for_bit() {
+        // Multisets drawn from a small palette (so duplicates, NaN, ±0
+        // and infinities all recur) mixed with arbitrary finite values.
+        const PALETTE: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            f64::MIN_POSITIVE,
+        ];
+        let mut x = 0u64;
+        let mut next = || {
+            x = mix64(x);
+            x
+        };
+        for case in 0..2_000 {
+            let len = (next() % 40) as usize + usize::from(case % 2 == 0);
+            let values: Vec<f64> = (0..len)
+                .map(|_| match next() % 3 {
+                    0 => (next() % 1_000) as f64 / 8.0 - 60.0,
+                    _ => PALETTE[(next() % PALETTE.len() as u64) as usize],
+                })
+                .collect();
+            let random_q = (next() % 10_001) as f64 / 10_000.0;
+            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, random_q] {
+                assert_eq!(
+                    quantile(&values, q).to_bits(),
+                    sorted_quantile(&values, q).to_bits(),
+                    "q={q} over {values:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn median_odd_even() {

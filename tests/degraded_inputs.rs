@@ -219,3 +219,19 @@ fn substrate_built_for_other_knobs_is_a_typed_mismatch() {
     busier.legit_total_qps *= 2.0;
     run_with_substrate(&busier, &substrate).expect("a per-run knob shares the substrate");
 }
+
+#[test]
+fn broken_botnet_knobs_are_typed_errors_not_panics() {
+    // `Botnet::generate` asserts on both knobs during `Substrate::build`;
+    // `run` must reject them first with a typed error.
+    let mut empty = ScenarioConfig::small();
+    empty.botnet.n_members = 0;
+    let mut nan_share = ScenarioConfig::small();
+    nan_share.botnet.heavy_share = f64::NAN;
+    for cfg in [empty, nan_share] {
+        match run(&cfg) {
+            Err(RootcastError::Config(ConfigError::BadBotnet(_))) => {}
+            other => panic!("expected BadBotnet, got {:?}", other.err()),
+        }
+    }
+}

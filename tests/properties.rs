@@ -2,12 +2,15 @@
 //!
 //! These target the invariants the whole reproduction rests on: wire
 //! codec round-trips, BGP routing sanity on random topologies, fluid
-//! queue conservation, binning consistency, and the policy model's
-//! optimality bound.
+//! queue conservation, binning consistency, the route-state memo's
+//! equivalence with fresh recomputes, and the policy model's optimality
+//! bound.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
+use proptest::test_runner::TestCaseError;
 use rootcast::policy_model::{paper_deployment, Strategy};
+use rootcast_anycast::{AnycastService, SiteSpec, RIB_MEMO_CAP};
 use rootcast_bgp::{compute_rib_scoped, Origin, Scope};
 use rootcast_dns::{Letter, Message, Name, Rcode, Rdata, Record, RrClass, RrType, ServerIdentity};
 use rootcast_netsim::{BinnedSeries, FluidQueue, SimDuration, SimRng, SimTime};
@@ -23,6 +26,45 @@ fn label() -> impl proptest::strategy::Strategy<Value = String> {
 /// Strategy for a valid domain name of 1..5 labels.
 fn name() -> impl proptest::strategy::Strategy<Value = String> {
     proptest::collection::vec(label(), 1..5).prop_map(|ls| ls.join("."))
+}
+
+/// Drive `svc` (built over `graph` from `specs`) through `toggles`,
+/// each flipping one site's announcement, and check after every step
+/// that the memoized service matches an unmemoized recompute: its
+/// table equals a fresh `compute_rib_scoped` of the announced set, its
+/// changed-AS flags equal that table diffed against the previous fresh
+/// one, and its epoch counts the recomputes.
+fn check_memo_walk(
+    graph: &rootcast_topology::AsGraph,
+    specs: &[SiteSpec],
+    svc: &mut AnycastService,
+    toggles: impl IntoIterator<Item = usize>,
+) -> Result<(), TestCaseError> {
+    let origins: Vec<Origin> = specs
+        .iter()
+        .map(|s| Origin {
+            host: s.host_as,
+            scope: s.scope,
+            prepend: s.prepend,
+        })
+        .collect();
+    let mut announced: Vec<bool> = svc.sites().iter().map(|s| s.announced).collect();
+    let mut prev = compute_rib_scoped(graph, &origins, &announced);
+    prop_assert!(svc.rib() == &prev, "initial table differs");
+    let mut changed = Vec::new();
+    for site in toggles {
+        announced[site] = !announced[site];
+        let epoch = svc.catchment_epoch();
+        prop_assert!(svc.set_announced(site, announced[site], graph));
+        let fresh = compute_rib_scoped(graph, &origins, &announced);
+        fresh.diff_into(&prev, &mut changed);
+        prop_assert!(svc.rib() == &fresh, "table differs for {announced:?}");
+        prop_assert_eq!(svc.changed_ases(), &changed[..]);
+        prop_assert_eq!(svc.catchment_epoch(), epoch + 1);
+        prop_assert!(svc.memo_len() <= RIB_MEMO_CAP);
+        prev = fresh;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -161,6 +203,40 @@ proptest! {
         ];
         let rib = compute_rib_scoped(&graph, &origins, &[true, false]);
         prop_assert_eq!(rib.catchment_sizes(2), vec![graph.len(), 0]);
+    }
+
+    #[test]
+    fn route_state_memo_matches_fresh_recomputes(
+        seed in 0u64..40,
+        picks in proptest::collection::vec(any::<u64>(), 5..6),
+        toggles in proptest::collection::vec(0usize..5, 1..60),
+    ) {
+        let graph = gen::generate(&TopologyParams::tiny(), &SimRng::new(seed));
+        let stubs = graph.by_tier(Tier::Stub);
+        // Five sites on random stubs: two local, one prepended, so the
+        // scoped overlay and path length both enter the tables.
+        let specs: Vec<SiteSpec> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let host = stubs[(p % stubs.len() as u64) as usize];
+                let spec = SiteSpec::global(&format!("S{i}"), host, 1000.0);
+                match i {
+                    1 | 3 => spec.with_scope(Scope::Local),
+                    4 => spec.with_prepend(2),
+                    _ => spec,
+                }
+            })
+            .collect();
+        let mut svc = AnycastService::new("memo", Some(Letter::K), &graph, specs.clone());
+        // A random walk, then every one of the 32 announced sets in
+        // Gray-code order and back: 62 more recomputes over twice the
+        // memo's capacity, so states are evicted and later recomputed,
+        // and the walk back hits the most recent ones.
+        let gray: Vec<usize> = (1..32u32).map(|k| k.trailing_zeros() as usize).collect();
+        let back: Vec<usize> = gray.iter().rev().copied().collect();
+        check_memo_walk(&graph, &specs, &mut svc, toggles.into_iter().chain(gray).chain(back))?;
+        prop_assert_eq!(svc.memo_len(), RIB_MEMO_CAP);
     }
 
     // ----------------------------------------------------------- fluid
