@@ -326,7 +326,29 @@ pub struct LetterShard {
     outcomes: ProbeOutcomeStats,
     horizon: SimTime,
     probe_interval: SimDuration,
-    rtt_subsample: u32,
+    rtt_subsample: RttSubsample,
+}
+
+/// Which VPs feed Figure 4's RTT bins, and how many samples a bin can
+/// therefore hold.
+#[derive(Debug, Clone, Copy)]
+struct RttSubsample {
+    /// Keep RTTs from VPs whose id is a multiple of this.
+    every: u32,
+    /// Subsampled VPs in the fleet: each commits a bin at most once, so
+    /// no bin holds more samples than this.
+    per_bin: usize,
+}
+
+impl RttSubsample {
+    fn new(every: u32, n_vps: usize) -> RttSubsample {
+        let per_bin = match every {
+            // `is_multiple_of(0)` holds for VP 0 alone.
+            0 => 1,
+            every => n_vps.div_ceil(every as usize),
+        };
+        RttSubsample { every, per_bin }
+    }
 }
 
 /// A probe time resolved against a shard's binning, from
@@ -454,7 +476,7 @@ impl LetterShard {
 
 /// Fold one VP's finished bin into the letter's aggregates. The caller
 /// updates the VP's `last_site` (it owns the mutable state).
-fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32) {
+fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubsample) {
     let bin = st.cur_bin as usize;
     match st.best {
         BinBest::Empty | BinBest::Timeout => {}
@@ -462,7 +484,15 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32
         BinBest::Site { site, server, rtt } => {
             data.success.incr_bin(bin);
             data.site_counts[site as usize].incr_bin(bin);
-            if vp.0.is_multiple_of(rtt_subsample) {
+            if vp.0.is_multiple_of(subsample.every) {
+                // Registration reserved `per_bin` samples in every bin;
+                // a push past that would reallocate the bin on a probe
+                // task's worker thread.
+                debug_assert!(
+                    data.rtt.bin_len(bin) < subsample.per_bin,
+                    "RTT bin {bin} outgrew its {} reserved samples",
+                    subsample.per_bin
+                );
                 data.rtt.push_bin(bin, rtt.as_nanos() as f64);
             }
             if let Some(prev) = st.last_site {
@@ -517,6 +547,11 @@ impl MeasurementPipeline {
 
     pub fn config(&self) -> &PipelineConfig {
         &self.cfg
+    }
+
+    /// The fleet size the pipeline records for.
+    pub fn n_vps(&self) -> usize {
+        self.n_vps
     }
 
     /// Probe outcome tallies (clean/drop accounting), summed over the
@@ -576,6 +611,7 @@ impl MeasurementPipeline {
             })
             .collect();
         let raster = rastered.then(|| Raster::new(self.cfg.n_probes(), self.n_vps));
+        let rtt_subsample = RttSubsample::new(self.cfg.rtt_subsample, self.n_vps);
         let data = LetterData {
             letter,
             site_counts: site_codes
@@ -585,7 +621,10 @@ impl MeasurementPipeline {
             site_codes,
             success: BinnedSeries::zeros(bin, n_bins),
             errors: BinnedSeries::zeros(bin, n_bins),
-            rtt: SampleBins::new(bin, n_bins),
+            // Reserved here, on the engine thread, to the most a bin can
+            // hold: grown by a probe task, every bin would live in that
+            // worker thread's malloc arena for the rest of the run.
+            rtt: SampleBins::with_bin_capacity(bin, n_bins, rtt_subsample.per_bin),
             flips: BinnedSeries::zeros(bin, n_bins),
             flip_events: Vec::new(),
             watches,
@@ -599,7 +638,7 @@ impl MeasurementPipeline {
             outcomes: ProbeOutcomeStats::default(),
             horizon: self.cfg.horizon,
             probe_interval: self.cfg.probe_interval,
-            rtt_subsample: self.cfg.rtt_subsample,
+            rtt_subsample,
         });
         Ok(())
     }

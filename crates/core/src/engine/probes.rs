@@ -470,6 +470,65 @@ mod tests {
                     .collect::<Vec<_>>()
             })
         };
-        assert!(run_minutes(1) == run_minutes(4));
+        // Back to back in one process, so the later counts run on
+        // workers parked by the earlier ones.
+        let single = run_minutes(1);
+        for threads in 2..=4 {
+            assert!(single == run_minutes(threads), "{threads} threads diverged");
+        }
+    }
+
+    #[test]
+    fn probe_tasks_never_grow_the_reserved_rtt_bins() {
+        use crate::engine::faults::{FaultKind, FaultPlan};
+        let mut cfg = ScenarioConfig::small();
+        cfg.faults = FaultPlan::none()
+            .with(
+                SimTime::from_mins(15),
+                SimDuration::from_mins(30),
+                FaultKind::SiteCrash {
+                    letter: Letter::K,
+                    site: "AMS".into(),
+                },
+            )
+            .with(
+                SimTime::from_mins(10),
+                SimDuration::from_mins(50),
+                FaultKind::ProbeDropout {
+                    fraction: 0.3,
+                    letters: vec![Letter::E, Letter::F],
+                },
+            )
+            .with(
+                SimTime::from_mins(30),
+                SimDuration::from_mins(40),
+                FaultKind::FirmwareDowngrade { fraction: 0.2 },
+            );
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
+        let out = pool.install(|| crate::sim::run(&cfg)).expect("faulted run");
+        let reserved = out
+            .pipeline
+            .n_vps()
+            .div_ceil(cfg.pipeline.rtt_subsample as usize);
+        let mut fullest = 0;
+        for &letter in &out.letters {
+            let rtt = &out.pipeline.letter(letter).rtt;
+            for bin in 0..rtt.n_bins() {
+                assert_eq!(
+                    rtt.bin_capacity(bin),
+                    reserved,
+                    "{letter} RTT bin {bin} was reallocated"
+                );
+                fullest = fullest.max(rtt.bin_len(bin));
+            }
+        }
+        // Not vacuous: some bin came close to its reservation.
+        assert!(
+            2 * fullest > reserved,
+            "fullest bin {fullest} of {reserved}"
+        );
     }
 }

@@ -168,6 +168,32 @@ impl SampleBins {
         }
     }
 
+    /// Like [`SampleBins::new`], with room for `cap` samples reserved in
+    /// every bin up front, so pushes up to that many never reallocate.
+    pub fn with_bin_capacity(bin: SimDuration, n_bins: usize, cap: usize) -> Self {
+        assert!(!bin.is_zero());
+        SampleBins {
+            bin,
+            samples: (0..n_bins).map(|_| Vec::with_capacity(cap)).collect(),
+        }
+    }
+
+    /// Number of samples in bin `i` (0 out of range).
+    pub fn bin_len(&self, i: usize) -> usize {
+        self.samples.get(i).map_or(0, Vec::len)
+    }
+
+    /// Samples bin `i` holds room for without reallocating (0 out of
+    /// range).
+    pub fn bin_capacity(&self, i: usize) -> usize {
+        self.samples.get(i).map_or(0, Vec::capacity)
+    }
+
+    /// Number of bins.
+    pub fn n_bins(&self) -> usize {
+        self.samples.len()
+    }
+
     /// Record one sample at instant `t`. Out-of-range samples are dropped.
     pub fn push(&mut self, t: SimTime, v: f64) {
         self.push_bin(t.bin_index(self.bin) as usize, v);
@@ -183,8 +209,7 @@ impl SampleBins {
 
     /// Number of samples in the bin containing `t`.
     pub fn count_at(&self, t: SimTime) -> usize {
-        let i = t.bin_index(self.bin) as usize;
-        self.samples.get(i).map_or(0, Vec::len)
+        self.bin_len(t.bin_index(self.bin) as usize)
     }
 
     /// Reduce to a [`BinnedSeries`]. Empty bins yield `empty_value`
@@ -234,6 +259,24 @@ mod tests {
         s.incr_at(mins(10));
         s.incr_at(mins(59));
         assert_eq!(s.values(), &[2.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn reserved_bins_hold_their_capacity() {
+        let mut b = SampleBins::with_bin_capacity(SimDuration::from_mins(10), 3, 5);
+        assert_eq!(b.n_bins(), 3);
+        for i in 0..5 {
+            b.push_bin(1, f64::from(i));
+        }
+        assert_eq!((b.bin_len(1), b.bin_len(0), b.bin_len(7)), (5, 0, 0));
+        assert!((0..3).all(|i| b.bin_capacity(i) >= 5));
+        assert_eq!(b.bin_capacity(7), 0);
+        // Reserving changes nothing a reduction sees.
+        let mut plain = SampleBins::new(SimDuration::from_mins(10), 3);
+        for i in 0..5 {
+            plain.push_bin(1, f64::from(i));
+        }
+        assert_eq!(b, plain);
     }
 
     #[test]

@@ -248,9 +248,10 @@ fn changed_config_invalidates_only_its_manifest_entry() {
 
 #[test]
 fn nested_fan_outs_stay_within_the_pool() {
-    // Each spawned worker sees its share, max(1, n / workers), of the
-    // pool's n threads, so a per-letter fan-out nested inside a parallel
-    // sweep never multiplies the thread count.
+    // Each worker, the caller included, sees its share,
+    // max(1, n / workers), of the pool's n threads, so a per-letter
+    // fan-out nested inside a parallel sweep never multiplies the
+    // thread count.
     let seen = |threads: usize, items: usize| -> Vec<usize> {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
