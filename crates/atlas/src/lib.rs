@@ -29,7 +29,7 @@ pub use pipeline::{
     PipelineError, ProbeOutcomeStats, Raster, RecordSlot, ServerWatch,
 };
 pub use probe::{
-    execute_probe, execute_probe_fused, IndexedView, RawMeasurement, RawOutcome, TargetView,
-    ATLAS_TIMEOUT,
+    execute_probe, execute_probe_fused, IndexedView, ProbeFlags, RawMeasurement, RawOutcome,
+    TargetView, ATLAS_TIMEOUT, UNJITTERED_SITE_BOUND, UNMEASURED_RTT,
 };
 pub use vp::{FleetParams, VantagePoint, VpFleet, VpId, MIN_FIRMWARE};

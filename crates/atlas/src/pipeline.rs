@@ -19,6 +19,7 @@
 //!   granularity for Figures 10 and 11.
 
 use crate::clean::{CleanObs, FastObs};
+use crate::probe::UNMEASURED_RTT;
 use crate::vp::VpId;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, Coverage, Reduce, SampleBins, SimDuration, SimTime};
@@ -43,6 +44,9 @@ pub enum PipelineError {
     /// A rastered letter has more sites than one raster cell can encode
     /// ([`raster_code::MAX_SITES`]).
     TooManyRasterSites { letter: Letter, sites: usize },
+    /// [`PipelineConfig::rtt_subsample`] is zero: no VP id is a multiple
+    /// of it but VP 0's, so Figure 4 would keep one VP's RTTs.
+    ZeroRttSubsample,
 }
 
 impl fmt::Display for PipelineError {
@@ -61,6 +65,7 @@ impl fmt::Display for PipelineError {
                 "{letter} has {sites} sites but a raster encodes at most {}",
                 raster_code::MAX_SITES
             ),
+            PipelineError::ZeroRttSubsample => write!(f, "rtt_subsample must be positive"),
         }
     }
 }
@@ -75,7 +80,7 @@ pub struct PipelineConfig {
     /// Analysis horizon; observations beyond it are dropped.
     pub horizon: SimTime,
     /// Keep RTT samples from one VP in `rtt_subsample` (memory bound;
-    /// medians are insensitive to this).
+    /// medians are insensitive to this). Must be positive.
     pub rtt_subsample: u32,
     /// Sites whose per-server behaviour is tracked (Figures 12/13).
     pub watched_sites: Vec<(Letter, String)>,
@@ -292,6 +297,10 @@ struct VpLetterState {
     last_site: Option<u16>,
 }
 
+// An unmeasured RTT is a sentinel value (`UNMEASURED_RTT`), not a
+// wider `BinBest`: per-VP state stays at 24 bytes.
+const _: () = assert!(std::mem::size_of::<VpLetterState>() <= 24);
+
 impl Default for VpLetterState {
     fn default() -> Self {
         VpLetterState {
@@ -341,13 +350,18 @@ struct RttSubsample {
 }
 
 impl RttSubsample {
+    /// `every` must be positive; registration rejects zero.
     fn new(every: u32, n_vps: usize) -> RttSubsample {
-        let per_bin = match every {
-            // `is_multiple_of(0)` holds for VP 0 alone.
-            0 => 1,
-            every => n_vps.div_ceil(every as usize),
-        };
-        RttSubsample { every, per_bin }
+        RttSubsample {
+            every,
+            per_bin: n_vps.div_ceil(every as usize),
+        }
+    }
+
+    /// Does `vp` feed Figure 4's RTT bins?
+    #[inline]
+    fn keeps(self, vp: VpId) -> bool {
+        vp.0.is_multiple_of(self.every)
     }
 }
 
@@ -403,7 +417,16 @@ impl LetterShard {
         }
     }
 
+    /// Whether the pipeline reads the RTT of a site answer from `vp` at
+    /// site index `site`: true when `vp` feeds Figure 4's RTT bins or
+    /// `site` is watched (Figures 7, 12, 13). A site answer for which
+    /// this is false may carry [`UNMEASURED_RTT`].
+    pub fn keeps_rtt(&self, vp: VpId, site: u16) -> bool {
+        self.rtt_subsample.keeps(vp) || self.data.watches.contains_key(&site)
+    }
+
     /// [`Self::record`] at a slot from [`Self::slot`].
+    #[inline]
     pub fn record_in(
         &mut self,
         slot: &RecordSlot,
@@ -484,7 +507,14 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubs
         BinBest::Site { site, server, rtt } => {
             data.success.incr_bin(bin);
             data.site_counts[site as usize].incr_bin(bin);
-            if vp.0.is_multiple_of(subsample.every) {
+            // Only a probe `LetterShard::keeps_rtt` rejects may carry an
+            // unmeasured RTT, and neither branch below reads its RTT.
+            if subsample.keeps(vp) {
+                debug_assert!(
+                    rtt != UNMEASURED_RTT,
+                    "VP {} reached RTT bin {bin} unmeasured",
+                    vp.0
+                );
                 // Registration reserved `per_bin` samples in every bin;
                 // a push past that would reallocate the bin on a probe
                 // task's worker thread.
@@ -507,6 +537,11 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubs
                 }
             }
             if let Some(watch) = data.watches.get_mut(&site) {
+                debug_assert!(
+                    rtt != UNMEASURED_RTT,
+                    "VP {} reached watched site {site} unmeasured",
+                    vp.0
+                );
                 let n_bins = data.success.len();
                 let bw = data.success.bin_width();
                 watch
@@ -570,7 +605,9 @@ impl MeasurementPipeline {
     /// Register a letter and its site codes before recording for it. A
     /// letter registered twice is a [`PipelineError::DuplicateLetter`];
     /// a rastered letter with more than [`raster_code::MAX_SITES`] sites
-    /// is a [`PipelineError::TooManyRasterSites`].
+    /// is a [`PipelineError::TooManyRasterSites`], and a zero
+    /// [`PipelineConfig::rtt_subsample`] a
+    /// [`PipelineError::ZeroRttSubsample`].
     pub fn register_letter(
         &mut self,
         letter: Letter,
@@ -585,6 +622,9 @@ impl MeasurementPipeline {
                 letter,
                 sites: site_codes.len(),
             });
+        }
+        if self.cfg.rtt_subsample == 0 {
+            return Err(PipelineError::ZeroRttSubsample);
         }
         let n_bins = self.cfg.n_bins();
         let bin = self.cfg.bin;
@@ -945,7 +985,7 @@ mod tests {
         assert_eq!(p.register_letter(Letter::E, many.clone()), Ok(()));
         let mut cfg = cfg();
         cfg.raster_letters.push(Letter::E);
-        let mut q = MeasurementPipeline::new(cfg, 4);
+        let mut q = MeasurementPipeline::new(cfg.clone(), 4);
         assert_eq!(
             q.register_letter(Letter::E, many.clone()),
             Err(PipelineError::TooManyRasterSites {
@@ -956,6 +996,18 @@ mod tests {
         assert_eq!(
             q.register_letter(Letter::E, many[..raster_code::MAX_SITES].to_vec()),
             Ok(())
+        );
+        // A zero RTT subsample would keep VP 0's RTTs alone.
+        let mut zero = MeasurementPipeline::new(
+            PipelineConfig {
+                rtt_subsample: 0,
+                ..cfg
+            },
+            4,
+        );
+        assert_eq!(
+            zero.register_letter(Letter::K, vec!["AMS".into()]),
+            Err(PipelineError::ZeroRttSubsample)
         );
         // An unrastered letter records site indices past the raster's
         // encoding.
@@ -970,6 +1022,65 @@ mod tests {
         let d = p.letter(Letter::E);
         assert_eq!(d.site_counts[raster_code::MAX_SITES].values()[0], 1.0);
         assert!(d.raster.is_none());
+    }
+
+    #[test]
+    fn keeps_rtt_names_the_subsampled_vps_and_the_watched_sites() {
+        let mut cfg = cfg();
+        cfg.rtt_subsample = 2;
+        let mut p = MeasurementPipeline::new(cfg, 4);
+        p.register_letter(Letter::K, vec!["AMS".into(), "FRA".into()])
+            .unwrap();
+        let shard = &mut p.shards_mut()[0];
+        let (ams, fra) = (0, 1);
+        assert!(shard.keeps_rtt(VpId(0), ams) && shard.keeps_rtt(VpId(2), ams));
+        assert!(!shard.keeps_rtt(VpId(1), ams) && !shard.keeps_rtt(VpId(3), ams));
+        assert!(shard.keeps_rtt(VpId(1), fra), "FRA is watched");
+        // An unmeasured RTT from a VP whose RTT is not kept counts as a
+        // site answer and reaches no RTT sample.
+        let unmeasured = FastObs::Site {
+            site: ams,
+            server: 1,
+            rtt: UNMEASURED_RTT,
+        };
+        shard.record(VpId(1), t(1), unmeasured).unwrap();
+        p.finalize();
+        let d = p.letter(Letter::K);
+        assert_eq!(d.success.values()[0], 1.0);
+        assert_eq!(d.site_counts[ams as usize].values()[0], 1.0);
+        assert_eq!(d.rtt.count_at(t(0)), 0);
+    }
+
+    /// Record an unmeasured site answer from `vp` at `site` (0 = AMS,
+    /// 1 = the watched FRA) under `rtt_subsample`, and finalize.
+    #[cfg(debug_assertions)]
+    fn commit_unmeasured(rtt_subsample: u32, vp: u32, site: u16) {
+        let mut cfg = cfg();
+        cfg.rtt_subsample = rtt_subsample;
+        let mut p = MeasurementPipeline::new(cfg, 4);
+        p.register_letter(Letter::K, vec!["AMS".into(), "FRA".into()])
+            .unwrap();
+        let obs = FastObs::Site {
+            site,
+            server: 1,
+            rtt: UNMEASURED_RTT,
+        };
+        p.shards_mut()[0].record(VpId(vp), t(1), obs).unwrap();
+        p.finalize();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "VP 2 reached RTT bin 0 unmeasured")]
+    fn unmeasured_rtt_in_a_subsampled_bin_is_caught() {
+        commit_unmeasured(2, 2, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "VP 1 reached watched site 1 unmeasured")]
+    fn unmeasured_rtt_at_a_watched_site_is_caught() {
+        commit_unmeasured(2, 1, 1);
     }
 
     #[test]

@@ -189,6 +189,56 @@ pub fn execute_probe<R: Rng>(
     }
 }
 
+/// Marks a [`FastObs::Site`](crate::clean::FastObs::Site) RTT that was
+/// never measured: the fused probe skips the jitter arithmetic for a
+/// probe whose RTT the pipeline discards ([`ProbeFlags::keep_rtt`]
+/// unset). No measured RTT takes this value, since measured RTTs stay
+/// under [`ATLAS_TIMEOUT`].
+pub const UNMEASURED_RTT: SimDuration = SimDuration::from_nanos(u64::MAX);
+
+/// The largest path RTT that no jitter can lift to [`ATLAS_TIMEOUT`]:
+/// the widest jitter is +5%, and 4.5 s × 1.05 = 4.725 s < 5 s. At or
+/// below it, a probe whose RTT is not kept is classified without the
+/// jitter arithmetic.
+pub const UNJITTERED_SITE_BOUND: SimDuration = SimDuration::from_millis(4500);
+const _: () = assert!(UNJITTERED_SITE_BOUND.as_nanos() / 1000 * 1050 < ATLAS_TIMEOUT.as_nanos());
+
+/// What the fused probe reads of its VP, plus whether the pipeline keeps
+/// the probe's RTT, packed into one byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeFlags(u8);
+
+impl ProbeFlags {
+    const HIJACKED: u8 = 1;
+    const FLAKY: u8 = 2;
+    const KEEP_RTT: u8 = 4;
+
+    /// `vp`'s hijacked and flaky bits, and `keep_rtt`: whether the
+    /// pipeline reads this probe's RTT
+    /// ([`LetterShard::keeps_rtt`](crate::pipeline::LetterShard::keeps_rtt)).
+    #[inline]
+    pub fn new(vp: &VantagePoint, keep_rtt: bool) -> ProbeFlags {
+        let bit = |set: bool, mask: u8| if set { mask } else { 0 };
+        ProbeFlags(
+            bit(vp.hijacked, Self::HIJACKED)
+                | bit(vp.flaky, Self::FLAKY)
+                | bit(keep_rtt, Self::KEEP_RTT),
+        )
+    }
+
+    pub fn hijacked(self) -> bool {
+        self.0 & Self::HIJACKED != 0
+    }
+
+    pub fn flaky(self) -> bool {
+        self.0 & Self::FLAKY != 0
+    }
+
+    pub fn keep_rtt(self) -> bool {
+        self.0 & Self::KEEP_RTT != 0
+    }
+}
+
 /// Execute one probe on the fused path: the target view arrives
 /// pre-resolved to a pipeline site index and the outcome skips the
 /// wire-format string round trip (`format_txt` → `parse_txt`) that
@@ -197,13 +247,19 @@ pub fn execute_probe<R: Rng>(
 /// from equal RNG states the two paths yield equal observations and
 /// leave the RNG in equal states — the property the golden equivalence
 /// tests pin.
+///
+/// Without [`ProbeFlags::keep_rtt`], a reply whose view RTT is at most
+/// [`UNJITTERED_SITE_BOUND`] still draws its jitter but carries
+/// [`UNMEASURED_RTT`] instead of the jittered RTT: it is a site answer
+/// whatever the jitter, so the outcome class and the RNG position are
+/// those of the kept probe.
 pub fn execute_probe_fused<R: Rng>(
-    vp: &VantagePoint,
+    flags: ProbeFlags,
     view: Option<IndexedView>,
     rng: &mut R,
 ) -> crate::clean::FastObs {
     use crate::clean::FastObs;
-    if vp.hijacked {
+    if flags.hijacked() {
         // The middlebox reply is unparseable at an implausibly fast RTT,
         // which cleans to an error. Hijacked VPs never survive
         // `clean_fleet`, so fused callers probing a cleaned fleet never
@@ -211,7 +267,7 @@ pub fn execute_probe_fused<R: Rng>(
         let _ = SimDuration::from_micros(rng.gen_range(600..4000));
         return FastObs::Error;
     }
-    if vp.flaky && rng.gen_bool(0.02) {
+    if flags.flaky() && rng.gen_bool(0.02) {
         return FastObs::Timeout;
     }
     let Some(view) = view else {
@@ -220,7 +276,15 @@ pub fn execute_probe_fused<R: Rng>(
     if view.drop_prob > 0.0 && rng.gen_bool(view.drop_prob) {
         return FastObs::Timeout;
     }
-    let jitter = 1.0 + (rng.gen_range(-50..=50) as f64) / 1000.0;
+    let jitter_permille: i32 = rng.gen_range(-50..=50);
+    if !flags.keep_rtt() && view.rtt <= UNJITTERED_SITE_BOUND {
+        return FastObs::Site {
+            site: view.site,
+            server: view.server,
+            rtt: UNMEASURED_RTT,
+        };
+    }
+    let jitter = 1.0 + f64::from(jitter_permille) / 1000.0;
     let rtt = SimDuration::from_secs_f64(view.rtt.as_secs_f64() * jitter);
     if rtt >= ATLAS_TIMEOUT {
         return FastObs::Timeout;
@@ -378,7 +442,7 @@ mod tests {
                     SimTime::ZERO,
                     &mut legacy_rng,
                 ));
-                let fused = execute_probe_fused(&v, iv, &mut fused_rng);
+                let fused = execute_probe_fused(ProbeFlags::new(&v, true), iv, &mut fused_rng);
                 match (&legacy, fused) {
                     (CleanObs::Site(id, lr), FastObs::Site { site, server, rtt }) => {
                         assert_eq!(site, 0, "case {ci}");
@@ -395,6 +459,139 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Replays a fixed word sequence, then an endless tail of `u64::MAX`
+    /// (a coin that never lands), counting the words drawn. Every draw
+    /// a probe makes (`gen_bool`, `gen_range`) takes one `next_u64`.
+    #[derive(Clone)]
+    struct Script {
+        words: Vec<u64>,
+        drawn: usize,
+    }
+
+    impl rand::RngCore for Script {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words.get(self.drawn).copied().unwrap_or(u64::MAX);
+            self.drawn += 1;
+            w
+        }
+    }
+
+    /// The word whose `gen_range(-50..=50)` draw is `jitter`: Lemire's
+    /// widening multiply by 101 keeps its high word, and the low word
+    /// stays above the rejection threshold (2^64 mod 101 < 101).
+    fn jitter_word(jitter: i32) -> u64 {
+        let k = u128::from((jitter + 50) as u32);
+        ((k << 64) / 101 + 101) as u64
+    }
+
+    #[test]
+    fn unkept_rtt_keeps_outcome_class_and_rng_position() {
+        use std::collections::BTreeSet;
+        let ms = SimDuration::from_millis;
+        let ns = SimDuration::from_nanos;
+        let (bound, timeout) = (UNJITTERED_SITE_BOUND.as_nanos(), ATLAS_TIMEOUT.as_nanos());
+        let rtts = [
+            ms(30),
+            ns(bound - 1),
+            UNJITTERED_SITE_BOUND,
+            ns(bound + 1),
+            ms(4800), // the jitter decides between reply and timeout
+            ns(timeout - 1),
+            ATLAS_TIMEOUT,
+            ns(timeout + 1),
+        ];
+        let mut views: Vec<Option<(f64, SimDuration)>> = vec![None];
+        for drop in [0.0, 0.5, 1.0] {
+            views.extend(rtts.iter().map(|&rtt| Some((drop, rtt))));
+        }
+        // A coin word of 0 always lands, `u64::MAX` never does; the
+        // jitter word follows zero, one or two coins, so it is the
+        // jitter draw on every path that reaches one.
+        let prefixes: [&[u64]; 7] = [
+            &[],
+            &[0],
+            &[u64::MAX],
+            &[0, 0],
+            &[0, u64::MAX],
+            &[u64::MAX, 0],
+            &[u64::MAX, u64::MAX],
+        ];
+        let (mut skipped, mut measured) = (BTreeSet::new(), BTreeSet::new());
+        for (hijacked, flaky) in [(false, false), (false, true), (true, false), (true, true)] {
+            let v = VantagePoint {
+                id: VpId(3),
+                asn: AsId(0),
+                firmware: 4700,
+                hijacked,
+                flaky,
+            };
+            for view in &views {
+                let tv = view.map(|(drop, rtt)| TargetView::new("AMS", 2, rtt, drop));
+                let iv = view.map(|(drop, rtt)| IndexedView::new(0, 2, rtt, drop));
+                for jitter in -50..=50 {
+                    for prefix in prefixes {
+                        let mut words = prefix.to_vec();
+                        words.push(jitter_word(jitter));
+                        let script = Script { words, drawn: 0 };
+                        let (mut kept_rng, mut unkept_rng, mut legacy_rng) =
+                            (script.clone(), script.clone(), script);
+                        let kept =
+                            execute_probe_fused(ProbeFlags::new(&v, true), iv, &mut kept_rng);
+                        let unkept =
+                            execute_probe_fused(ProbeFlags::new(&v, false), iv, &mut unkept_rng);
+                        let legacy = clean_outcome(&execute_probe(
+                            &v,
+                            Letter::K,
+                            tv.clone(),
+                            SimTime::ZERO,
+                            &mut legacy_rng,
+                        ));
+                        let case = format!("{v:?} {view:?} jitter {jitter} prefix {prefix:?}");
+                        assert_eq!(kept_rng.drawn, unkept_rng.drawn, "{case}: RNG position");
+                        assert_eq!(kept_rng.drawn, legacy_rng.drawn, "{case}: RNG position");
+                        match (kept, unkept, &legacy) {
+                            (
+                                FastObs::Site { site, server, rtt },
+                                FastObs::Site {
+                                    site: s2,
+                                    server: v2,
+                                    rtt: unkept_rtt,
+                                },
+                                CleanObs::Site(id, legacy_rtt),
+                            ) => {
+                                assert_eq!((site, server), (s2, v2), "{case}");
+                                assert_eq!((id.server, rtt), (server, *legacy_rtt), "{case}");
+                                // The last word drawn was the jitter.
+                                let word = kept_rng.words.get(kept_rng.drawn - 1);
+                                let word = u128::from(*word.unwrap_or(&u64::MAX));
+                                let drawn = ((word * 101) >> 64) as i32 - 50;
+                                let base = view.map_or(0.0, |(_, r)| r.as_secs_f64());
+                                let jittered = 1.0 + f64::from(drawn) / 1000.0;
+                                assert_eq!(rtt, SimDuration::from_secs_f64(base * jittered));
+                                if unkept_rtt == UNMEASURED_RTT {
+                                    skipped.insert(drawn);
+                                } else {
+                                    assert_eq!(unkept_rtt, rtt, "{case}");
+                                    measured.insert(drawn);
+                                }
+                            }
+                            (FastObs::Timeout, FastObs::Timeout, CleanObs::Timeout)
+                            | (FastObs::Error, FastObs::Error, CleanObs::Error) => {}
+                            other => panic!("{case}: outcome classes diverge: {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        // Both the skip and the measured branch saw every jitter value.
+        assert_eq!(skipped, (-50..=50).collect::<BTreeSet<_>>());
+        assert_eq!(measured, skipped);
     }
 
     #[test]

@@ -298,6 +298,9 @@ impl ScenarioConfig {
                 "pipeline.bin must be positive".into(),
             ));
         }
+        if self.pipeline.rtt_subsample == 0 {
+            return Err(ConfigError::BadPipeline(PipelineError::ZeroRttSubsample));
+        }
         for (name, rate) in [
             ("legit_total_qps", self.legit_total_qps),
             ("nl_qps", self.nl_qps),
@@ -519,5 +522,13 @@ mod tests {
         cfg.trace.enabled = true;
         cfg.trace.capacity = 0;
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTrace(_))));
+
+        // Figure 4 would keep VP 0's RTTs alone.
+        let mut cfg = ScenarioConfig::small();
+        cfg.pipeline.rtt_subsample = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::BadPipeline(PipelineError::ZeroRttSubsample))
+        );
     }
 }

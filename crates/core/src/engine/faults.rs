@@ -238,6 +238,13 @@ impl FaultState {
         action
     }
 
+    /// True when a probe-fleet fault is active, i.e. when
+    /// [`Self::probe_action`] can answer other than
+    /// [`ProbeAction::Normal`].
+    pub fn has_probe_faults(&self) -> bool {
+        !self.probe_faults.is_empty()
+    }
+
     /// True when any fault is currently active.
     pub fn any_active(&self) -> bool {
         !self.rssac_factor.is_empty() || !self.probe_faults.is_empty()

@@ -7,7 +7,9 @@
 //! task per letter that probes and records into that letter's pipeline
 //! shard in the same pass. Everything a probe reads is resolved once, at
 //! the rate it changes: each VP's [`ProbeRoute`] (catchment site,
-//! designated server, path RTT) once per catchment epoch, and the
+//! designated server, path RTT) together with the VP's [`ProbeFlags`]
+//! (hijacked, flaky, and whether the pipeline keeps the probe's RTT,
+//! which depends on the catchment site) once per catchment epoch, and the
 //! service's site snapshots ([`SiteProbe`]: queue delay, hot server,
 //! survivor, drop probability) and the shard's record slot (bin and
 //! raster column) once per (letter, tick). Every (letter, minute) pair
@@ -20,7 +22,7 @@ use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
 use rootcast_anycast::{AnycastService, ProbeRoute, SiteProbe};
-use rootcast_atlas::{execute_probe_fused, IndexedView, LetterShard, VpFleet, VpId};
+use rootcast_atlas::{execute_probe_fused, IndexedView, LetterShard, ProbeFlags, VpFleet, VpId};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
 
@@ -56,20 +58,21 @@ struct LetterProbes {
     routes: Vec<RouteEntry>,
 }
 
-/// A [`ProbeRoute`] packed into 16 bytes, with the pipeline site index
-/// folded in; `site == UNREACHABLE` when the service has no route from
-/// the VP.
+/// Everything one probe reads of its VP, in 16 bytes: a [`ProbeRoute`]
+/// with the pipeline site index folded in, and the VP's [`ProbeFlags`];
+/// `site == UNREACHABLE` when the service has no route from the VP.
 #[derive(Debug, Clone, Copy)]
 struct RouteEntry {
     path_rtt_ns: u64,
     /// Service site index.
-    site: u32,
+    site: u16,
     /// Pipeline site index of `site`.
     pipe_site: u16,
     server: u16,
+    flags: ProbeFlags,
 }
 
-const UNREACHABLE: u32 = u32::MAX;
+const UNREACHABLE: u16 = u16::MAX;
 const _: () = assert!(std::mem::size_of::<RouteEntry>() <= 16);
 
 impl RouteEntry {
@@ -79,7 +82,7 @@ impl RouteEntry {
         if self.site == UNREACHABLE {
             return None;
         }
-        let site = self.site as usize;
+        let site = usize::from(self.site);
         let route = ProbeRoute {
             site,
             server: self.server,
@@ -96,9 +99,11 @@ impl RouteEntry {
 }
 
 impl LetterProbes {
-    /// Re-resolve every VP's route when the service's catchment epoch
-    /// has moved since the last build; a no-op otherwise.
-    fn refresh_routes(&mut self, svc: &AnycastService, fleet: &VpFleet) {
+    /// Re-resolve every VP's route, and whether `shard` keeps the RTT
+    /// of its probes, when the service's catchment epoch has moved since
+    /// the last build; a no-op otherwise. The site is fixed for the
+    /// epoch, so the keep bit is too.
+    fn refresh_routes(&mut self, svc: &AnycastService, fleet: &VpFleet, shard: &LetterShard) {
         if self.epoch == svc.catchment_epoch() {
             return;
         }
@@ -106,17 +111,23 @@ impl LetterProbes {
         self.routes.clear();
         self.routes.extend(fleet.iter().map(
             |vp| match svc.probe_route(vp.asn, vp.client_hash()) {
-                Some(r) => RouteEntry {
-                    path_rtt_ns: r.path_rtt.as_nanos(),
-                    site: r.site as u32,
-                    pipe_site: site_map[r.site],
-                    server: r.server,
-                },
+                Some(r) => {
+                    let pipe_site = site_map[r.site];
+                    RouteEntry {
+                        path_rtt_ns: r.path_rtt.as_nanos(),
+                        // `ProbeWheel::new` checked the site count fits.
+                        site: r.site as u16,
+                        pipe_site,
+                        server: r.server,
+                        flags: ProbeFlags::new(vp, shard.keeps_rtt(vp.id, pipe_site)),
+                    }
+                }
                 None => RouteEntry {
                     path_rtt_ns: 0,
                     site: UNREACHABLE,
                     pipe_site: 0,
                     server: 0,
+                    flags: ProbeFlags::new(vp, false),
                 },
             },
         ));
@@ -170,8 +181,13 @@ impl ProbeWheel {
                 // once so the fused path never touches an airport-code
                 // string.
                 let data = world.pipeline.letter(letter);
-                let site_map = world.services[i]
-                    .sites()
+                let sites = world.services[i].sites();
+                assert!(
+                    sites.len() < usize::from(UNREACHABLE),
+                    "{letter} has {} sites; a route entry indexes fewer",
+                    sites.len()
+                );
+                let site_map = sites
                     .iter()
                     .map(|s| {
                         data.site_idx(&s.spec.code)
@@ -249,26 +265,30 @@ impl Subsystem for ProbeWheel {
                 let letter = shard.letter();
                 let mut rng = rngf.indexed_stream(&lp.stream_key, minute);
                 let svc = &services[i];
-                lp.refresh_routes(svc, fleet);
+                lp.refresh_routes(svc, fleet, shard);
                 svc.site_probes_into(&mut lp.snaps);
                 let slot = shard.slot(t);
+                let probe_faults = faults.has_probe_faults();
                 let due = &due_now[i];
                 for &vp_id in due {
                     // A dropped-out VP never probes (no RNG draw); a
                     // firmware-downgraded VP probes (same draws as a
                     // healthy run) but its measurement is unusable.
-                    let action = faults.probe_action(vp_id, letter);
+                    let action = if probe_faults {
+                        faults.probe_action(vp_id, letter)
+                    } else {
+                        ProbeAction::Normal
+                    };
                     if action == ProbeAction::Skip {
                         shard.note_missed(t);
                         continue;
                     }
-                    let vp = fleet.vp(VpId(vp_id));
-                    let view = lp.routes[vp_id as usize].view(&lp.snaps);
-                    let obs = execute_probe_fused(vp, view, &mut rng);
+                    let route = lp.routes[vp_id as usize];
+                    let obs = execute_probe_fused(route.flags, route.view(&lp.snaps), &mut rng);
                     if action == ProbeAction::Discard {
                         shard.note_missed(t);
                     } else if let Some(slot) = &slot {
-                        if let Err(err) = shard.record_in(slot, vp.id, obs) {
+                        if let Err(err) = shard.record_in(slot, VpId(vp_id), obs) {
                             // The wheel only probes kept VPs at registered
                             // sites, so this is a programmer error, not
                             // data to skip.

@@ -235,3 +235,16 @@ fn broken_botnet_knobs_are_typed_errors_not_panics() {
         }
     }
 }
+
+#[test]
+fn zero_rtt_subsample_is_a_typed_error_not_a_one_vp_figure() {
+    // With `rtt_subsample == 0` only VP 0's id is a multiple of it, so
+    // every Figure 4 median would come from one VP. `run` rejects it up
+    // front.
+    let mut cfg = ScenarioConfig::small();
+    cfg.pipeline.rtt_subsample = 0;
+    match run(&cfg) {
+        Err(RootcastError::Config(ConfigError::BadPipeline(PipelineError::ZeroRttSubsample))) => {}
+        other => panic!("expected ZeroRttSubsample, got {:?}", other.err()),
+    }
+}

@@ -17,7 +17,7 @@ use rootcast::analysis::raster;
 use rootcast::engine::{drive, subsystems, SimWorld};
 use rootcast::{
     output_digest, run, run_with_substrate, FaultKind, FaultPlan, Letter, NoopInstrumentation,
-    ScenarioConfig, SimDuration, SimTime, Substrate, TraceEventKind,
+    ScenarioConfig, SimDuration, SimOutput, SimTime, Substrate, TraceEventKind,
 };
 use rootcast_netsim::{Fnv1a, SimRng};
 
@@ -68,6 +68,47 @@ fn small_scenario_figure11_raster_is_pinned() {
     assert_eq!(
         digest, SMALL_FIGURE11_GOLDEN,
         "small() Figure 11 moved: {digest:#018x} vs golden {SMALL_FIGURE11_GOLDEN:#018x}"
+    );
+}
+
+/// FNV-1a over the `Debug` form of every letter's `LetterData` (success
+/// and error series, RTT samples, site counts, flips and flip events,
+/// watched-server series, raster, probe tallies), then the summed
+/// outcome stats. `output_digest` folds only the success series; this
+/// pins everything else the probe layer writes.
+fn probe_layer_digest(out: &SimOutput) -> u64 {
+    let mut h = Fnv1a::new();
+    for &l in &out.letters {
+        h.write(format!("{:?}", out.pipeline.letter(l)).as_bytes());
+    }
+    h.write(format!("{:?}", out.pipeline.outcome_stats()).as_bytes());
+    h.finish()
+}
+
+/// [`probe_layer_digest`] of `small()`.
+const SMALL_PROBE_LAYER_GOLDEN: u64 = 0xe98331e052220ca4;
+
+/// [`probe_layer_digest`] of [`faulted_small`].
+const FAULTED_SMALL_PROBE_LAYER_GOLDEN: u64 = 0x10c04cb62aea1282;
+
+#[test]
+fn small_scenario_probe_layer_is_pinned() {
+    // `small()`'s 12 h cover event 1: drop coins, timeouts, the watched
+    // K sites and `rtt_subsample = 2` all reach the pipeline.
+    let digest = probe_layer_digest(&run(&ScenarioConfig::small()).expect("valid scenario"));
+    assert_eq!(
+        digest, SMALL_PROBE_LAYER_GOLDEN,
+        "small() probe layer moved: {digest:#018x} vs golden {SMALL_PROBE_LAYER_GOLDEN:#018x}"
+    );
+}
+
+#[test]
+fn faulted_small_probe_layer_is_pinned() {
+    let digest = probe_layer_digest(&run(&faulted_small()).expect("valid scenario"));
+    assert_eq!(
+        digest, FAULTED_SMALL_PROBE_LAYER_GOLDEN,
+        "faulted small() probe layer moved: {digest:#018x} vs golden \
+         {FAULTED_SMALL_PROBE_LAYER_GOLDEN:#018x}"
     );
 }
 
@@ -193,11 +234,9 @@ fn shared_substrate_runs_are_bit_identical_to_standalone_runs() {
     }
 }
 
-#[test]
-fn fault_runs_are_bit_identical_across_thread_counts() {
-    // Same property with every fault kind in play: the injector draws
-    // from its own RNG stream on the single-threaded engine loop, so
-    // faulted runs must stay a pure function of (seed, plan) too.
+/// `small()` with every fault kind in play, among them a site crash, a
+/// probe dropout wave and a firmware downgrade.
+fn faulted_small() -> ScenarioConfig {
     let mut cfg = ScenarioConfig::small();
     cfg.faults = FaultPlan::none()
         .with(
@@ -239,7 +278,15 @@ fn fault_runs_are_bit_identical_across_thread_counts() {
             SimDuration::from_mins(90),
             FaultKind::CollectorBlackout { letter: Letter::K },
         );
+    cfg
+}
 
+#[test]
+fn fault_runs_are_bit_identical_across_thread_counts() {
+    // Same property with every fault kind in play: the injector draws
+    // from its own RNG stream on the single-threaded engine loop, so
+    // faulted runs must stay a pure function of (seed, plan) too.
+    let cfg = faulted_small();
     let pooled = run(&cfg).expect("valid scenario");
     let first = output_digest(&pooled);
     assert_eq!(
