@@ -68,11 +68,6 @@ impl FacilityTable {
         }
     }
 
-    /// Is this facility currently dark?
-    pub fn is_out(&self, id: FacilityId) -> bool {
-        self.out.contains(&id)
-    }
-
     /// Advance all facility queues to `now` under the accumulated load,
     /// recording each link's loss fraction, then clear the accumulators.
     /// Dark facilities drop everything regardless of queue state.
@@ -167,7 +162,6 @@ mod tests {
         let mut t = FacilityTable::new();
         t.register(FacilityId(1), 1000.0, 0.0);
         assert!(t.set_out(FacilityId(1), true));
-        assert!(t.is_out(FacilityId(1)));
         // Redundant transition reports false.
         assert!(!t.set_out(FacilityId(1), true));
         // Unknown facility degrades gracefully.

@@ -3,7 +3,6 @@
 
 use crate::deployment::facilities;
 use crate::engine::faults::{FaultKind, FaultPlan};
-use crate::engine::trace::TraceConfig;
 use rootcast_atlas::{FleetParams, PipelineConfig, PipelineError};
 use rootcast_attack::{AttackSchedule, BotnetParams, DEFAULT_LEGIT_TOTAL_QPS};
 use rootcast_dns::{Letter, Name};
@@ -32,8 +31,6 @@ pub enum ConfigError {
     /// The topology parameters fail their own invariants
     /// ([`TopologyParams::validate`](rootcast_topology::TopologyParams::validate)).
     BadTopology(String),
-    /// The trace configuration is unusable.
-    BadTrace(String),
     /// A site override names an unknown site or carries a bad value.
     BadOverride(String),
     /// The measurement pipeline cannot hold the deployment, e.g. a
@@ -55,7 +52,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadAttack(m) => write!(f, "bad attack window: {m}"),
             ConfigError::BadFault(m) => write!(f, "bad fault spec: {m}"),
             ConfigError::BadTopology(m) => write!(f, "bad topology: {m}"),
-            ConfigError::BadTrace(m) => write!(f, "bad trace config: {m}"),
             ConfigError::BadOverride(m) => write!(f, "bad site override: {m}"),
             ConfigError::BadPipeline(e) => write!(f, "bad pipeline: {e}"),
             ConfigError::SubstrateMismatch(knobs) => write!(
@@ -151,10 +147,6 @@ pub struct ScenarioConfig {
     /// determinism suite pins it. Probes and route collectors have one
     /// path each and ignore this flag.
     pub reference_kernels: bool,
-    /// Structured event tracing (off by default). Enabling it never
-    /// changes simulation outputs: the trace is an observer, and the
-    /// determinism suite pins trace-on and trace-off runs bit-identical.
-    pub trace: TraceConfig,
 }
 
 impl ScenarioConfig {
@@ -189,7 +181,6 @@ impl ScenarioConfig {
             faults: FaultPlan::none(),
             site_overrides: Vec::new(),
             reference_kernels: false,
-            trace: TraceConfig::default(),
         }
     }
 
@@ -240,11 +231,6 @@ impl ScenarioConfig {
         self.topology
             .validate()
             .map_err(|e| ConfigError::BadTopology(e.to_string()))?;
-        if self.trace.enabled && self.trace.capacity == 0 {
-            return Err(ConfigError::BadTrace(
-                "enabled trace needs a positive capacity".into(),
-            ));
-        }
         if self.horizon <= SimTime::ZERO {
             return Err(ConfigError::BadTiming("horizon must be positive".into()));
         }
@@ -517,11 +503,6 @@ mod tests {
         let mut cfg = ScenarioConfig::small();
         cfg.topology.n_tier1 = 0;
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTopology(_))));
-
-        let mut cfg = ScenarioConfig::small();
-        cfg.trace.enabled = true;
-        cfg.trace.capacity = 0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::BadTrace(_))));
 
         // Figure 4 would keep VP 0's RTTs alone.
         let mut cfg = ScenarioConfig::small();

@@ -6,10 +6,11 @@
 //! able to rehearse those failure modes on purpose. A [`FaultPlan`] on
 //! the scenario config schedules faults declaratively; the
 //! [`FaultInjector`] applies each one at its instant, reverts it when
-//! its window closes, and appends every injection and recovery to the
-//! fault ledger ([`FaultState::ledger`], frozen into
-//! [`SimOutput::faults`](crate::sim::SimOutput::faults)) so the output
-//! records exactly what was done to the run.
+//! its window closes, and logs every injection and recovery as a
+//! [`FaultInjected`](TraceEventKind::FaultInjected) /
+//! [`FaultRecovered`](TraceEventKind::FaultRecovered) event in the
+//! run's event log ([`SimOutput::trace`](crate::sim::SimOutput::trace)),
+//! so the output records exactly what was done to the run.
 //!
 //! ## Determinism contract
 //!
@@ -30,7 +31,8 @@
 //! the exception — they change the simulated world, like the real
 //! crashes they model.
 
-use crate::engine::{SimWorld, Subsystem};
+use crate::engine::metrics::keys;
+use crate::engine::{SimWorld, Subsystem, TraceEvent, TraceEventKind};
 use rand::Rng;
 use rootcast_anycast::FacilityId;
 use rootcast_dns::Letter;
@@ -142,32 +144,6 @@ impl FaultPlan {
     }
 }
 
-/// Whether a fault record marks an injection or the matching recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    Inject,
-    Recover,
-}
-
-impl fmt::Display for FaultAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FaultAction::Inject => "inject",
-            FaultAction::Recover => "recover",
-        })
-    }
-}
-
-/// One applied fault transition: an entry of the run's fault ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InjectedFault {
-    pub at: SimTime,
-    pub action: FaultAction,
-    /// Human-readable description of what was done (includes a note
-    /// when a fault degraded to a no-op, e.g. an unknown site code).
-    pub description: String,
-}
-
 /// How an active fault affects one (VP, letter) probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeAction {
@@ -204,9 +180,6 @@ pub struct FaultState {
     rssac_factor: BTreeMap<Letter, f64>,
     /// Active probe-fleet faults, keyed by plan index.
     probe_faults: BTreeMap<usize, ProbeFault>,
-    /// Every transition the injector applied, in order: the run's
-    /// injected-fault ledger.
-    pub ledger: Vec<InjectedFault>,
 }
 
 impl FaultState {
@@ -282,14 +255,10 @@ impl FaultInjector {
         }
     }
 
-    /// Apply one transition, returning the record to emit.
-    fn apply(
-        &mut self,
-        world: &mut SimWorld,
-        t: SimTime,
-        idx: usize,
-        inject: bool,
-    ) -> InjectedFault {
+    /// Apply one transition, returning a human-readable description of
+    /// what was done (with a note when the fault degraded to a no-op,
+    /// e.g. an unknown site code).
+    fn apply(&mut self, world: &mut SimWorld, t: SimTime, idx: usize, inject: bool) -> String {
         let kind = self.plan.faults[idx].kind.clone();
         let mut note = String::new();
         match &kind {
@@ -375,15 +344,7 @@ impl FaultInjector {
                 None => note = " (no collector for letter, ignored)".into(),
             },
         }
-        InjectedFault {
-            at: t,
-            action: if inject {
-                FaultAction::Inject
-            } else {
-                FaultAction::Recover
-            },
-            description: format!("{kind}{note}"),
-        }
+        format!("{kind}{note}")
     }
 
     /// Pick each kept (non-excluded) VP independently with probability
@@ -419,24 +380,20 @@ impl Subsystem for FaultInjector {
                 break;
             }
             self.cursor += 1;
-            let record = self.apply(world, t, idx, inject);
-            let key = match record.action {
-                FaultAction::Inject => crate::engine::metrics::keys::FAULT_INJECTIONS,
-                FaultAction::Recover => crate::engine::metrics::keys::FAULT_RECOVERIES,
+            let description = self.apply(world, t, idx, inject);
+            let (key, kind) = if inject {
+                (
+                    keys::FAULT_INJECTIONS,
+                    TraceEventKind::FaultInjected { description },
+                )
+            } else {
+                (
+                    keys::FAULT_RECOVERIES,
+                    TraceEventKind::FaultRecovered { description },
+                )
             };
             world.metrics.inc(key, 1);
-            world.trace.record_with(t, || {
-                let description = record.description.clone();
-                match record.action {
-                    FaultAction::Inject => {
-                        crate::engine::trace::TraceEventKind::FaultInjected { description }
-                    }
-                    FaultAction::Recover => {
-                        crate::engine::trace::TraceEventKind::FaultRecovered { description }
-                    }
-                }
-            });
-            world.faults.ledger.push(record);
+            world.trace.push(TraceEvent { t, kind });
         }
         Vec::new()
     }
@@ -491,11 +448,18 @@ mod tests {
         inj.tick(&mut world, SimTime::from_mins(15));
         assert!(world.services[b].site(lax).announced);
 
-        let ledger = &world.faults.ledger;
-        assert_eq!(ledger.len(), 2);
-        assert_eq!(ledger[0].action, FaultAction::Inject);
-        assert_eq!(ledger[1].action, FaultAction::Recover);
-        assert!(ledger[0].description.contains("site-crash B/LAX"));
+        // Each transition recomputes B's routes (an epoch bump), then
+        // logs itself.
+        let kinds: Vec<&TraceEventKind> = world.trace.iter().map(|e| &e.kind).collect();
+        assert!(matches!(
+            kinds[..],
+            [
+                TraceEventKind::CatchmentEpochBump { .. },
+                TraceEventKind::FaultInjected { description },
+                TraceEventKind::CatchmentEpochBump { .. },
+                TraceEventKind::FaultRecovered { .. },
+            ] if description.contains("site-crash B/LAX")
+        ));
     }
 
     #[test]
@@ -516,7 +480,11 @@ mod tests {
         let mut world = world_fixture(&cfg, &rngf, &mut obs);
         let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
         inj.tick(&mut world, SimTime::from_mins(1));
-        assert!(world.faults.ledger[0].description.contains("unknown site"));
+        assert!(matches!(
+            &world.trace[..],
+            [TraceEvent { kind: TraceEventKind::FaultInjected { description }, .. }]
+                if description.contains("unknown site")
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! subsystem ticking at the same instant.
 
 use crate::engine::metrics::keys;
-use crate::engine::trace::TraceEventKind;
+use crate::engine::trace::{TraceEvent, TraceEventKind};
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
 use rootcast_anycast::CatchmentIndex;
@@ -208,7 +208,7 @@ impl Subsystem for FluidTraffic {
 
         // Saturation edges: a site is saturated while it drops queries
         // at the shared facility or its own ingress queue. Onsets and
-        // clears are counted, traced, and the live count gauged.
+        // clears are counted, logged, and the live count gauged.
         self.saturated.resize_with(world.services.len(), Vec::new);
         for (i, svc) in world.services.iter().enumerate() {
             let prev = &mut self.saturated[i];
@@ -222,21 +222,13 @@ impl Subsystem for FluidTraffic {
                         keys::SITE_SATURATION_CLEARS
                     };
                     world.metrics.inc(key, 1);
-                    world.trace.record_with(t, || {
-                        let service = svc.name.clone();
-                        let code = site.spec.code.clone();
-                        if sat {
-                            TraceEventKind::SiteSaturationOnset {
-                                service,
-                                site: code,
-                            }
-                        } else {
-                            TraceEventKind::SiteSaturationClear {
-                                service,
-                                site: code,
-                            }
-                        }
-                    });
+                    let (service, site) = (svc.name.clone(), site.spec.code.clone());
+                    let kind = if sat {
+                        TraceEventKind::SiteSaturationOnset { service, site }
+                    } else {
+                        TraceEventKind::SiteSaturationClear { service, site }
+                    };
+                    world.trace.push(TraceEvent { t, kind });
                     prev[s] = sat;
                 }
             }
@@ -284,12 +276,13 @@ impl Subsystem for FluidTraffic {
                     .metrics
                     .inc(keys::POLICY_TRANSITIONS, changes.len() as u64);
                 if let Some(letter) = world.services[i].letter {
-                    world
-                        .trace
-                        .record_with(t, || TraceEventKind::PolicyTransition {
-                            letter: (b'A' + letter as u8) as char,
+                    world.trace.push(TraceEvent {
+                        t,
+                        kind: TraceEventKind::PolicyTransition {
+                            letter: letter.ch_upper(),
                             changes: changes.len(),
-                        });
+                        },
+                    });
                 }
                 world.observe_routes(t, i);
             }

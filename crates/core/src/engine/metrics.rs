@@ -51,11 +51,9 @@ pub mod keys {
     pub const MAINTENANCE_REANNOUNCEMENTS: CounterId = CounterId(21);
     pub const FAULT_INJECTIONS: CounterId = CounterId(22);
     pub const FAULT_RECOVERIES: CounterId = CounterId(23);
-    // Trace bookkeeping.
-    pub const TRACE_EVENTS_DROPPED: CounterId = CounterId(24);
     // Route-state memo (counted at observe_routes, like the BGP block).
-    pub const BGP_RIB_MEMO_HITS: CounterId = CounterId(25);
-    pub const BGP_RIB_MEMO_MISSES: CounterId = CounterId(26);
+    pub const BGP_RIB_MEMO_HITS: CounterId = CounterId(24);
+    pub const BGP_RIB_MEMO_MISSES: CounterId = CounterId(25);
 
     pub const SITES_SATURATED: GaugeId = GaugeId(0);
     pub const PEAK_OFFERED_QPS: GaugeId = GaugeId(1);
@@ -94,7 +92,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "maintenance.reannouncements",
     "faults.injections",
     "faults.recoveries",
-    "trace.events_dropped",
     "bgp.rib_memo.hits",
     "bgp.rib_memo.misses",
 ];
@@ -185,10 +182,6 @@ mod tests {
         assert_eq!(
             COUNTER_NAMES[keys::BGP_ROUTE_RECOMPUTES.0],
             "bgp.route_recomputes"
-        );
-        assert_eq!(
-            COUNTER_NAMES[keys::TRACE_EVENTS_DROPPED.0],
-            "trace.events_dropped"
         );
         assert_eq!(
             COUNTER_NAMES[keys::BGP_RIB_MEMO_MISSES.0],

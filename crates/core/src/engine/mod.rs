@@ -37,10 +37,7 @@ pub mod rssac;
 pub mod trace;
 pub mod world;
 
-pub use faults::{
-    FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultState, InjectedFault,
-    ProbeAction,
-};
+pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultState, ProbeAction};
 pub use fluid::FluidTraffic;
 pub use instrument::{Instrumentation, NoopInstrumentation, SpanRecorder};
 pub use maintenance::MaintenanceChurn;
@@ -49,7 +46,7 @@ pub use probes::ProbeWheel;
 pub use profile::{SpanProfile, SpanStat};
 pub use resolvers::ResolverRefresh;
 pub use rssac::RssacAccounting;
-pub use trace::{EventTrace, TraceConfig, TraceEvent, TraceEventKind, TraceSnapshot};
+pub use trace::{TraceEvent, TraceEventKind};
 pub use world::{FluidScratch, SimWorld, Substrate};
 
 use rootcast_netsim::{EventQueue, SimTime};

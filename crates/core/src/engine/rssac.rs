@@ -13,7 +13,7 @@
 //! [`FluidScratch`]: crate::engine::FluidScratch
 
 use crate::engine::metrics::keys;
-use crate::engine::trace::TraceEventKind;
+use crate::engine::trace::{TraceEvent, TraceEventKind};
 use crate::engine::{SimWorld, Subsystem};
 use rootcast_dns::rrl::blended_suppression;
 use rootcast_dns::{edns0_opt, Letter, Message, Name, RootZone, RrClass, RrType};
@@ -141,8 +141,11 @@ impl Subsystem for RssacAccounting {
             world.metrics.inc(keys::RSSAC_WINDOWS_OBSERVED, 1);
             if stressed && !self.stressed_prev[letter as usize] {
                 world.metrics.inc(keys::RRL_ACTIVATIONS, 1);
-                world.trace.record_with(t, || TraceEventKind::RrlActivated {
-                    letter: (b'A' + letter as u8) as char,
+                world.trace.push(TraceEvent {
+                    t,
+                    kind: TraceEventKind::RrlActivated {
+                        letter: letter.ch_upper(),
+                    },
                 });
             }
             self.stressed_prev[letter as usize] = stressed;

@@ -7,7 +7,7 @@ use crate::deployment::{self, LetterDeployment};
 use crate::engine::faults::FaultState;
 use crate::engine::instrument::Instrumentation;
 use crate::engine::metrics::{engine_registry, keys};
-use crate::engine::trace::{EventTrace, TraceEventKind};
+use crate::engine::trace::{TraceEvent, TraceEventKind};
 use rand::Rng;
 use rootcast_anycast::{AnycastService, FacilityTable};
 use rootcast_atlas::{
@@ -111,10 +111,9 @@ pub struct SimWorld<'a> {
     /// [`metrics::keys`](crate::engine::metrics::keys)). Write-only
     /// during the run; snapshotted into the output afterwards.
     pub metrics: rootcast_netsim::MetricsRegistry,
-    /// Bounded structured event trace, armed by
-    /// [`ScenarioConfig::trace`]; disabled it records nothing and
-    /// allocates nothing.
-    pub trace: EventTrace,
+    /// The run's event log, in the order the events happened; frozen
+    /// as [`SimOutput::trace`](crate::sim::SimOutput::trace).
+    pub trace: Vec<TraceEvent>,
     pub obs: &'a mut dyn Instrumentation,
 }
 
@@ -244,8 +243,10 @@ impl<'a> SimWorld<'a> {
     /// accounting state. Fails with [`ConfigError::SubstrateMismatch`]
     /// when the substrate was built for different substrate knobs, with
     /// [`ConfigError::BadOverride`] when an override names a site the
-    /// deployment doesn't have, and with [`ConfigError::BadPipeline`]
-    /// when a rastered letter has more sites than a raster cell encodes.
+    /// deployment doesn't have, with [`ConfigError::BadRate`] when a
+    /// deployed site sits in a facility `facility_capacities` leaves
+    /// out, and with [`ConfigError::BadPipeline`] when a rastered letter
+    /// has more sites than a raster cell encodes.
     pub fn from_substrate(
         cfg: &'a ScenarioConfig,
         rng_factory: &'a SimRng,
@@ -285,6 +286,21 @@ impl<'a> SimWorld<'a> {
             services[si].retune_site(idx, &ov.tuning);
         }
 
+        // A deployed site in a facility without a capacity would load a
+        // link the facility table never registered.
+        for svc in &services {
+            for site in svc.sites() {
+                let Some(fid) = site.spec.facility else {
+                    continue;
+                };
+                if !cfg.facility_capacities.iter().any(|&(f, _)| f == fid) {
+                    return Err(ConfigError::BadRate(format!(
+                        "{} site {} sits in facility #{}, which facility_capacities leaves out",
+                        svc.name, site.spec.code, fid.0
+                    )));
+                }
+            }
+        }
         let mut facility_table = FacilityTable::new();
         for &(fid, cap) in &cfg.facility_capacities {
             facility_table.register(fid, cap, cap * 0.5);
@@ -382,7 +398,7 @@ impl<'a> SimWorld<'a> {
             fluid: FluidScratch::default(),
             faults: FaultState::default(),
             metrics: engine_registry(),
-            trace: EventTrace::new(&cfg.trace),
+            trace: Vec::new(),
             obs,
         })
     }
@@ -411,12 +427,14 @@ impl<'a> SimWorld<'a> {
         self.metrics.inc(keys::BGP_CHANGED_ASES, popcount);
         self.metrics
             .observe(keys::CHANGED_AS_POPCOUNT, popcount as f64);
-        self.trace
-            .record_with(t, || TraceEventKind::CatchmentEpochBump {
+        self.trace.push(TraceEvent {
+            t,
+            kind: TraceEventKind::CatchmentEpochBump {
                 service: svc.name.clone(),
                 epoch,
                 changed_ases: popcount,
-            });
+            },
+        });
         if let Some(letter) = svc.letter {
             if let Some(c) = self.collectors.get_mut(&letter) {
                 c.observe_changed(t, svc.rib(), svc.changed_ases());

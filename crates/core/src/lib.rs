@@ -34,9 +34,8 @@ pub mod sweep;
 pub use config::{ConfigError, ScenarioConfig, SiteOverride};
 pub use deployment::{nl_deployment, nov2015_deployments, LetterDeployment};
 pub use engine::{
-    render_metrics, FaultKind, FaultPlan, FaultSpec, InjectedFault, Instrumentation,
-    NoopInstrumentation, SpanProfile, SpanRecorder, SpanStat, Substrate, Subsystem, TraceConfig,
-    TraceEvent, TraceEventKind, TraceSnapshot,
+    render_metrics, FaultKind, FaultPlan, FaultSpec, Instrumentation, NoopInstrumentation,
+    SpanProfile, SpanRecorder, SpanStat, Substrate, Subsystem, TraceEvent, TraceEventKind,
 };
 pub use error::{AnalysisError, RootcastError, SweepError};
 pub use sim::{run, run_with_substrate, SimOutput};

@@ -39,8 +39,7 @@ use crate::deployment::LetterDeployment;
 use crate::engine::metrics::keys;
 use crate::engine::Substrate;
 use crate::engine::{
-    drive, subsystems, InjectedFault, Instrumentation, SimWorld, SpanProfile, SpanRecorder,
-    TraceSnapshot,
+    drive, subsystems, Instrumentation, SimWorld, SpanProfile, SpanRecorder, TraceEvent,
 };
 use crate::error::RootcastError;
 use rootcast_atlas::{CleaningReport, MeasurementPipeline};
@@ -77,16 +76,13 @@ pub struct SimOutput {
     /// (see [`metrics::keys`](crate::engine::metrics::keys) for the
     /// catalog).
     pub metrics: MetricsSnapshot,
-    /// When it happened: the structured event trace (empty unless
-    /// [`ScenarioConfig::trace`] enabled it).
-    pub trace: TraceSnapshot,
+    /// When it happened: every logged event in simulated-time order,
+    /// fault injections and recoveries among them.
+    pub trace: Vec<TraceEvent>,
     /// Where the wall time went: count, total and max per span path
     /// (`build_world`, `build_world/substrate`, `drive/<subsystem>`,
     /// `finalize`, ...).
     pub spans: SpanProfile,
-    /// Every fault transition the injector applied, in order: the run's
-    /// injected-fault ledger.
-    pub faults: Vec<InjectedFault>,
 }
 
 /// Run the scenario to completion. Fails fast with a typed error when
@@ -179,12 +175,7 @@ impl SimWorld<'_> {
         });
         world.metrics.inc(keys::BGP_SCRATCH_REUSES, reuses);
         world.metrics.inc(keys::BGP_SCRATCH_ALLOCS, allocs);
-        world
-            .metrics
-            .inc(keys::TRACE_EVENTS_DROPPED, world.trace.dropped_events());
         let metrics = world.metrics.snapshot();
-        let trace = world.trace.snapshot();
-        let faults = std::mem::take(&mut world.faults.ledger);
         world.obs.exit("finalize");
 
         let SimWorld {
@@ -199,6 +190,7 @@ impl SimWorld<'_> {
             rssac_baseline,
             nl_series,
             deployments,
+            trace,
             ..
         } = world;
 
@@ -231,7 +223,6 @@ impl SimWorld<'_> {
             metrics,
             trace,
             spans: SpanProfile::default(),
-            faults,
         }
     }
 }
@@ -239,6 +230,7 @@ impl SimWorld<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TraceEventKind;
 
     /// One shared small run for the driver's smoke tests (building it is
     /// the expensive part; assertions are cheap).
@@ -301,8 +293,11 @@ mod tests {
         assert_eq!(out.nl_sites.len(), 2);
         // The span recorder saw every phase and the five production
         // subsystems tick (the fault injector never wakes on an empty
-        // plan, so the ledger stays empty).
-        assert!(out.faults.is_empty());
+        // plan, so no fault event is logged).
+        assert!(!out.trace.iter().any(|e| matches!(
+            e.kind,
+            TraceEventKind::FaultInjected { .. } | TraceEventKind::FaultRecovered { .. }
+        )));
         for path in ["build_world", "build_world/substrate", "drive", "finalize"] {
             assert_eq!(out.spans.get(path).map(|s| s.count), Some(1), "{path}");
         }

@@ -349,7 +349,8 @@ pub struct Headline {
     pub policy_transitions: u64,
     /// BGP collector route-change events, all letters.
     pub route_events: u64,
-    /// Fault transitions the injector applied.
+    /// Fault transitions the injector applied: injections plus
+    /// recoveries.
     pub faults_injected: u64,
 }
 
@@ -392,6 +393,7 @@ fn headline(out: &SimOutput) -> Headline {
         Some(v) if v.is_finite() => v,
         _ => unset,
     };
+    let counter = |name: &str| out.metrics.counter(name).unwrap_or(0);
     Headline {
         n_ases: out.n_ases,
         n_vps_kept: out.n_vps_kept,
@@ -399,9 +401,9 @@ fn headline(out: &SimOutput) -> Headline {
         mean_letter_availability: mean,
         peak_offered_qps: gauge("fluid.peak_offered_qps", 0.0),
         worst_served_ratio: gauge("fluid.worst_served_ratio", 1.0).min(1.0),
-        policy_transitions: out.metrics.counter("fluid.policy_transitions").unwrap_or(0),
+        policy_transitions: counter("fluid.policy_transitions"),
         route_events: out.collectors.values().map(|c| c.log().len() as u64).sum(),
-        faults_injected: out.faults.len() as u64,
+        faults_injected: counter("faults.injections") + counter("faults.recoveries"),
     }
 }
 
@@ -890,7 +892,6 @@ mod tests {
             faults,
             site_overrides,
             reference_kernels,
-            trace,
         } = base.clone();
         let TopologyParams {
             n_tier1,
@@ -1006,7 +1007,6 @@ mod tests {
         case("reference_kernels", None, &|c| {
             c.reference_kernels = !reference_kernels
         });
-        case("trace", None, &|c| c.trace.enabled = !trace.enabled);
 
         let base_hash = config_hash("x", &base);
         for (field, knob, cfg) in &cases {

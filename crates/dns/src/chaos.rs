@@ -125,11 +125,6 @@ impl ServerIdentity {
         }
     }
 
-    /// `X-APT` site label used throughout the paper ("K-AMS").
-    pub fn site_label(&self) -> String {
-        format!("{}-{}", self.letter, self.site)
-    }
-
     /// Format the `hostname.bind` TXT string in this letter's style.
     ///
     /// Styles are distinct per operator, mirroring the real-world zoo:
@@ -341,7 +336,6 @@ mod tests {
     #[test]
     fn site_label_matches_paper_convention() {
         let id = ServerIdentity::new(Letter::K, "ams", 1);
-        assert_eq!(id.site_label(), "K-AMS");
         assert_eq!(id.to_string(), "K-AMS-s1");
     }
 

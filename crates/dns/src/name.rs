@@ -83,11 +83,6 @@ impl Name {
         Ok(name)
     }
 
-    /// Number of labels (0 for the root).
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// The labels, most-specific first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
         self.labels.iter().map(Vec::as_slice)
@@ -215,7 +210,6 @@ mod tests {
     fn parse_and_display_roundtrip() {
         let n = Name::parse("www.Example.COM").unwrap();
         assert_eq!(n.to_string(), "www.example.com.");
-        assert_eq!(n.label_count(), 3);
     }
 
     #[test]

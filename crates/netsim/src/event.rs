@@ -60,7 +60,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -76,7 +75,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -94,11 +92,6 @@ impl<E> EventQueue<E> {
     /// True if no events are waiting.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events popped so far (a cheap progress metric).
-    pub fn events_processed(&self) -> u64 {
-        self.popped
     }
 
     /// Schedule `payload` at absolute time `due`.
@@ -122,7 +115,6 @@ impl<E> EventQueue<E> {
         let ev = self.heap.pop()?;
         debug_assert!(ev.due >= self.now);
         self.now = ev.due;
-        self.popped += 1;
         Some((ev.due, ev.payload))
     }
 
@@ -232,7 +224,6 @@ mod tests {
         }
         assert_eq!(count, 10);
         assert_eq!(q.now(), SimTime::from_secs(9));
-        assert_eq!(q.events_processed(), 10);
     }
 
     #[test]

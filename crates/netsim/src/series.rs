@@ -82,15 +82,6 @@ impl BinnedSeries {
         }
     }
 
-    /// Element-wise sum with another series of identical shape.
-    pub fn add_series(&mut self, other: &BinnedSeries) {
-        assert_eq!(self.bin, other.bin, "bin widths differ");
-        assert_eq!(self.values.len(), other.values.len(), "lengths differ");
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            *a += b;
-        }
-    }
-
     /// Element-wise ratio to a scalar (e.g. normalize to a median).
     pub fn scaled(&self, k: f64) -> BinnedSeries {
         BinnedSeries {
@@ -346,13 +337,5 @@ mod tests {
         assert!(med.values()[1].is_nan());
         let counts = b.reduce(Reduce::Count, 0.0);
         assert_eq!(counts.values(), &[3.0, 0.0]);
-    }
-
-    #[test]
-    fn add_series_elementwise() {
-        let mut a = BinnedSeries::from_values(SimDuration::from_mins(10), vec![1.0, 2.0]);
-        let b = BinnedSeries::from_values(SimDuration::from_mins(10), vec![3.0, 4.0]);
-        a.add_series(&b);
-        assert_eq!(a.values(), &[4.0, 6.0]);
     }
 }

@@ -77,11 +77,6 @@ impl SimTime {
         assert!(bin.0 > 0, "bin width must be positive");
         self.0 / bin.0
     }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {

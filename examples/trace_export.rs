@@ -1,8 +1,11 @@
-//! Observability tour: run a scenario with the event trace enabled, then
-//! print the run's three records — the metrics registry (what
-//! happened), the span breakdown (where the wall time went) and a digest
-//! of the structured event trace (when it happened) — and export the
-//! span aggregate as chrome://tracing JSON.
+//! Observability tour: run a scenario, then print the run's three
+//! records — the metrics registry (what happened), the span breakdown
+//! (where the wall time went) and the event log (when it happened) —
+//! and export the span aggregate as chrome://tracing JSON.
+//!
+//! The event log is printed in full, one event per line. It carries
+//! only simulated time, so two runs of the same scenario print it byte
+//! for byte the same.
 //!
 //! ```text
 //! cargo run --release --example trace_export [-- --small] [--out FILE]
@@ -26,18 +29,15 @@ fn main() {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("trace_events.json"));
 
-    let mut cfg = if small {
+    let cfg = if small {
         ScenarioConfig::small()
     } else {
         ScenarioConfig::nov2015()
     };
-    cfg.trace.enabled = true;
-    cfg.trace.capacity = 65_536;
 
     eprintln!(
-        "running {} scenario with tracing (capacity {}) ...",
-        if small { "small" } else { "full Nov-2015" },
-        cfg.trace.capacity
+        "running {} scenario ...",
+        if small { "small" } else { "full Nov-2015" }
     );
     let t0 = std::time::Instant::now();
     let out = run(&cfg).expect("valid scenario");
@@ -51,19 +51,10 @@ fn main() {
     // 2. Wall-time breakdown per span path.
     println!("{}\n", out.spans.breakdown());
 
-    // 3. Structured event trace digest.
-    let trace = &out.trace;
-    println!(
-        "=== Event trace: {} events kept (capacity {}), {} dropped ===",
-        trace.events.len(),
-        trace.capacity,
-        trace.dropped_events
-    );
-    for ev in trace.events.iter().take(20) {
-        println!("  #{:<6} t={:>14}ns  {:?}", ev.seq, ev.t_nanos, ev.kind);
-    }
-    if trace.events.len() > 20 {
-        println!("  ... {} more", trace.events.len() - 20);
+    // 3. The event log, every event.
+    println!("=== Event log: {} events ===", out.trace.len());
+    for (i, ev) in out.trace.iter().enumerate() {
+        println!("  #{i:<6} t={:>14}ns  {:?}", ev.t.as_nanos(), ev.kind);
     }
     println!();
 

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Export and validate a chrome://tracing profile of the small scenario.
+# Check the small scenario's event log, then export and validate a
+# chrome://tracing profile of it.
 #
-# Runs the `trace_export` example (event trace enabled), whose
-# trace-event JSON is the run's span aggregate laid out as a flame
-# graph: one "X" event per span path. Then validates it:
+# Runs the `trace_export` example twice. The event log it prints must
+# be non-empty and byte-identical between the two runs: it carries
+# simulated time only, so it is a pure function of the scenario.
+#
+# The example's trace-event JSON is the run's span aggregate laid out
+# as a flame graph: one "X" event per span path. It is validated:
 #   1. it parses as a non-empty JSON array of objects,
 #   2. timestamps are monotonically non-decreasing (chrome://tracing
 #      requires sorted events),
@@ -18,7 +22,19 @@ cd "$(dirname "$0")/.."
 
 OUT=${1:-trace_events.json}
 
-cargo run --release -q --example trace_export -- --small --out "$OUT"
+FIRST=$(mktemp)
+SECOND=$(mktemp)
+trap 'rm -f "$FIRST" "$SECOND"' EXIT
+cargo run --release -q --example trace_export -- --small --out "$OUT" | tee "$FIRST"
+cargo run --release -q --example trace_export -- --small --out "$OUT" > "$SECOND"
+
+# The event section: from its header to the blank line closing it.
+event_log() { sed -n '/^=== Event log:/,/^$/p' "$1"; }
+n_logged=$(event_log "$FIRST" | grep -c '^  #' || true)
+[ "$n_logged" -gt 0 ] || { echo "FAIL: the event log is empty" >&2; exit 1; }
+cmp -s <(event_log "$FIRST") <(event_log "$SECOND") \
+    || { echo "FAIL: the event log differs between two runs" >&2; exit 1; }
+echo "ok: $n_logged logged events, identical across two runs"
 
 echo "validating $OUT ..."
 

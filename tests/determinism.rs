@@ -11,7 +11,8 @@
 //!
 //! Runs are compared through [`output_digest`], a bit-exact fold of
 //! everything the analysis layer consumes (floats via `to_bits`, so
-//! "close" is not enough).
+//! "close" is not enough), and through their event logs, which carry
+//! simulated time only and so must match event for event.
 
 use rootcast::analysis::raster;
 use rootcast::engine::{drive, subsystems, SimWorld};
@@ -33,7 +34,8 @@ const FAULTED_SMALL_GOLDEN: u64 = 0x0f778598c082d8ec;
 fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     let cfg = ScenarioConfig::small();
 
-    let first = output_digest(&run(&cfg).expect("valid scenario"));
+    let pooled = run(&cfg).expect("valid scenario");
+    let first = output_digest(&pooled);
     assert_eq!(
         first, SMALL_GOLDEN,
         "small() output moved: {first:#018x} vs golden {SMALL_GOLDEN:#018x}"
@@ -41,16 +43,50 @@ fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical runs diverged");
 
-    let single = rayon::ThreadPoolBuilder::new()
+    let single = single_threaded(|| run(&cfg).expect("valid scenario"));
+    assert_eq!(
+        first,
+        output_digest(&single),
+        "single-thread run diverged from the default pool"
+    );
+    assert!(
+        pooled.trace == single.trace,
+        "single-thread event log diverged from the default pool"
+    );
+    let (n, digest) = event_log_digest(&pooled);
+    assert_eq!(
+        (n, digest),
+        SMALL_EVENT_LOG_GOLDEN,
+        "small() event log moved: {n} events, {digest:#018x}"
+    );
+}
+
+/// Run `f` on a one-thread rayon pool.
+fn single_threaded<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("single-thread pool")
-        .install(|| output_digest(&run(&cfg).expect("valid scenario")));
-    assert_eq!(
-        first, single,
-        "single-thread run diverged from the default pool"
-    );
+        .install(f)
 }
+
+/// FNV-1a over the event log: per event, its simulated time in
+/// nanoseconds, then the `Debug` form of its kind. Returns the event
+/// count alongside.
+fn event_log_digest(out: &SimOutput) -> (usize, u64) {
+    let mut h = Fnv1a::new();
+    for e in &out.trace {
+        h.write_u64(e.t.as_nanos());
+        h.write(format!("{:?}", e.kind).as_bytes());
+    }
+    (out.trace.len(), h.finish())
+}
+
+/// [`event_log_digest`] of `small()`.
+const SMALL_EVENT_LOG_GOLDEN: (usize, u64) = (242, 0x2f10416f8f2c734c);
+
+/// [`event_log_digest`] of [`faulted_small`].
+const FAULTED_SMALL_EVENT_LOG_GOLDEN: (usize, u64) = (256, 0xdbf8b95064291c37);
 
 /// FNV-1a of `small()`'s Figure 11 (K, LHR/FRA starts, 300 VPs): the
 /// full ASCII raster followed by the cohort table. `output_digest` skips
@@ -131,7 +167,7 @@ fn cached_kernels_are_bit_identical_to_reference_kernels() {
 
 /// Drive `cfg` through `sim::run`'s subsystem list over a world
 /// observed by [`NoopInstrumentation`] instead of the span recorder.
-fn digest_unobserved(cfg: &ScenarioConfig) -> u64 {
+fn run_unobserved(cfg: &ScenarioConfig) -> SimOutput {
     let rng = SimRng::new(cfg.seed);
     let substrate = Substrate::build(cfg);
     let mut obs = NoopInstrumentation;
@@ -144,60 +180,47 @@ fn digest_unobserved(cfg: &ScenarioConfig) -> u64 {
         out.spans.stats().is_empty(),
         "a no-op observer records no spans"
     );
-    output_digest(&out)
+    out
 }
 
 #[test]
 fn tracing_is_a_pure_observer() {
-    // The observability layer must never change outputs: a run with the
-    // event trace enabled is bit-identical (in everything the analysis
-    // layer consumes) to the same scenario with tracing disabled, and
-    // the span recorder every `run` installs is bit-identical to a world
-    // driven with no observer at all. Only the trace/span artifacts may
-    // differ.
+    // The observability layer must never change outputs: the span
+    // recorder every `run` installs is bit-identical to a world driven
+    // with no observer at all, in everything the analysis layer
+    // consumes and in the event log. Only the span artifacts may differ.
     let cfg = ScenarioConfig::small();
-    let dark = run(&cfg).expect("valid scenario");
-    assert!(!dark.trace.enabled, "trace is off by default");
-    assert!(dark.trace.events.is_empty(), "disabled trace stays empty");
-
-    let mut traced_cfg = cfg.clone();
-    traced_cfg.trace.enabled = true;
-    traced_cfg.trace.capacity = 16_384;
-    let traced = run(&traced_cfg).expect("valid scenario");
-    assert!(traced.trace.enabled);
+    let recorded = run(&cfg).expect("valid scenario");
     assert!(
-        !traced.trace.events.is_empty(),
+        !recorded.trace.is_empty(),
         "the small scenario produces policy transitions and epoch bumps"
     );
+    let unobserved = run_unobserved(&cfg);
     assert_eq!(
-        output_digest(&dark),
-        output_digest(&traced),
-        "enabling the event trace changed simulation output"
-    );
-
-    assert_eq!(
-        output_digest(&dark),
-        digest_unobserved(&cfg),
+        output_digest(&recorded),
+        output_digest(&unobserved),
         "the span recorder changed simulation output"
+    );
+    assert!(
+        recorded.trace == unobserved.trace,
+        "the span recorder changed the event log"
     );
 
     // Metrics are also observation-only and identical either way.
     assert_eq!(
-        dark.metrics.counter("fluid.windows"),
-        traced.metrics.counter("fluid.windows")
+        recorded.metrics.counter("fluid.windows"),
+        unobserved.metrics.counter("fluid.windows")
     );
     assert_eq!(
-        dark.metrics.counter("fluid.policy_transitions"),
-        traced.metrics.counter("fluid.policy_transitions")
+        recorded.metrics.counter("fluid.policy_transitions"),
+        unobserved.metrics.counter("fluid.policy_transitions")
     );
 
-    // Only lettered services transition: the trace records lettered
+    // Only lettered services transition: the log records lettered
     // transitions only, the counter every service, and they agree
     // (`.nl` absorbs and never withdraws).
-    assert_eq!(traced.trace.dropped_events, 0);
-    let lettered: usize = traced
+    let lettered: usize = recorded
         .trace
-        .events
         .iter()
         .map(|e| match e.kind {
             TraceEventKind::PolicyTransition { changes, .. } => changes,
@@ -207,7 +230,7 @@ fn tracing_is_a_pure_observer() {
     assert!(lettered > 0, "the small scenario withdraws sites");
     assert_eq!(
         Some(lettered as u64),
-        traced.metrics.counter("fluid.policy_transitions")
+        recorded.metrics.counter("fluid.policy_transitions")
     );
 }
 
@@ -225,11 +248,16 @@ fn shared_substrate_runs_are_bit_identical_to_standalone_runs() {
 
     let substrate = Substrate::build(&base);
     for cfg in [&base, &variant] {
-        let shared = output_digest(&run_with_substrate(cfg, &substrate).expect("valid scenario"));
-        let standalone = output_digest(&run(cfg).expect("valid scenario"));
+        let shared = run_with_substrate(cfg, &substrate).expect("valid scenario");
+        let standalone = run(cfg).expect("valid scenario");
         assert_eq!(
-            shared, standalone,
+            output_digest(&shared),
+            output_digest(&standalone),
             "substrate sharing changed simulation output"
+        );
+        assert!(
+            shared.trace == standalone.trace,
+            "substrate sharing changed the event log"
         );
     }
 }
@@ -296,15 +324,21 @@ fn fault_runs_are_bit_identical_across_thread_counts() {
     let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical fault runs diverged");
 
-    let single = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("single-thread pool")
-        .install(|| run(&cfg).expect("valid scenario"));
+    let single = single_threaded(|| run(&cfg).expect("valid scenario"));
     assert_eq!(
         first,
         output_digest(&single),
         "single-thread fault run diverged from the default pool"
+    );
+    assert!(
+        pooled.trace == single.trace,
+        "single-thread fault run's event log diverged from the default pool"
+    );
+    let (n, digest) = event_log_digest(&pooled);
+    assert_eq!(
+        (n, digest),
+        FAULTED_SMALL_EVENT_LOG_GOLDEN,
+        "faulted small() event log moved: {n} events, {digest:#018x}"
     );
     // The digest folds only the success series; the dropout and
     // firmware faults also reach coverage, flips, RTTs and watches

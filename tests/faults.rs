@@ -1,5 +1,5 @@
 //! Fault-injection acceptance: a scenario with a non-empty `FaultPlan`
-//! runs to completion, the fault ledger lists every injected fault, the
+//! runs to completion, the event log lists every injected fault, the
 //! affected letters degrade to partial results annotated with coverage,
 //! and everything the faults did not touch stays bit-identical to the
 //! fault-free run.
@@ -11,7 +11,7 @@
 use rootcast::analysis::{event_size, reachability};
 use rootcast::{
     output_digest, run, run_sweep, ConfigPatch, FaultKind, FaultPlan, Letter, ScenarioConfig,
-    SimDuration, SimOutput, SimTime, SweepPlan, SweepRun,
+    SimDuration, SimOutput, SimTime, SweepPlan, SweepRun, TraceEventKind,
 };
 use rootcast_attack::{AttackSchedule, AttackWindow};
 
@@ -73,6 +73,23 @@ fn runs() -> &'static (SimOutput, SimOutput) {
     })
 }
 
+/// The run's fault ledger: its logged fault transitions, in order, as
+/// (instant, injection?, description).
+fn fault_events(out: &SimOutput) -> Vec<(SimTime, bool, &str)> {
+    out.trace
+        .iter()
+        .filter_map(|e| match &e.kind {
+            TraceEventKind::FaultInjected { description } => {
+                Some((e.t, true, description.as_str()))
+            }
+            TraceEventKind::FaultRecovered { description } => {
+                Some((e.t, false, description.as_str()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
@@ -80,22 +97,28 @@ fn bits(values: &[f64]) -> Vec<u64> {
 #[test]
 fn fault_ledger_lists_every_fault() {
     let (_, faulted) = runs();
-    let ledger = &faulted.faults;
+    let ledger = fault_events(faulted);
     assert_eq!(ledger.len(), 6, "3 injections + 3 recoveries: {ledger:?}");
     for needle in [
         "site-crash B/LAX",
         "rssac-gap H",
         "probe-dropout 50% towards E",
     ] {
-        let hits = ledger
-            .iter()
-            .filter(|f| f.description.contains(needle))
-            .count();
-        assert_eq!(hits, 2, "{needle}: inject + recover expected, {hits} found");
+        let inject = |injected: bool| {
+            ledger
+                .iter()
+                .filter(|&&(_, i, d)| i == injected && d.contains(needle))
+                .count()
+        };
+        assert_eq!(
+            (inject(true), inject(false)),
+            (1, 1),
+            "{needle}: one inject and one recover expected"
+        );
     }
     // The ledger is in injection-time order.
     for pair in ledger.windows(2) {
-        assert!(pair[0].at <= pair[1].at, "ledger out of order: {ledger:?}");
+        assert!(pair[0].0 <= pair[1].0, "ledger out of order: {ledger:?}");
     }
 }
 
@@ -105,10 +128,10 @@ fn fault_ledger_matches_injection_and_recovery_counters() {
     let count = |out: &SimOutput, name: &str| out.metrics.counter(name).expect(name);
     assert_eq!(count(faulted, "faults.injections"), 3);
     assert_eq!(
-        faulted.faults.len() as u64,
+        fault_events(faulted).len() as u64,
         count(faulted, "faults.injections") + count(faulted, "faults.recoveries")
     );
-    assert!(clean.faults.is_empty());
+    assert!(fault_events(clean).is_empty());
     assert_eq!(count(clean, "faults.injections"), 0);
 }
 
@@ -139,7 +162,7 @@ fn sweep_headline_reads_the_registry_and_the_ledger() {
         Some(h.policy_transitions),
         faulted.metrics.counter("fluid.policy_transitions")
     );
-    assert_eq!(h.faults_injected, faulted.faults.len() as u64);
+    assert_eq!(h.faults_injected, fault_events(faulted).len() as u64);
     assert_eq!(h.faults_injected, 6);
 }
 
