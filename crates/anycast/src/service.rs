@@ -14,6 +14,7 @@ use rootcast_bgp::{compute_rib_scoped_into, Origin, Rib, RibScratch};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
 use rootcast_topology::{AsGraph, AsId};
+use std::sync::Arc;
 
 /// Base server processing time added to every successful reply.
 const SERVER_PROCESSING: SimDuration = SimDuration::from_micros(500);
@@ -89,8 +90,9 @@ impl ProbeRoute {
 /// One anycast deployment.
 #[derive(Debug, Clone)]
 pub struct AnycastService {
-    /// Human-readable name (`"K-root"`, `".nl anycast"`).
-    pub name: String,
+    /// Human-readable name (`"K-root"`, `".nl anycast"`), shared with
+    /// every event the run logs for the service.
+    pub name: Arc<str>,
     /// The root letter, if this service is one.
     pub letter: Option<Letter>,
     sites: Vec<SiteState>,
@@ -202,7 +204,7 @@ impl AnycastService {
             .map(|i| graph.access_delay(rootcast_topology::AsId(i)))
             .collect();
         AnycastService {
-            name: name.to_string(),
+            name: name.into(),
             letter,
             sites,
             origins,

@@ -111,12 +111,6 @@ impl SiteSpec {
         self
     }
 
-    pub fn with_servers(mut self, n: u16) -> SiteSpec {
-        assert!(n >= 1);
-        self.n_servers = n;
-        self
-    }
-
     pub fn with_lb_mode(mut self, m: LoadBalancerMode) -> SiteSpec {
         self.lb_mode = m;
         self
@@ -307,14 +301,12 @@ mod tests {
     #[test]
     fn builder_sets_fields() {
         let s = spec()
-            .with_servers(5)
             .with_prepend(3)
             .with_scope(Scope::Local)
             .with_facility(FacilityId(2))
             .with_buffer(10.0)
             .with_lb_mode(LoadBalancerMode::FailoverConcentrate)
             .with_policy(StressPolicy::withdraw_sticky());
-        assert_eq!(s.n_servers, 5);
         assert_eq!(s.prepend, 3);
         assert_eq!(s.scope, Scope::Local);
         assert_eq!(s.facility, Some(FacilityId(2)));

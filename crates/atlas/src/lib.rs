@@ -15,6 +15,10 @@
 //! * [`pipeline`] — streaming 10-minute binning with the site > error >
 //!   timeout preference, producing the aggregates behind Figures 3–8 and
 //!   10–14 without materializing ~90 M raw measurements.
+//!
+//! The paper's measurement design is fixed, so its numbers are constants
+//! here, not knobs: [`PROBE_INTERVAL`] (4 min), [`A_PROBE_INTERVAL`]
+//! (30 min) and [`BIN_WIDTH`] (10 min).
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +30,11 @@ pub mod vp;
 pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
 pub use pipeline::{
     raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
-    PipelineError, ProbeOutcomeStats, Raster, RecordSlot, ServerWatch,
+    PipelineError, ProbeOutcomeStats, Raster, RecordSlot, ServerWatch, BIN_WIDTH,
 };
 pub use probe::{
     execute_probe, execute_probe_fused, IndexedView, ProbeFlags, RawMeasurement, RawOutcome,
-    TargetView, ATLAS_TIMEOUT, UNJITTERED_SITE_BOUND, UNMEASURED_RTT,
+    TargetView, ATLAS_TIMEOUT, A_PROBE_INTERVAL, PROBE_INTERVAL, UNJITTERED_SITE_BOUND,
+    UNMEASURED_RTT,
 };
 pub use vp::{FleetParams, VantagePoint, VpFleet, VpId, MIN_FIRMWARE};

@@ -19,7 +19,7 @@
 //!   granularity for Figures 10 and 11.
 
 use crate::clean::{CleanObs, FastObs};
-use crate::probe::UNMEASURED_RTT;
+use crate::probe::{PROBE_INTERVAL, UNMEASURED_RTT};
 use crate::vp::VpId;
 use rootcast_dns::Letter;
 use rootcast_netsim::{BinnedSeries, Coverage, Reduce, SampleBins, SimDuration, SimTime};
@@ -72,11 +72,13 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
+/// Bin width of every aggregate (§2.4.1: ten-minute bins). Part of the
+/// paper's fixed measurement design, so not a knob.
+pub const BIN_WIDTH: SimDuration = SimDuration::from_mins(10);
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Bin width for all aggregates (paper: 10 minutes).
-    pub bin: SimDuration,
     /// Analysis horizon; observations beyond it are dropped.
     pub horizon: SimTime,
     /// Keep RTT samples from one VP in `rtt_subsample` (memory bound;
@@ -86,16 +88,13 @@ pub struct PipelineConfig {
     pub watched_sites: Vec<(Letter, String)>,
     /// Letters with full per-probe site timelines (Figures 10/11).
     pub raster_letters: Vec<Letter>,
-    /// Probe spacing used to index raster timelines.
-    pub probe_interval: SimDuration,
 }
 
 impl PipelineConfig {
-    /// The paper's parameters: 10-minute bins over 48 hours, raster for
-    /// K-root, per-server watches on K-FRA and K-NRT.
+    /// The paper's parameters: 48 hours, raster for K-root, per-server
+    /// watches on K-FRA, K-NRT and K-AMS.
     pub fn paper_default() -> PipelineConfig {
         PipelineConfig {
-            bin: SimDuration::from_mins(10),
             horizon: SimTime::from_hours(48),
             rtt_subsample: 8,
             watched_sites: vec![
@@ -104,19 +103,18 @@ impl PipelineConfig {
                 (Letter::K, "AMS".to_string()),
             ],
             raster_letters: vec![Letter::K],
-            probe_interval: SimDuration::from_mins(4),
         }
     }
 
     fn n_bins(&self) -> usize {
-        (self.horizon.as_nanos() / self.bin.as_nanos()) as usize
+        (self.horizon.as_nanos() / BIN_WIDTH.as_nanos()) as usize
     }
+}
 
-    /// Probe slots on the raster grid: whole probe intervals within the
-    /// horizon.
-    fn n_probes(&self) -> usize {
-        (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize
-    }
+/// Probe slots on the raster grid up to `horizon`: whole
+/// [`PROBE_INTERVAL`]s.
+fn n_probes(horizon: SimTime) -> usize {
+    (horizon.as_nanos() / PROBE_INTERVAL.as_nanos()) as usize
 }
 
 /// Raster cell codes (per-probe site timeline).
@@ -334,7 +332,6 @@ pub struct LetterShard {
     state: Vec<VpLetterState>,
     outcomes: ProbeOutcomeStats,
     horizon: SimTime,
-    probe_interval: SimDuration,
     rtt_subsample: RttSubsample,
 }
 
@@ -398,11 +395,10 @@ impl LetterShard {
         if at >= self.horizon {
             return None;
         }
-        let probe_seq = (at.as_nanos() / self.probe_interval.as_nanos()) as usize;
-        let n_probes = (self.horizon.as_nanos() / self.probe_interval.as_nanos()) as usize;
+        let probe_seq = (at.as_nanos() / PROBE_INTERVAL.as_nanos()) as usize;
         Some(RecordSlot {
-            bin: at.bin_index(self.data.success.bin_width()) as u32,
-            raster_seq: (probe_seq < n_probes).then_some(probe_seq),
+            bin: at.bin_index(BIN_WIDTH) as u32,
+            raster_seq: (probe_seq < n_probes(self.horizon)).then_some(probe_seq),
         })
     }
 
@@ -572,7 +568,6 @@ pub struct MeasurementPipeline {
 impl MeasurementPipeline {
     pub fn new(cfg: PipelineConfig, n_vps: usize) -> MeasurementPipeline {
         assert!(n_vps > 0);
-        assert!(!cfg.bin.is_zero());
         MeasurementPipeline {
             cfg,
             n_vps,
@@ -627,7 +622,6 @@ impl MeasurementPipeline {
             return Err(PipelineError::ZeroRttSubsample);
         }
         let n_bins = self.cfg.n_bins();
-        let bin = self.cfg.bin;
         let site_codes: Vec<String> = site_codes.iter().map(|c| c.to_ascii_uppercase()).collect();
         let watches: BTreeMap<u16, ServerWatch> = self
             .cfg
@@ -644,28 +638,28 @@ impl MeasurementPipeline {
                             ServerWatch {
                                 counts: BTreeMap::new(),
                                 rtts: BTreeMap::new(),
-                                site_rtt: SampleBins::new(bin, n_bins),
+                                site_rtt: SampleBins::new(BIN_WIDTH, n_bins),
                             },
                         )
                     })
             })
             .collect();
-        let raster = rastered.then(|| Raster::new(self.cfg.n_probes(), self.n_vps));
+        let raster = rastered.then(|| Raster::new(n_probes(self.cfg.horizon), self.n_vps));
         let rtt_subsample = RttSubsample::new(self.cfg.rtt_subsample, self.n_vps);
         let data = LetterData {
             letter,
             site_counts: site_codes
                 .iter()
-                .map(|_| BinnedSeries::zeros(bin, n_bins))
+                .map(|_| BinnedSeries::zeros(BIN_WIDTH, n_bins))
                 .collect(),
             site_codes,
-            success: BinnedSeries::zeros(bin, n_bins),
-            errors: BinnedSeries::zeros(bin, n_bins),
+            success: BinnedSeries::zeros(BIN_WIDTH, n_bins),
+            errors: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             // Reserved here, on the engine thread, to the most a bin can
             // hold: grown by a probe task, every bin would live in that
             // worker thread's malloc arena for the rest of the run.
-            rtt: SampleBins::with_bin_capacity(bin, n_bins, rtt_subsample.per_bin),
-            flips: BinnedSeries::zeros(bin, n_bins),
+            rtt: SampleBins::with_bin_capacity(BIN_WIDTH, n_bins, rtt_subsample.per_bin),
+            flips: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             flip_events: Vec::new(),
             watches,
             raster,
@@ -677,7 +671,6 @@ impl MeasurementPipeline {
             state: vec![VpLetterState::default(); self.n_vps],
             outcomes: ProbeOutcomeStats::default(),
             horizon: self.cfg.horizon,
-            probe_interval: self.cfg.probe_interval,
             rtt_subsample,
         });
         Ok(())
@@ -774,12 +767,10 @@ mod tests {
 
     fn cfg() -> PipelineConfig {
         PipelineConfig {
-            bin: SimDuration::from_mins(10),
             horizon: SimTime::from_hours(1),
             rtt_subsample: 1,
             watched_sites: vec![(Letter::K, "FRA".into())],
             raster_letters: vec![Letter::K],
-            probe_interval: SimDuration::from_mins(4),
         }
     }
 

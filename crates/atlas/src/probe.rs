@@ -18,6 +18,13 @@ use rootcast_netsim::{SimDuration, SimTime};
 /// The Atlas query timeout: replies slower than this count as lost.
 pub const ATLAS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
+/// How often each VP probes every letter but A (§2.4.1: every 4 min).
+/// Part of the paper's fixed measurement design, so not a knob.
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_mins(4);
+
+/// How often each VP probed A-root at event time (§2.4.1: every 30 min).
+pub const A_PROBE_INTERVAL: SimDuration = SimDuration::from_mins(30);
+
 /// What a probe toward a service would experience from a given AS.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetView {

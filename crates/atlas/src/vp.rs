@@ -169,20 +169,6 @@ impl VpFleet {
     pub fn iter(&self) -> impl Iterator<Item = &VantagePoint> {
         self.vps.iter()
     }
-
-    /// Count of VPs in each region (diagnostics / bias checks).
-    pub fn region_counts(&self, graph: &AsGraph) -> Vec<(Region, usize)> {
-        let mut counts: Vec<(Region, usize)> = Region::ALL.iter().map(|&r| (r, 0usize)).collect();
-        for vp in &self.vps {
-            let r = city(graph.node(vp.asn).city).region;
-            let slot = counts
-                .iter_mut()
-                .find(|(region, _)| *region == r)
-                .expect("region in ALL");
-            slot.1 += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +192,10 @@ mod tests {
     #[test]
     fn europe_dominates() {
         let (g, f) = fleet(2000, 2);
-        let counts = f.region_counts(&g);
-        let europe = counts.iter().find(|(r, _)| *r == Region::Europe).unwrap().1;
+        let europe = f
+            .iter()
+            .filter(|vp| city(g.node(vp.asn).city).region == Region::Europe)
+            .count();
         let frac = europe as f64 / f.len() as f64;
         assert!(frac > 0.5, "europe fraction {frac}");
     }

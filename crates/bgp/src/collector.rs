@@ -133,11 +133,6 @@ impl RouteCollector {
         }
     }
 
-    /// Is the feed currently dark?
-    pub fn is_dark(&self) -> bool {
-        self.dark_since.is_some()
-    }
-
     /// Observation coverage over `[0, horizon)`: the fraction of wall
     /// time the feed was recording. An open blackout extends to the
     /// horizon.
@@ -272,12 +267,13 @@ mod tests {
         let mut c = RouteCollector::new(stubs[2..12].to_vec());
         c.prime(&before);
         c.set_dark(SimTime::from_mins(5), true);
-        assert!(c.is_dark());
+        // An open blackout extends to the horizon.
+        let open = c.coverage(SimTime::from_mins(10));
+        assert!((open.fraction() - 0.5).abs() < 1e-9);
         // Changes during the blackout update state but log nothing.
         c.observe(SimTime::from_mins(10), &after);
         assert!(c.log().is_empty());
         c.set_dark(SimTime::from_mins(20), false);
-        assert!(!c.is_dark());
         // Re-observing the same table after the blackout stays quiet:
         // the dark observation already absorbed the diff.
         assert_eq!(c.observe(SimTime::from_mins(21), &after), 0);

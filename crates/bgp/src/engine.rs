@@ -53,11 +53,6 @@ impl Rib {
         self.route(asn).map(|r| r.origin)
     }
 
-    /// One-way latency from `asn` to its chosen site.
-    pub fn latency_of(&self, asn: AsId) -> Option<SimDuration> {
-        self.route(asn).map(|r| r.latency)
-    }
-
     /// Number of ASes with any route.
     pub fn reachable_count(&self) -> usize {
         self.entries.iter().flatten().count()
@@ -600,14 +595,17 @@ mod tests {
         let origins = [global(ids[5])];
         let rib = compute_rib_scoped(&g, &origins, &[true]);
         // The origin host has zero latency; everyone else positive.
-        assert_eq!(rib.latency_of(ids[5]), Some(SimDuration::ZERO));
+        assert_eq!(
+            rib.route(ids[5]).map(|r| r.latency),
+            Some(SimDuration::ZERO)
+        );
         for (asn, r) in rib.iter() {
             if asn != ids[5] {
                 assert!(r.latency > SimDuration::ZERO, "AS {asn} latency zero");
             }
         }
         // A two-hop path has at least two hop overheads.
-        let s4 = rib.latency_of(ids[8]).unwrap();
+        let s4 = rib.route(ids[8]).unwrap().latency;
         assert!(s4 >= HOP_OVERHEAD * 2);
     }
 

@@ -11,7 +11,7 @@
 use crate::error::{AnalysisError, RootcastError};
 use crate::render::TextTable;
 use crate::sim::SimOutput;
-use rootcast_atlas::raster_code;
+use rootcast_atlas::{raster_code, PROBE_INTERVAL};
 use rootcast_dns::Letter;
 
 /// One VP's timeline.
@@ -94,7 +94,7 @@ pub fn figure11(
             cells: raster.row(vp),
         });
     }
-    let probe_ns = out.pipeline.config().probe_interval.as_nanos();
+    let probe_ns = PROBE_INTERVAL.as_nanos();
     let (e_start, e_end) = out
         .attack
         .windows()

@@ -6,6 +6,7 @@
 use crate::analysis::{min_during_events, pre_event_baseline};
 use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
+use rootcast_atlas::A_PROBE_INTERVAL;
 use rootcast_dns::Letter;
 use rootcast_netsim::stats::{linear_regression, Regression};
 use rootcast_netsim::{BinnedSeries, Coverage};
@@ -61,7 +62,7 @@ pub fn figure3(out: &SimOutput) -> Figure3 {
         // bin, as it does post-2016.)
         let scale = if letter == Letter::A {
             let bin = data.success.bin_width().as_secs_f64();
-            (out.a_probe_interval.as_secs_f64() / bin).max(1.0)
+            (A_PROBE_INTERVAL.as_secs_f64() / bin).max(1.0)
         } else {
             1.0
         };

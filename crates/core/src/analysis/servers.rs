@@ -7,7 +7,7 @@
 //! loaded than its siblings. Measurement studies must therefore observe
 //! *all* servers of a site.
 
-use crate::analysis::{event_windows, pre_event_baseline};
+use crate::analysis::event_windows;
 use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
@@ -77,15 +77,6 @@ impl ServerPanel {
             })
             .collect()
     }
-
-    /// Servers answering before the first event (the healthy set).
-    pub fn responding_baseline(&self, out: &SimOutput) -> Vec<u16> {
-        self.counts
-            .iter()
-            .filter(|(_, series)| pre_event_baseline(out, series) > 0.0)
-            .map(|(&srv, _)| srv)
-            .collect()
-    }
 }
 
 impl Figures12And13 {
@@ -127,13 +118,24 @@ impl Figures12And13 {
 mod tests {
     use super::*;
     use crate::analysis::fixture::smoke;
+    use crate::analysis::pre_event_baseline;
+
+    /// Servers answering before the first event (the healthy set).
+    fn responding_baseline(panel: &ServerPanel, out: &SimOutput) -> Vec<u16> {
+        panel
+            .counts
+            .iter()
+            .filter(|(_, series)| pre_event_baseline(out, series) > 0.0)
+            .map(|(&srv, _)| srv)
+            .collect()
+    }
 
     #[test]
     fn k_fra_concentrates_to_one_server() {
         let out = smoke();
         let figs = figures12_13(out);
         let fra = figs.site(Letter::K, "FRA").expect("K-FRA watched");
-        let healthy = fra.responding_baseline(out);
+        let healthy = responding_baseline(fra, out);
         assert!(healthy.len() >= 2, "baseline servers {healthy:?}");
         let during = fra.responding_during_events(out);
         // In the (single) event the responding set shrinks to one
@@ -151,7 +153,7 @@ mod tests {
         let out = smoke();
         let figs = figures12_13(out);
         let nrt = figs.site(Letter::K, "NRT").expect("K-NRT watched");
-        let healthy = nrt.responding_baseline(out);
+        let healthy = responding_baseline(nrt, out);
         let during = nrt.responding_during_events(out);
         // SharedLink mode: nobody disappears entirely.
         assert_eq!(

@@ -112,17 +112,11 @@ pub struct ScenarioConfig {
     pub horizon: SimTime,
     /// Fluid model step; must divide the probe wheel minute.
     pub fluid_step: SimDuration,
-    /// Probe interval for every letter except A.
-    pub probe_interval: SimDuration,
-    /// A-root's (slower) probe interval at event time.
-    pub a_probe_interval: SimDuration,
     /// Total legitimate root-query load across all letters, q/s.
     pub legit_total_qps: f64,
     /// Resolver preference refresh period.
     pub resolver_update: SimDuration,
     pub pipeline: PipelineConfig,
-    /// Number of BGPmon-style collector peers (paper: 152).
-    pub n_collector_peers: usize,
     /// Capacity of each shared facility link, q/s: (facility, capacity).
     pub facility_capacities: Vec<(rootcast_anycast::FacilityId, f64)>,
     /// Mean time between background maintenance withdrawals (route
@@ -130,8 +124,6 @@ pub struct ScenarioConfig {
     pub maintenance_mean: Option<SimDuration>,
     /// Include the .nl collateral-damage service.
     pub include_nl: bool,
-    /// Legitimate .nl query load, q/s (both anycast sites combined).
-    pub nl_qps: f64,
     /// Scheduled fault injection (empty by default: no faults, and the
     /// run is bit-identical to one without the injector subsystem).
     pub faults: FaultPlan,
@@ -161,12 +153,9 @@ impl ScenarioConfig {
             attack: AttackSchedule::nov2015(5_000_000.0),
             horizon: SimTime::from_hours(48),
             fluid_step: SimDuration::from_mins(1),
-            probe_interval: SimDuration::from_mins(4),
-            a_probe_interval: SimDuration::from_mins(30),
             legit_total_qps: DEFAULT_LEGIT_TOTAL_QPS,
             resolver_update: SimDuration::from_mins(10),
             pipeline: PipelineConfig::paper_default(),
-            n_collector_peers: 152,
             facility_capacities: vec![
                 // Tuned against the canonical seed's attack exposure so
                 // the Frankfurt link saturates once K-LHR's catchment
@@ -177,7 +166,6 @@ impl ScenarioConfig {
             ],
             maintenance_mean: Some(SimDuration::from_mins(90)),
             include_nl: true,
-            nl_qps: 80_000.0,
             faults: FaultPlan::none(),
             site_overrides: Vec::new(),
             reference_kernels: false,
@@ -234,19 +222,12 @@ impl ScenarioConfig {
         if self.horizon <= SimTime::ZERO {
             return Err(ConfigError::BadTiming("horizon must be positive".into()));
         }
-        // The Atlas pipeline bins over its own copy of the horizon and
-        // indexes rasters on its own copy of the probe interval; a stale
-        // copy would silently misalign them with the rest of the run.
+        // The Atlas pipeline bins over its own copy of the horizon; a
+        // stale copy would silently misalign it with the rest of the run.
         if self.pipeline.horizon != self.horizon {
             return Err(ConfigError::BadTiming(format!(
                 "pipeline.horizon {} must equal horizon {}",
                 self.pipeline.horizon, self.horizon
-            )));
-        }
-        if self.pipeline.probe_interval != self.probe_interval {
-            return Err(ConfigError::BadTiming(format!(
-                "pipeline.probe_interval {} must equal probe_interval {}",
-                self.pipeline.probe_interval, self.probe_interval
             )));
         }
         if self.fluid_step.is_zero()
@@ -259,16 +240,6 @@ impl ScenarioConfig {
                 self.fluid_step
             )));
         }
-        for (name, iv) in [
-            ("probe_interval", self.probe_interval),
-            ("a_probe_interval", self.a_probe_interval),
-        ] {
-            if iv.is_zero() || iv.as_secs() % 60 != 0 {
-                return Err(ConfigError::BadTiming(format!(
-                    "{name} must be a positive whole number of minutes, got {iv:?}"
-                )));
-            }
-        }
         if self.maintenance_mean.is_some_and(|m| m.is_zero()) {
             return Err(ConfigError::BadTiming(
                 "maintenance_mean must be positive (None disables churn)".into(),
@@ -279,23 +250,14 @@ impl ScenarioConfig {
                 "resolver_update must be positive".into(),
             ));
         }
-        if self.pipeline.bin.is_zero() {
-            return Err(ConfigError::BadTiming(
-                "pipeline.bin must be positive".into(),
-            ));
-        }
         if self.pipeline.rtt_subsample == 0 {
             return Err(ConfigError::BadPipeline(PipelineError::ZeroRttSubsample));
         }
-        for (name, rate) in [
-            ("legit_total_qps", self.legit_total_qps),
-            ("nl_qps", self.nl_qps),
-        ] {
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(ConfigError::BadRate(format!(
-                    "{name} must be finite and non-negative, got {rate}"
-                )));
-            }
+        let rate = self.legit_total_qps;
+        if !rate.is_finite() || rate < 0.0 {
+            return Err(ConfigError::BadRate(format!(
+                "legit_total_qps must be finite and non-negative, got {rate}"
+            )));
         }
         let mut seen = Vec::new();
         for &(fid, cap) in &self.facility_capacities {
@@ -422,18 +384,21 @@ mod tests {
         cfg.horizon = SimTime::ZERO;
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
 
-        let mut cfg = ScenarioConfig::small();
-        cfg.probe_interval = SimDuration::from_secs(90);
-        assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
-
-        // The pipeline's copies of the horizon and the probe interval
-        // must match the scenario's.
+        // The pipeline's copy of the horizon must match the scenario's.
         let mut cfg = ScenarioConfig::small();
         cfg.horizon = SimTime::from_hours(6);
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
 
+        // A fluid step that is zero or does not divide the probe wheel's
+        // minute, or a zero resolver period, would schedule a wakeup
+        // that never advances.
+        for step in [SimDuration::ZERO, SimDuration::from_secs(7)] {
+            let mut cfg = ScenarioConfig::small();
+            cfg.fluid_step = step;
+            assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
+        }
         let mut cfg = ScenarioConfig::small();
-        cfg.probe_interval = SimDuration::from_mins(8);
+        cfg.resolver_update = SimDuration::ZERO;
         assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
 
         // A zero churn mean would reschedule maintenance at the same

@@ -217,11 +217,6 @@ impl FaultState {
     pub fn has_probe_faults(&self) -> bool {
         !self.probe_faults.is_empty()
     }
-
-    /// True when any fault is currently active.
-    pub fn any_active(&self) -> bool {
-        !self.rssac_factor.is_empty() || !self.probe_faults.is_empty()
-    }
 }
 
 /// The fault-injection subsystem. Always seeded last, so same-instant
@@ -521,7 +516,7 @@ mod tests {
                 );
             }
             assert!(!dark.is_empty());
-            (dark, world.faults.any_active())
+            (dark, world.faults.has_probe_faults())
         };
         let (a, active) = run_wave();
         let (b, _) = run_wave();
@@ -557,6 +552,7 @@ mod tests {
         assert_eq!(world.faults.rssac_factor(Letter::K), Some(0.5));
         assert_eq!(world.faults.rssac_factor(Letter::A), None);
         inj.tick(&mut world, SimTime::from_mins(5));
-        assert!(!world.faults.any_active());
+        assert_eq!(world.faults.rssac_factor(Letter::H), None);
+        assert_eq!(world.faults.rssac_factor(Letter::K), None);
     }
 }

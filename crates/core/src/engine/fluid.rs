@@ -8,12 +8,14 @@
 //! [`FluidScratch`](crate::engine::FluidScratch) for the accounting
 //! subsystem ticking at the same instant.
 
+use crate::deployment::NL_QPS;
 use crate::engine::metrics::keys;
 use crate::engine::trace::{TraceEvent, TraceEventKind};
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
 use rootcast_anycast::CatchmentIndex;
 use rootcast_netsim::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// The fluid-model subsystem. Carries its cadence plus the per-service
 /// catchment indices and scratch buffers the cached tick reuses; the
@@ -40,7 +42,15 @@ pub struct FluidTraffic {
     /// Per-service, per-site saturation flags from the previous window
     /// (a site is saturated while it drops at the facility or queue),
     /// for onset/clear edge detection.
-    saturated: Vec<Vec<bool>>,
+    saturated: Vec<Vec<SiteEdge>>,
+}
+
+/// One site's saturation flag from the previous window, and its code,
+/// shared by every onset and clear event logged for the site.
+#[derive(Debug)]
+struct SiteEdge {
+    code: Arc<str>,
+    saturated: bool,
 }
 
 impl FluidTraffic {
@@ -106,7 +116,7 @@ impl Subsystem for FluidTraffic {
                         let sum: Vec<f64> = atk.iter().zip(&leg).map(|(a, b)| a + b).collect();
                         (atk, sum)
                     } else {
-                        let leg = svc.offered_per_site(pop_weights, cfg.nl_qps);
+                        let leg = svc.offered_per_site(pop_weights, NL_QPS);
                         (vec![0.0; leg.len()], leg)
                     }
                 })
@@ -156,7 +166,7 @@ impl Subsystem for FluidTraffic {
                     out.extend(atk_out.iter().zip(&self.leg).map(|(a, b)| a + b));
                 } else {
                     note(svc.refresh_catchment_index(&mut self.leg_idx[i], &world.pop_weights, 1));
-                    self.leg_idx[i].offered_per_site_into(cfg.nl_qps, out);
+                    self.leg_idx[i].offered_per_site_into(NL_QPS, out);
                     atk_out.clear();
                     atk_out.resize(out.len(), 0.0);
                 }
@@ -209,34 +219,46 @@ impl Subsystem for FluidTraffic {
         // Saturation edges: a site is saturated while it drops queries
         // at the shared facility or its own ingress queue. Onsets and
         // clears are counted, logged, and the live count gauged.
-        self.saturated.resize_with(world.services.len(), Vec::new);
-        for (i, svc) in world.services.iter().enumerate() {
-            let prev = &mut self.saturated[i];
-            prev.resize(svc.sites().len(), false);
-            for (s, site) in svc.sites().iter().enumerate() {
+        if self.saturated.is_empty() {
+            self.saturated = world
+                .services
+                .iter()
+                .map(|svc| {
+                    svc.sites()
+                        .iter()
+                        .map(|site| SiteEdge {
+                            code: site.spec.code.as_str().into(),
+                            saturated: false,
+                        })
+                        .collect()
+                })
+                .collect();
+        }
+        for (svc, edges) in world.services.iter().zip(&mut self.saturated) {
+            for (site, edge) in svc.sites().iter().zip(edges.iter_mut()) {
                 let sat = site.facility_loss > 0.0 || site.last_loss > 0.0;
-                if sat != prev[s] {
+                if sat != edge.saturated {
                     let key = if sat {
                         keys::SITE_SATURATION_ONSETS
                     } else {
                         keys::SITE_SATURATION_CLEARS
                     };
                     world.metrics.inc(key, 1);
-                    let (service, site) = (svc.name.clone(), site.spec.code.clone());
+                    let (service, site) = (Arc::clone(&svc.name), Arc::clone(&edge.code));
                     let kind = if sat {
                         TraceEventKind::SiteSaturationOnset { service, site }
                     } else {
                         TraceEventKind::SiteSaturationClear { service, site }
                     };
                     world.trace.push(TraceEvent { t, kind });
-                    prev[s] = sat;
+                    edge.saturated = sat;
                 }
             }
         }
         let live: usize = self
             .saturated
             .iter()
-            .map(|v| v.iter().filter(|&&s| s).count())
+            .map(|v| v.iter().filter(|e| e.saturated).count())
             .sum();
         world.metrics.set_gauge(keys::SITES_SATURATED, live as f64);
 

@@ -22,12 +22,29 @@ use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
 use rootcast_anycast::{AnycastService, ProbeRoute, SiteProbe};
-use rootcast_atlas::{execute_probe_fused, IndexedView, LetterShard, ProbeFlags, VpFleet, VpId};
+use rootcast_atlas::{
+    execute_probe_fused, IndexedView, LetterShard, ProbeFlags, VpFleet, VpId, A_PROBE_INTERVAL,
+    PROBE_INTERVAL,
+};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
 
+/// The probe intervals in whole minutes, one wheel slot per minute.
+const INTERVAL_MINUTES: u64 = PROBE_INTERVAL.as_secs() / 60;
+const A_INTERVAL_MINUTES: u64 = A_PROBE_INTERVAL.as_secs() / 60;
+
+/// Minutes in one turn of the wheel: a multiple of both probe intervals,
+/// so every slot's due list repeats each turn.
+const WHEEL_PERIOD_MINUTES: u64 = 60;
+const _: () = assert!(
+    PROBE_INTERVAL.as_secs() == INTERVAL_MINUTES * 60
+        && A_PROBE_INTERVAL.as_secs() == A_INTERVAL_MINUTES * 60
+        && WHEEL_PERIOD_MINUTES.is_multiple_of(INTERVAL_MINUTES)
+        && WHEEL_PERIOD_MINUTES.is_multiple_of(A_INTERVAL_MINUTES)
+);
+
 /// The probing subsystem: per minute slot and letter index, the VPs due
-/// to probe, cycling every lcm(intervals) minutes.
+/// to probe, cycling every hour.
 ///
 /// Probes resolve the service's catchment view straight to the
 /// pipeline's site *index* (via a per-letter map precomputed at
@@ -38,7 +55,6 @@ use rootcast_netsim::{SimDuration, SimTime};
 pub struct ProbeWheel {
     /// `[slot][letter index]` → due VP ids, ascending.
     wheel: Vec<Vec<Vec<u32>>>,
-    wheel_period: usize,
     /// Per letter index: what its task resolves and reuses across ticks.
     letters: Vec<LetterProbes>,
 }
@@ -139,36 +155,24 @@ impl ProbeWheel {
     /// Precompute the wheel for the world's cleaned fleet. VPs excluded
     /// by the cleaning stage never probe.
     pub fn new(world: &SimWorld) -> ProbeWheel {
-        let cfg = world.cfg;
-        assert_eq!(
-            cfg.probe_interval.as_secs() % 60,
-            0,
-            "probe interval must be whole minutes"
-        );
-        assert_eq!(cfg.a_probe_interval.as_secs() % 60, 0);
-        let interval_minutes = cfg.probe_interval.as_secs() / 60;
-        let a_interval_minutes = cfg.a_probe_interval.as_secs() / 60;
-        let wheel_period = lcm(interval_minutes.max(1), a_interval_minutes.max(1)) as usize;
         let excluded = world.cleaning.excluded_set();
-        let mut wheel = vec![vec![Vec::new(); world.letters.len()]; wheel_period];
+        let mut wheel = vec![vec![Vec::new(); world.letters.len()]; WHEEL_PERIOD_MINUTES as usize];
         for vp in world.fleet.iter() {
             if excluded.contains(&vp.id) {
                 continue;
             }
             for (i, &letter) in world.letters.iter().enumerate() {
                 let interval = if letter == Letter::A {
-                    a_interval_minutes
+                    A_INTERVAL_MINUTES
                 } else {
-                    interval_minutes
+                    INTERVAL_MINUTES
                 };
                 let phase = (u64::from(vp.id.0)
                     .wrapping_mul(0x9E37_79B9)
                     .wrapping_add(letter as u64 * 7))
                     % interval;
-                let mut slot = phase as usize;
-                while slot < wheel_period {
-                    wheel[slot][i].push(vp.id.0);
-                    slot += interval as usize;
+                for slot in (phase..WHEEL_PERIOD_MINUTES).step_by(interval as usize) {
+                    wheel[slot as usize][i].push(vp.id.0);
                 }
             }
         }
@@ -206,21 +210,12 @@ impl ProbeWheel {
                 }
             })
             .collect();
-        ProbeWheel {
-            wheel,
-            wheel_period,
-            letters,
-        }
-    }
-
-    /// Number of minute slots before the wheel repeats.
-    pub fn period(&self) -> usize {
-        self.wheel_period
+        ProbeWheel { wheel, letters }
     }
 
     /// The VPs due to probe letter index `letter` in minute `minute`.
     pub fn due(&self, minute: u64, letter: usize) -> &[u32] {
-        &self.wheel[(minute as usize) % self.wheel_period][letter]
+        &self.wheel[(minute % WHEEL_PERIOD_MINUTES) as usize][letter]
     }
 }
 
@@ -245,12 +240,8 @@ impl Subsystem for ProbeWheel {
             world.rng_factory,
             &world.faults,
         );
-        let ProbeWheel {
-            wheel,
-            wheel_period,
-            letters,
-        } = self;
-        let due_now = &wheel[(minute as usize) % *wheel_period];
+        let ProbeWheel { wheel, letters } = self;
+        let due_now = &wheel[(minute % WHEEL_PERIOD_MINUTES) as usize];
         let mut tasks: Vec<(usize, (&mut LetterShard, &mut LetterProbes))> = world
             .pipeline
             .shards_mut()
@@ -307,18 +298,6 @@ impl Subsystem for ProbeWheel {
     }
 }
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,13 +309,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn lcm_gcd_basics() {
-        assert_eq!(gcd(12, 18), 6);
-        assert_eq!(lcm(4, 30), 60);
-        assert_eq!(lcm(1, 7), 7);
-    }
-
-    #[test]
     fn wheel_covers_every_pair_once_per_interval() {
         let mut cfg = ScenarioConfig::small();
         cfg.horizon = SimTime::from_mins(10);
@@ -345,8 +317,6 @@ mod tests {
         let mut obs = NoopInstrumentation;
         let world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
         let wheel = ProbeWheel::new(&world);
-        // lcm(4, 30) minutes.
-        assert_eq!(wheel.period(), 60);
         let kept = world.cleaning.kept_count();
         let n_letters = world.letters.len();
         // Across one full period every kept VP hits every letter at the

@@ -12,24 +12,27 @@
 //! so the log needs no cap.
 
 use rootcast_netsim::SimTime;
+use std::sync::Arc;
 
 /// One structured simulation event. Letters and sites are carried as
-/// their display strings so the log is self-describing.
+/// their display strings so the log is self-describing; service and
+/// site names are shared, built once per run, so an event costs no
+/// allocation for them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEventKind {
     /// A stress policy withdrew and/or re-announced sites on a letter.
     PolicyTransition { letter: char, changes: usize },
     /// A site's offered load first exceeded what it can serve.
-    SiteSaturationOnset { service: String, site: String },
+    SiteSaturationOnset { service: Arc<str>, site: Arc<str> },
     /// A previously saturated site drained back below capacity.
-    SiteSaturationClear { service: String, site: String },
+    SiteSaturationClear { service: Arc<str>, site: Arc<str> },
     /// The fault injector applied an injection.
     FaultInjected { description: String },
     /// The fault injector recovered a fault.
     FaultRecovered { description: String },
     /// A RIB recompute bumped a service's catchment epoch.
     CatchmentEpochBump {
-        service: String,
+        service: Arc<str>,
         epoch: u64,
         changed_ases: u64,
     },

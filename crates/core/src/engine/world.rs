@@ -12,7 +12,7 @@ use rand::Rng;
 use rootcast_anycast::{AnycastService, FacilityTable};
 use rootcast_atlas::{
     clean_fleet, execute_probe, CleaningReport, MeasurementPipeline, RawMeasurement, TargetView,
-    VantagePoint, VpFleet,
+    VantagePoint, VpFleet, BIN_WIDTH,
 };
 use rootcast_attack::{population_weights, Botnet, ResolverPopulation};
 use rootcast_bgp::RouteCollector;
@@ -331,11 +331,14 @@ impl<'a> SimWorld<'a> {
                 .map_err(ConfigError::BadPipeline)?;
         }
 
+        // BGPmon's peers in the paper's Figure 9 view: a fixed part of
+        // its measurement design, so not a knob.
+        const COLLECTOR_PEERS: usize = 152;
         let mut collectors: BTreeMap<Letter, RouteCollector> = BTreeMap::new();
         {
             let mut rng = rng_factory.stream("bgpmon");
             let stubs = graph.by_tier(Tier::Stub);
-            let peers: Vec<_> = (0..cfg.n_collector_peers)
+            let peers: Vec<_> = (0..COLLECTOR_PEERS)
                 .map(|_| stubs[rng.gen_range(0..stubs.len())])
                 .collect();
             for (i, &letter) in letters.iter().enumerate() {
@@ -357,14 +360,13 @@ impl<'a> SimWorld<'a> {
         let legit_queries_by_day: BTreeMap<Letter, Vec<f64>> =
             rssac.keys().map(|&l| (l, vec![0.0; n_days])).collect();
 
-        let bin = cfg.pipeline.bin;
-        let n_bins = (cfg.horizon.as_nanos() / bin.as_nanos()) as usize;
+        let n_bins = (cfg.horizon.as_nanos() / BIN_WIDTH.as_nanos()) as usize;
         let nl_series: Vec<BinnedSeries> = nl_index
             .map(|i| {
                 services[i]
                     .sites()
                     .iter()
-                    .map(|_| BinnedSeries::zeros(bin, n_bins))
+                    .map(|_| BinnedSeries::zeros(BIN_WIDTH, n_bins))
                     .collect()
             })
             .unwrap_or_default();
@@ -430,7 +432,7 @@ impl<'a> SimWorld<'a> {
         self.trace.push(TraceEvent {
             t,
             kind: TraceEventKind::CatchmentEpochBump {
-                service: svc.name.clone(),
+                service: Arc::clone(&svc.name),
                 epoch,
                 changed_ases: popcount,
             },

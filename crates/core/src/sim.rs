@@ -46,7 +46,7 @@ use rootcast_atlas::{CleaningReport, MeasurementPipeline};
 use rootcast_attack::AttackSchedule;
 use rootcast_bgp::RouteCollector;
 use rootcast_dns::Letter;
-use rootcast_netsim::{BinnedSeries, MetricsSnapshot, SimDuration, SimRng, SimTime};
+use rootcast_netsim::{BinnedSeries, MetricsSnapshot, SimRng, SimTime};
 use rootcast_rssac::{DailyReport, RssacCollector};
 use std::collections::BTreeMap;
 
@@ -68,10 +68,6 @@ pub struct SimOutput {
     pub horizon: SimTime,
     pub n_ases: usize,
     pub n_vps_kept: usize,
-    /// Probe interval for letters other than A.
-    pub probe_interval: SimDuration,
-    /// A-root's (slower) probe interval.
-    pub a_probe_interval: SimDuration,
     /// What happened: every engine metric, frozen at the end of the run
     /// (see [`metrics::keys`](crate::engine::metrics::keys) for the
     /// catalog).
@@ -218,8 +214,6 @@ impl SimWorld<'_> {
             attack: cfg.attack.clone(),
             horizon: cfg.horizon,
             n_ases: graph.len(),
-            probe_interval: cfg.probe_interval,
-            a_probe_interval: cfg.a_probe_interval,
             metrics,
             trace,
             spans: SpanProfile::default(),
@@ -231,6 +225,7 @@ impl SimWorld<'_> {
 mod tests {
     use super::*;
     use crate::engine::TraceEventKind;
+    use rootcast_netsim::SimDuration;
 
     /// One shared small run for the driver's smoke tests (building it is
     /// the expensive part; assertions are cheap).

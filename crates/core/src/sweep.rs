@@ -81,11 +81,6 @@ impl ConfigPatch {
         ConfigPatch::default()
     }
 
-    pub fn with_seed(mut self, seed: u64) -> ConfigPatch {
-        self.seed = Some(seed);
-        self
-    }
-
     pub fn with_attack(mut self, attack: AttackSchedule) -> ConfigPatch {
         self.attack = Some(attack);
         self
@@ -879,16 +874,12 @@ mod tests {
             attack,
             horizon,
             fluid_step,
-            probe_interval,
-            a_probe_interval,
             legit_total_qps,
             resolver_update,
             pipeline,
-            n_collector_peers,
             facility_capacities,
             maintenance_mean,
             include_nl,
-            nl_qps,
             faults,
             site_overrides,
             reference_kernels,
@@ -964,12 +955,6 @@ mod tests {
         });
         case("horizon", None, &|c| c.horizon = horizon + one_min);
         case("fluid_step", None, &|c| c.fluid_step = fluid_step + one_min);
-        case("probe_interval", None, &|c| {
-            c.probe_interval = probe_interval + one_min
-        });
-        case("a_probe_interval", None, &|c| {
-            c.a_probe_interval = a_probe_interval + one_min
-        });
         case("legit_total_qps", None, &|c| {
             c.legit_total_qps = legit_total_qps + 1.0
         });
@@ -979,16 +964,12 @@ mod tests {
         case("pipeline", None, &|c| {
             c.pipeline.rtt_subsample = pipeline.rtt_subsample + 1
         });
-        case("n_collector_peers", None, &|c| {
-            c.n_collector_peers = n_collector_peers + 1
-        });
         case("facility_capacities", None, &|c| {
             c.facility_capacities = facility_capacities[1..].to_vec()
         });
         case("maintenance_mean", None, &|c| {
             c.maintenance_mean = maintenance_mean.map(|m| m + one_min)
         });
-        case("nl_qps", None, &|c| c.nl_qps = nl_qps + 1.0);
         case("faults", None, &|c| {
             c.faults = faults.clone().with(
                 SimTime::from_mins(1),

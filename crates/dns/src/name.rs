@@ -172,15 +172,6 @@ impl Name {
             labels: self.labels[1..].to_vec(),
         }
     }
-
-    /// True if `self` is `other` or a subdomain of it.
-    pub fn is_subdomain_of(&self, other: &Name) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let skip = self.labels.len() - other.labels.len();
-        self.labels[skip..] == other.labels[..]
-    }
 }
 
 impl fmt::Display for Name {
@@ -319,12 +310,7 @@ mod tests {
     #[test]
     fn subdomain_relationships() {
         let root = Name::root();
-        let com = Name::parse("com").unwrap();
         let www = Name::parse("www.example.com").unwrap();
-        assert!(www.is_subdomain_of(&com));
-        assert!(www.is_subdomain_of(&root));
-        assert!(com.is_subdomain_of(&com));
-        assert!(!com.is_subdomain_of(&www));
         assert_eq!(www.parent(), Name::parse("example.com").unwrap());
         assert_eq!(root.parent(), root);
     }

@@ -134,22 +134,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Advance the clock to `t` without running anything. Used at the end
-    /// of a scenario to account for trailing quiet time.
-    ///
-    /// # Panics
-    /// Panics if `t` is before the current time or before a pending event.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "cannot rewind the clock");
-        if let Some(due) = self.peek_due() {
-            assert!(
-                due >= t,
-                "advance_to({t}) would skip a pending event at {due}"
-            );
-        }
-        self.now = t;
-    }
 }
 
 #[cfg(test)]
@@ -224,13 +208,5 @@ mod tests {
         }
         assert_eq!(count, 10);
         assert_eq!(q.now(), SimTime::from_secs(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "would skip a pending event")]
-    fn advance_to_cannot_skip_events() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        q.advance_to(SimTime::from_secs(2));
     }
 }

@@ -139,22 +139,6 @@ fn maintenance_noise_off_means_quiet_baseline() {
 }
 
 #[test]
-fn probe_interval_change_preserves_conclusions() {
-    // Halving probing frequency must not change who suffers.
-    let mut cfg = with_rate(3_000_000.0);
-    cfg.probe_interval = SimDuration::from_mins(8);
-    cfg.pipeline.probe_interval = SimDuration::from_mins(8);
-    let out = sim::run(&cfg).expect("valid scenario");
-    let fig = reachability::figure3(&out);
-    let b = fig.rows.iter().find(|r| r.letter == Letter::B).unwrap();
-    assert!(
-        b.survival < 0.6,
-        "B survived {} at 8-min probing",
-        b.survival
-    );
-}
-
-#[test]
 fn pulse_schedule_event_shares_are_union_covered() {
     // Ten 8-minute bursts every 20 minutes: the padded event windows
     // overlap, and each flip or route change must count once.

@@ -72,12 +72,10 @@ fn manual_wiring_topology_to_pipeline() {
 
     // Pipe everything through the measurement pipeline.
     let cfg = PipelineConfig {
-        bin: SimDuration::from_mins(10),
         horizon: SimTime::from_hours(1),
         rtt_subsample: 1,
         watched_sites: vec![],
         raster_letters: vec![],
-        probe_interval: SimDuration::from_mins(4),
     };
     let mut pipe = MeasurementPipeline::new(cfg, fleet.len());
     pipe.register_letter(
