@@ -30,7 +30,7 @@ pub mod vp;
 pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
 pub use pipeline::{
     raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
-    PipelineError, ProbeOutcomeStats, Raster, RecordSlot, ServerWatch, BIN_WIDTH,
+    PipelineError, ProbeOutcomeStats, Raster, RecordSlot, RttKeep, ServerWatch, BIN_WIDTH,
 };
 pub use probe::{
     execute_probe, execute_probe_fused, IndexedView, ProbeFlags, RawMeasurement, RawOutcome,

@@ -133,7 +133,7 @@ pub mod raster_code {
 
 /// Per-probe site timelines of one letter ([`raster_code`] cells), one
 /// per VP. Stored column-major — one column per probe slot, one cell per
-/// VP — because the probe tick writes a whole column in VP order; a row
+/// VP — because a probe lane writes a whole column in VP order; a row
 /// is read back with [`Raster::row`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Raster {
@@ -323,8 +323,9 @@ pub struct ProbeOutcomeStats {
 
 /// One letter's slice of the pipeline: its aggregates, its per-VP
 /// streaming state and its outcome tallies. No state crosses letters,
-/// so shards record independently — the probe wheel gives each letter
-/// its own task that probes and records in one pass.
+/// so shards record independently — the probe wheel takes them out of
+/// the pipeline ([`MeasurementPipeline::take_shards`]) and gives each
+/// letter a lane of its own that probes and records in one pass.
 #[derive(Debug)]
 pub struct LetterShard {
     data: LetterData,
@@ -359,6 +360,27 @@ impl RttSubsample {
     #[inline]
     fn keeps(self, vp: VpId) -> bool {
         vp.0.is_multiple_of(self.every)
+    }
+}
+
+/// Whether a shard reads the RTT of a site answer, from
+/// [`LetterShard::rtt_keep`]. The subsample and the watched sites are
+/// fixed at registration, so this never goes stale.
+#[derive(Debug, Clone)]
+pub struct RttKeep {
+    subsample: RttSubsample,
+    /// Watched site indices, ascending.
+    watched: Vec<u16>,
+}
+
+impl RttKeep {
+    /// Whether the shard reads the RTT of a site answer from `vp` at
+    /// site index `site`: true when `vp` feeds Figure 4's RTT bins or
+    /// `site` is watched (Figures 7, 12, 13). A site answer for which
+    /// this is false may carry [`UNMEASURED_RTT`].
+    #[inline]
+    pub fn keeps(&self, vp: VpId, site: u16) -> bool {
+        self.subsample.keeps(vp) || self.watched.binary_search(&site).is_ok()
     }
 }
 
@@ -413,12 +435,13 @@ impl LetterShard {
         }
     }
 
-    /// Whether the pipeline reads the RTT of a site answer from `vp` at
-    /// site index `site`: true when `vp` feeds Figure 4's RTT bins or
-    /// `site` is watched (Figures 7, 12, 13). A site answer for which
-    /// this is false may carry [`UNMEASURED_RTT`].
-    pub fn keeps_rtt(&self, vp: VpId, site: u16) -> bool {
-        self.rtt_subsample.keeps(vp) || self.data.watches.contains_key(&site)
+    /// Which site answers this shard reads the RTT of, as a value that
+    /// stays valid while the shard records elsewhere.
+    pub fn rtt_keep(&self) -> RttKeep {
+        RttKeep {
+            subsample: self.rtt_subsample,
+            watched: self.data.watches.keys().copied().collect(),
+        }
     }
 
     /// [`Self::record`] at a slot from [`Self::slot`].
@@ -503,7 +526,7 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubs
         BinBest::Site { site, server, rtt } => {
             data.success.incr_bin(bin);
             data.site_counts[site as usize].incr_bin(bin);
-            // Only a probe `LetterShard::keeps_rtt` rejects may carry an
+            // Only a probe `RttKeep::keeps` rejects may carry an
             // unmeasured RTT, and neither branch below reads its RTT.
             if subsample.keeps(vp) {
                 debug_assert!(
@@ -656,8 +679,8 @@ impl MeasurementPipeline {
             success: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             errors: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             // Reserved here, on the engine thread, to the most a bin can
-            // hold: grown by a probe task, every bin would live in that
-            // worker thread's malloc arena for the rest of the run.
+            // hold: grown by a probe lane, every bin would live in that
+            // helper thread's malloc arena for the rest of the run.
             rtt: SampleBins::with_bin_capacity(BIN_WIDTH, n_bins, rtt_subsample.per_bin),
             flips: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             flip_events: Vec::new(),
@@ -677,8 +700,34 @@ impl MeasurementPipeline {
     }
 
     /// The letter shards, in registration order.
+    pub fn shards(&self) -> &[LetterShard] {
+        &self.shards
+    }
+
+    /// The letter shards, in registration order.
     pub fn shards_mut(&mut self) -> &mut [LetterShard] {
         &mut self.shards
+    }
+
+    /// Move the letter shards out, in registration order, so that they
+    /// can record on other threads. Until [`Self::put_shards`] returns
+    /// them, the pipeline has no letters.
+    pub fn take_shards(&mut self) -> Vec<LetterShard> {
+        std::mem::take(&mut self.shards)
+    }
+
+    /// Return the shards [`Self::take_shards`] moved out, in the same
+    /// order.
+    ///
+    /// # Panics
+    /// If the pipeline holds shards already.
+    pub fn put_shards(&mut self, shards: Vec<LetterShard>) {
+        assert!(
+            self.shards.is_empty(),
+            "put_shards over {} shards the pipeline still holds",
+            self.shards.len()
+        );
+        self.shards = shards;
     }
 
     /// Record one cleaned observation: resolves the identity's site code
@@ -1016,6 +1065,35 @@ mod tests {
     }
 
     #[test]
+    fn taken_shards_record_elsewhere_and_come_back_in_order() {
+        let mut p = MeasurementPipeline::new(cfg(), 4);
+        p.register_letter(Letter::K, vec!["AMS".into()]).unwrap();
+        p.register_letter(Letter::E, vec!["AMS".into()]).unwrap();
+        let mut shards = p.take_shards();
+        assert!(p.try_letter(Letter::K).is_none(), "the shards are out");
+        let obs = FastObs::Site {
+            site: 0,
+            server: 1,
+            rtt: SimDuration::from_millis(20),
+        };
+        shards[1].record(VpId(2), t(1), obs).unwrap();
+        p.put_shards(shards);
+        p.finalize();
+        let letters: Vec<Letter> = p.shards().iter().map(LetterShard::letter).collect();
+        assert_eq!(letters, [Letter::K, Letter::E]);
+        assert_eq!(p.letter(Letter::E).observed_probes, 1);
+        assert_eq!(p.letter(Letter::K).observed_probes, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "still holds")]
+    fn put_shards_over_held_shards_panics() {
+        let mut p = MeasurementPipeline::new(cfg(), 4);
+        p.register_letter(Letter::K, vec!["AMS".into()]).unwrap();
+        p.put_shards(Vec::new());
+    }
+
+    #[test]
     fn keeps_rtt_names_the_subsampled_vps_and_the_watched_sites() {
         let mut cfg = cfg();
         cfg.rtt_subsample = 2;
@@ -1024,9 +1102,10 @@ mod tests {
             .unwrap();
         let shard = &mut p.shards_mut()[0];
         let (ams, fra) = (0, 1);
-        assert!(shard.keeps_rtt(VpId(0), ams) && shard.keeps_rtt(VpId(2), ams));
-        assert!(!shard.keeps_rtt(VpId(1), ams) && !shard.keeps_rtt(VpId(3), ams));
-        assert!(shard.keeps_rtt(VpId(1), fra), "FRA is watched");
+        let keep = shard.rtt_keep();
+        assert!(keep.keeps(VpId(0), ams) && keep.keeps(VpId(2), ams));
+        assert!(!keep.keeps(VpId(1), ams) && !keep.keeps(VpId(3), ams));
+        assert!(keep.keeps(VpId(1), fra), "FRA is watched");
         // An unmeasured RTT from a VP whose RTT is not kept counts as a
         // site answer and reaches no RTT sample.
         let unmeasured = FastObs::Site {

@@ -222,7 +222,7 @@ impl ProbeFlags {
 
     /// `vp`'s hijacked and flaky bits, and `keep_rtt`: whether the
     /// pipeline reads this probe's RTT
-    /// ([`LetterShard::keeps_rtt`](crate::pipeline::LetterShard::keeps_rtt)).
+    /// ([`RttKeep::keeps`](crate::pipeline::RttKeep::keeps)).
     #[inline]
     pub fn new(vp: &VantagePoint, keep_rtt: bool) -> ProbeFlags {
         let bit = |set: bool, mask: u8| if set { mask } else { 0 };

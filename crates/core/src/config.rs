@@ -230,10 +230,11 @@ impl ScenarioConfig {
                 self.pipeline.horizon, self.horizon
             )));
         }
-        if self.fluid_step.is_zero()
-            || !SimDuration::from_mins(1)
-                .as_nanos()
-                .is_multiple_of(self.fluid_step.as_nanos())
+        // `is_multiple_of(0)` holds only for zero, so this also rejects
+        // a zero step.
+        if !SimDuration::from_mins(1)
+            .as_nanos()
+            .is_multiple_of(self.fluid_step.as_nanos())
         {
             return Err(ConfigError::BadTiming(format!(
                 "fluid_step must be positive and divide one minute, got {:?}",
@@ -395,7 +396,10 @@ mod tests {
         for step in [SimDuration::ZERO, SimDuration::from_secs(7)] {
             let mut cfg = ScenarioConfig::small();
             cfg.fluid_step = step;
-            assert!(matches!(cfg.validate(), Err(ConfigError::BadTiming(_))));
+            assert!(
+                matches!(cfg.validate(), Err(ConfigError::BadTiming(_))),
+                "fluid_step {step:?}"
+            );
         }
         let mut cfg = ScenarioConfig::small();
         cfg.resolver_update = SimDuration::ZERO;

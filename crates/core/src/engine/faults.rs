@@ -180,6 +180,8 @@ pub struct FaultState {
     rssac_factor: BTreeMap<Letter, f64>,
     /// Active probe-fleet faults, keyed by plan index.
     probe_faults: BTreeMap<usize, ProbeFault>,
+    /// Bumped whenever `probe_faults` changes.
+    probe_generation: u64,
 }
 
 impl FaultState {
@@ -209,6 +211,13 @@ impl FaultState {
             }
         }
         action
+    }
+
+    /// A count that moves whenever the set of active probe-fleet faults
+    /// changes, so a cache of [`Self::probe_action`] answers stays
+    /// valid while it holds still.
+    pub fn probe_generation(&self) -> u64 {
+        self.probe_generation
     }
 
     /// True when a probe-fleet fault is active, i.e. when
@@ -299,6 +308,7 @@ impl FaultInjector {
                 }
             }
             FaultKind::ProbeDropout { fraction, letters } => {
+                world.faults.probe_generation += 1;
                 if inject {
                     let vps = self.draw_vps(world, *fraction);
                     note = format!(" ({} VPs)", vps.len());
@@ -319,6 +329,7 @@ impl FaultInjector {
                 }
             }
             FaultKind::FirmwareDowngrade { fraction } => {
+                world.faults.probe_generation += 1;
                 if inject {
                     let vps = self.draw_vps(world, *fraction);
                     note = format!(" ({} VPs)", vps.len());

@@ -158,6 +158,20 @@ mod tests {
     }
 
     #[test]
+    fn finish_spans_are_not_ticks() {
+        let mut rec = SpanRecorder::default();
+        rec.enter_at("drive", 0);
+        span(&mut rec, &["probes"], 0, 5);
+        span(&mut rec, &["probes", "finish"], 5, 9);
+        span(&mut rec, &["faults", "finish"], 9, 10);
+        rec.exit_at("drive", 10);
+        let spans = rec.finish();
+        assert_eq!(spans.get("drive/probes").map(|s| s.count), Some(2));
+        assert_eq!(spans.ticks("probes"), 1);
+        assert_eq!(spans.ticks("faults"), 0);
+    }
+
+    #[test]
     fn collector_accumulates_phase_wall_time() {
         let mut rec = SpanRecorder::default();
         rec.enter("drive");

@@ -13,8 +13,9 @@
 //! * [`FluidTraffic`] — per-minute fluid windows: offered load over
 //!   current catchments, shared-facility links, ingress queues, and
 //!   stress policies (a serial loop over cached catchment indices).
-//! * [`ProbeWheel`] — the Atlas fleet's probing wheel, fanned out
-//!   per letter with one RNG stream per (letter, minute).
+//! * [`ProbeWheel`] — the Atlas fleet's probing wheel: one probe lane
+//!   per letter, running behind the engine clock with one RNG stream
+//!   per (letter, minute).
 //! * [`ResolverRefresh`] — recursive resolvers re-weighting letter
 //!   preferences from current RTT/loss (§3.2.2's letter flips).
 //! * [`MaintenanceChurn`] — background operator maintenance noise.
@@ -58,8 +59,8 @@ use rootcast_netsim::{EventQueue, SimTime};
 /// [`tick`](Subsystem::tick). Wake-ups are absolute instants; returning
 /// an empty vector parks the subsystem for the rest of the run.
 pub trait Subsystem {
-    /// Stable name: the span [`drive`] wraps each tick in, and the
-    /// diagnostics label.
+    /// Stable name: the span [`drive`] wraps each tick and the finish
+    /// in, and the diagnostics label.
     fn name(&self) -> &'static str;
 
     /// Wake-ups to seed the schedule with at the start of the run.
@@ -102,7 +103,8 @@ pub fn subsystems(world: &SimWorld) -> Vec<Box<dyn Subsystem>> {
 }
 
 /// Drive `subsystems` against `world` until `horizon`, each tick inside
-/// a span named after its subsystem.
+/// a span named after its subsystem and each [`Subsystem::finish`] in a
+/// `finish` span under it.
 ///
 /// Subsystems scheduled for the same instant tick in FIFO order of
 /// scheduling, which makes the seeding order in `subsystems` the
@@ -131,7 +133,11 @@ pub fn drive(world: &mut SimWorld, subsystems: &mut [Box<dyn Subsystem>], horizo
         }
     }
     for sub in subsystems.iter_mut() {
+        world.obs.enter(sub.name());
+        world.obs.enter("finish");
         sub.finish(world);
+        world.obs.exit("finish");
+        world.obs.exit(sub.name());
     }
 }
 

@@ -1,50 +1,71 @@
-//! The Atlas probing wheel.
+//! The Atlas probing wheel, run as one probe lane per letter.
 //!
 //! Each (VP, letter) pair probes on its own phase of the letter's
-//! probing interval (4 min; 30 min for A-root, §2.4.1). The wheel is
-//! precomputed per minute slot and letter — the full scenario would
-//! otherwise evaluate ~350 M phase checks — and each tick runs one rayon
-//! task per letter that probes and records into that letter's pipeline
-//! shard in the same pass. Everything a probe reads is resolved once, at
-//! the rate it changes: each VP's [`ProbeRoute`] (catchment site,
-//! designated server, path RTT) together with the VP's [`ProbeFlags`]
-//! (hijacked, flaky, and whether the pipeline keeps the probe's RTT,
-//! which depends on the catchment site) once per catchment epoch, and the
-//! service's site snapshots ([`SiteProbe`]: queue delay, hot server,
-//! survivor, drop probability) and the shard's record slot (bin and
-//! raster column) once per (letter, tick). Every (letter, minute) pair
-//! draws from its own named RNG stream, each letter records in VP order
-//! and shards share nothing, so outputs are bit-identical at any thread
-//! count.
+//! probing interval (4 min; 30 min for A-root, §2.4.1). Per letter, the
+//! wheel keeps the kept VPs in one list grouped by phase, so a minute's
+//! due VPs are one ascending slice.
+//!
+//! Probes feed nothing back into the simulation, so a letter's minutes
+//! may run behind the engine clock. At each tick the engine thread
+//! *captures* what the letter's probes read at `t` and queues a
+//! (letter, minute) item on the letter's lane:
+//!
+//! * the service's site snapshots ([`SiteProbe`]: queue delay, hot
+//!   server, survivor, drop probability);
+//! * the route table of the current catchment epoch, shared until the
+//!   epoch moves: per VP its [`ProbeRoute`] (catchment site, designated
+//!   server, path RTT) with the pipeline site index folded in, and its
+//!   [`ProbeFlags`] (hijacked, flaky, and whether the pipeline keeps the
+//!   probe's RTT, which depends on the catchment site);
+//! * while probe faults are active, the letter's [`ProbeAction`] table,
+//!   shared until the fault state's probe set changes.
+//!
+//! A lane owns its letter's pipeline shard and runs its items strictly
+//! in minute order, under its own lock. Each item draws from the
+//! `probes-{letter}` RNG stream indexed by its minute and records in VP
+//! order. Lanes drain on `current_num_threads() - 1` helper threads and
+//! on the engine thread, which runs items itself whenever more than
+//! `QUEUE_BOUND_MINUTES` of them per lane are queued; with one thread,
+//! each item runs inline at its tick. [`Subsystem::finish`] drains every
+//! lane, joins the helpers and hands the shards back to the pipeline.
+//! What a lane computes depends only on its items, never on which thread
+//! runs them or when, so outputs are bit-identical at any thread count.
 
-use crate::engine::faults::ProbeAction;
+use crate::engine::faults::{FaultState, ProbeAction};
 use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
-use rayon::prelude::*;
 use rootcast_anycast::{AnycastService, ProbeRoute, SiteProbe};
 use rootcast_atlas::{
-    execute_probe_fused, IndexedView, LetterShard, ProbeFlags, VpFleet, VpId, A_PROBE_INTERVAL,
-    PROBE_INTERVAL,
+    execute_probe_fused, IndexedView, LetterShard, ProbeFlags, RttKeep, VantagePoint, VpFleet,
+    VpId, A_PROBE_INTERVAL, PROBE_INTERVAL,
 };
 use rootcast_dns::Letter;
-use rootcast_netsim::{SimDuration, SimTime};
+use rootcast_netsim::{SimDuration, SimRng, SimTime};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
-/// The probe intervals in whole minutes, one wheel slot per minute.
+/// The probe intervals in whole minutes, one phase per minute.
 const INTERVAL_MINUTES: u64 = PROBE_INTERVAL.as_secs() / 60;
 const A_INTERVAL_MINUTES: u64 = A_PROBE_INTERVAL.as_secs() / 60;
-
-/// Minutes in one turn of the wheel: a multiple of both probe intervals,
-/// so every slot's due list repeats each turn.
-const WHEEL_PERIOD_MINUTES: u64 = 60;
 const _: () = assert!(
     PROBE_INTERVAL.as_secs() == INTERVAL_MINUTES * 60
         && A_PROBE_INTERVAL.as_secs() == A_INTERVAL_MINUTES * 60
-        && WHEEL_PERIOD_MINUTES.is_multiple_of(INTERVAL_MINUTES)
-        && WHEEL_PERIOD_MINUTES.is_multiple_of(A_INTERVAL_MINUTES)
 );
 
-/// The probing subsystem: per minute slot and letter index, the VPs due
-/// to probe, cycling every hour.
+/// Minutes of items, per lane on average, that may wait in the queues;
+/// beyond that the engine thread runs items itself, which bounds the
+/// captured state in flight.
+const QUEUE_BOUND_MINUTES: usize = 2;
+
+/// Times an idle helper looks for a ready lane, yielding in between,
+/// before it parks.
+const SPIN_ROUNDS: u32 = 100;
+
+/// The probing subsystem: per letter, the VPs due each minute and the
+/// lane that probes them.
 ///
 /// Probes resolve the service's catchment view straight to the
 /// pipeline's site *index* (via a per-letter map precomputed at
@@ -53,25 +74,80 @@ const _: () = assert!(
 /// identical RNG sequence and yields a bit-identical pipeline; the
 /// wheel's unit tests replay it as the oracle.
 pub struct ProbeWheel {
-    /// `[slot][letter index]` → due VP ids, ascending.
-    wheel: Vec<Vec<Vec<u32>>>,
-    /// Per letter index: what its task resolves and reuses across ticks.
-    letters: Vec<LetterProbes>,
+    /// Per letter index: its due VPs; shared with its lane.
+    due: Vec<Arc<DueList>>,
+    /// Per letter index: what the engine thread captures for its lane.
+    captures: Vec<Capture>,
+    /// [`FaultState::probe_generation`] the action tables were built at.
+    fault_generation: u64,
+    /// Snapshot buffers that inline items hand back for reuse.
+    spare_snaps: Vec<Vec<SiteProbe>>,
+    /// The lanes, from the first tick, which takes the pipeline's shards,
+    /// until `finish` returns them.
+    lanes: Option<Lanes>,
 }
 
-/// One letter's probe state, owned by the wheel so its buffers are
-/// reused across ticks.
-struct LetterProbes {
-    /// The `probes-{letter}` RNG stream key.
-    stream_key: String,
+/// One letter's kept VPs grouped by probing phase: the ids of phase `p`
+/// are `ids[starts[p]..starts[p + 1]]`, ascending.
+struct DueList {
+    ids: Vec<u32>,
+    starts: Vec<usize>,
+}
+
+impl DueList {
+    /// `kept` must be ascending.
+    fn new(kept: &[VpId], letter: Letter) -> DueList {
+        let interval = if letter == Letter::A {
+            A_INTERVAL_MINUTES
+        } else {
+            INTERVAL_MINUTES
+        };
+        let phase = |vp: VpId| {
+            (u64::from(vp.0)
+                .wrapping_mul(0x9E37_79B9)
+                .wrapping_add(letter as u64 * 7)
+                % interval) as usize
+        };
+        let mut starts = vec![0; interval as usize + 1];
+        for &vp in kept {
+            starts[phase(vp) + 1] += 1;
+        }
+        for p in 1..starts.len() {
+            starts[p] += starts[p - 1];
+        }
+        // A counting sort: stable, so each phase stays ascending.
+        let mut next = starts.clone();
+        let mut ids = vec![0; kept.len()];
+        for &vp in kept {
+            let p = phase(vp);
+            ids[next[p]] = vp.0;
+            next[p] += 1;
+        }
+        DueList { ids, starts }
+    }
+
+    /// The VPs due in `minute`, ascending.
+    fn at(&self, minute: u64) -> &[u32] {
+        let p = (minute % (self.starts.len() as u64 - 1)) as usize;
+        &self.ids[self.starts[p]..self.starts[p + 1]]
+    }
+}
+
+/// What the engine thread resolves for one letter's probes, each part at
+/// the rate it changes.
+struct Capture {
+    letter: Letter,
     /// Service site index → pipeline site index.
     site_map: Vec<u16>,
-    /// The service's site snapshots, refilled every tick.
-    snaps: Vec<SiteProbe>,
+    /// Which site answers the letter's shard reads the RTT of.
+    keep: RttKeep,
     /// Catchment epoch `routes` was resolved at (0 = never).
     epoch: u64,
     /// Per VP id: its route toward the letter at `epoch`.
-    routes: Vec<RouteEntry>,
+    routes: Arc<[RouteEntry]>,
+    /// Per VP id: what the active probe faults do to its probes of the
+    /// letter; `None` when they leave every probe of it alone.
+    actions: Option<Arc<[ProbeAction]>>,
 }
 
 /// Everything one probe reads of its VP, in 16 bytes: a [`ProbeRoute`]
@@ -114,73 +190,439 @@ impl RouteEntry {
     }
 }
 
-impl LetterProbes {
-    /// Re-resolve every VP's route, and whether `shard` keeps the RTT
+impl Capture {
+    /// Re-resolve every VP's route, and whether the shard keeps the RTT
     /// of its probes, when the service's catchment epoch has moved since
     /// the last build; a no-op otherwise. The site is fixed for the
-    /// epoch, so the keep bit is too.
-    fn refresh_routes(&mut self, svc: &AnycastService, fleet: &VpFleet, shard: &LetterShard) {
-        if self.epoch == svc.catchment_epoch() {
+    /// epoch, so the keep bit is too. The table is rewritten in place
+    /// unless a queued item still reads it.
+    fn refresh_routes(&mut self, svc: &AnycastService, fleet: &VpFleet) {
+        let epoch = svc.catchment_epoch();
+        if self.epoch == epoch {
             return;
         }
-        let site_map = &self.site_map;
-        self.routes.clear();
-        self.routes.extend(fleet.iter().map(
-            |vp| match svc.probe_route(vp.asn, vp.client_hash()) {
-                Some(r) => {
-                    let pipe_site = site_map[r.site];
-                    RouteEntry {
-                        path_rtt_ns: r.path_rtt.as_nanos(),
-                        // `ProbeWheel::new` checked the site count fits.
-                        site: r.site as u16,
-                        pipe_site,
-                        server: r.server,
-                        flags: ProbeFlags::new(vp, shard.keeps_rtt(vp.id, pipe_site)),
-                    }
+        let Capture {
+            site_map,
+            keep,
+            routes,
+            ..
+        } = self;
+        let entry = |vp: &VantagePoint| match svc.probe_route(vp.asn, vp.client_hash()) {
+            Some(r) => {
+                let pipe_site = site_map[r.site];
+                RouteEntry {
+                    path_rtt_ns: r.path_rtt.as_nanos(),
+                    // `ProbeWheel::new` checked the site count fits.
+                    site: r.site as u16,
+                    pipe_site,
+                    server: r.server,
+                    flags: ProbeFlags::new(vp, keep.keeps(vp.id, pipe_site)),
                 }
-                None => RouteEntry {
-                    path_rtt_ns: 0,
-                    site: UNREACHABLE,
-                    pipe_site: 0,
-                    server: 0,
-                    flags: ProbeFlags::new(vp, false),
-                },
+            }
+            None => RouteEntry {
+                path_rtt_ns: 0,
+                site: UNREACHABLE,
+                pipe_site: 0,
+                server: 0,
+                flags: ProbeFlags::new(vp, false),
             },
-        ));
-        self.epoch = svc.catchment_epoch();
+        };
+        match Arc::get_mut(routes) {
+            Some(slots) if slots.len() == fleet.len() => {
+                for (slot, vp) in slots.iter_mut().zip(fleet.iter()) {
+                    *slot = entry(vp);
+                }
+            }
+            _ => *routes = fleet.iter().map(entry).collect(),
+        }
+        self.epoch = epoch;
+    }
+}
+
+/// One (letter, minute) of probing, as the engine thread captured it at
+/// the minute's tick.
+struct Item {
+    minute: u64,
+    t: SimTime,
+    snaps: Vec<SiteProbe>,
+    routes: Arc<[RouteEntry]>,
+    actions: Option<Arc<[ProbeAction]>>,
+}
+
+/// One letter's probe lane: its pipeline shard and what its items share.
+struct Lane {
+    shard: LetterShard,
+    due: Arc<DueList>,
+    rng: SimRng,
+    /// The `probes-{letter}` RNG stream key.
+    stream_key: String,
+    /// The last minute this lane ran.
+    last_minute: Option<u64>,
+}
+
+impl Lane {
+    /// Execute the item's due probes in VP order, drawing from the
+    /// (letter, minute) stream, and record each into the shard.
+    fn run(&mut self, item: &Item) {
+        debug_assert!(
+            self.last_minute.is_none_or(|last| last < item.minute),
+            "{} lane ran minute {} after minute {:?}",
+            self.shard.letter(),
+            item.minute,
+            self.last_minute
+        );
+        self.last_minute = Some(item.minute);
+        let mut rng = self.rng.indexed_stream(&self.stream_key, item.minute);
+        let slot = self.shard.slot(item.t);
+        for &vp_id in self.due.at(item.minute) {
+            // A dropped-out VP never probes (no RNG draw); a
+            // firmware-downgraded VP probes (same draws as a healthy run)
+            // but its measurement is unusable.
+            let action = item
+                .actions
+                .as_ref()
+                .map_or(ProbeAction::Normal, |table| table[vp_id as usize]);
+            if action == ProbeAction::Skip {
+                self.shard.note_missed(item.t);
+                continue;
+            }
+            let route = item.routes[vp_id as usize];
+            let obs = execute_probe_fused(route.flags, route.view(&item.snaps), &mut rng);
+            if action == ProbeAction::Discard {
+                self.shard.note_missed(item.t);
+            } else if let Some(slot) = &slot {
+                if let Err(err) = self.shard.record_in(slot, VpId(vp_id), obs) {
+                    // The wheel only probes kept VPs at registered sites,
+                    // so this is a programmer error, not data to skip.
+                    debug_assert!(false, "pipeline rejected wheel observation: {err}");
+                    let _ = err;
+                }
+            }
+        }
+    }
+}
+
+/// Lock `m`, ignoring poison: a lane that panicked is never run again,
+/// and the schedule is never left half-written.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The lanes and the helper threads that drain them.
+struct Lanes {
+    shared: Arc<Shared>,
+    helpers: Helpers,
+}
+
+/// What the engine thread and the helpers share.
+struct Shared {
+    /// Per letter index, locked by whoever claimed the lane.
+    lanes: Vec<Mutex<Lane>>,
+    sched: Mutex<Sched>,
+    /// Parked helpers wait here for a ready lane.
+    work: Condvar,
+    /// The engine thread waits here for a lane to be released.
+    released: Condvar,
+}
+
+/// Which items wait on which lane, and which lanes are being run. A
+/// lane is in `ready` exactly when it has queued items and nobody has
+/// claimed it, so one thread at a time runs a lane, front item first.
+struct Sched {
+    queues: Vec<VecDeque<Item>>,
+    claimed: Vec<bool>,
+    ready: VecDeque<usize>,
+    /// Items queued and not yet claimed.
+    queued: usize,
+    /// Items claimed and not yet released.
+    running: usize,
+    /// Helpers parked on `work`.
+    parked: usize,
+    /// Whether the engine thread waits on `released`.
+    waiting: bool,
+    /// Helpers leave once this is set.
+    stop: bool,
+    /// The message of the first panic a helper caught in a lane.
+    failure: Option<String>,
+}
+
+impl Sched {
+    /// Queue `item` on `lane`.
+    fn push(&mut self, lane: usize, item: Item) {
+        self.queues[lane].push_back(item);
+        self.queued += 1;
+        if !self.claimed[lane] && self.queues[lane].len() == 1 {
+            self.ready.push_back(lane);
+        }
+    }
+
+    /// Claim the longest-ready lane and its front item.
+    fn claim(&mut self) -> Option<(usize, Item)> {
+        let lane = self.ready.pop_front()?;
+        let item = self.queues[lane]
+            .pop_front()
+            .expect("a ready lane has a queued item");
+        self.claimed[lane] = true;
+        self.queued -= 1;
+        self.running += 1;
+        Some((lane, item))
+    }
+
+    /// Panic, on the engine thread, if a helper caught a panic in a lane.
+    fn check(&self) {
+        if let Some(msg) = &self.failure {
+            panic!("a probe lane panicked: {msg}");
+        }
+    }
+}
+
+impl Shared {
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        lock(&self.sched)
+    }
+
+    /// Run a claimed item, then release its lane.
+    fn run(&self, lane: usize, item: Item) {
+        lock(&self.lanes[lane]).run(&item);
+        // Freed before the schedule lock is taken.
+        drop(item);
+        let mut s = self.sched();
+        s.claimed[lane] = false;
+        s.running -= 1;
+        if !s.queues[lane].is_empty() {
+            s.ready.push_back(lane);
+            if s.parked > 0 {
+                self.work.notify_one();
+            }
+        }
+        if s.waiting {
+            self.released.notify_one();
+        }
+    }
+
+    /// On the engine thread: run one ready item, or wait until a helper
+    /// releases a lane. Panics if a helper caught a panic in a lane.
+    fn help<'a>(&'a self, mut s: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
+        s.check();
+        if let Some((lane, item)) = s.claim() {
+            drop(s);
+            self.run(lane, item);
+            return self.sched();
+        }
+        s.waiting = true;
+        let mut s = self
+            .released
+            .wait(s)
+            .unwrap_or_else(PoisonError::into_inner);
+        s.waiting = false;
+        s
+    }
+
+    /// A helper's next item: spin briefly, then park until one is ready.
+    /// `None` once the helpers are stopped or a lane has failed.
+    fn next(&self) -> Option<(usize, Item)> {
+        let mut s = self.sched();
+        let mut idle_rounds = 0;
+        loop {
+            if s.stop || s.failure.is_some() {
+                return None;
+            }
+            if let Some(claimed) = s.claim() {
+                return Some(claimed);
+            }
+            if idle_rounds < SPIN_ROUNDS {
+                idle_rounds += 1;
+                drop(s);
+                thread::yield_now();
+                s = self.sched();
+            } else {
+                s.parked += 1;
+                s = self.work.wait(s).unwrap_or_else(PoisonError::into_inner);
+                s.parked -= 1;
+                idle_rounds = 0;
+            }
+        }
+    }
+}
+
+/// A helper's life: run ready items until stopped. A panic in a lane is
+/// recorded for the engine thread to raise, and ends the helper.
+fn helper(shared: &Shared) {
+    while let Some((lane, item)) = shared.next() {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| shared.run(lane, item))) {
+            let mut s = shared.sched();
+            s.failure.get_or_insert_with(|| panic_message(&*payload));
+            drop(s);
+            shared.released.notify_all();
+            return;
+        }
+    }
+}
+
+/// The message a panic payload carries.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
+/// The helper threads. Dropping them stops and joins them, so a wheel
+/// dropped mid-run, even by a panic, leaves no thread behind.
+struct Helpers {
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Helpers {
+    /// Stop every helper once it has finished its item, and join it; the
+    /// payload of a helper that panicked outside a lane, if any.
+    fn join(&mut self) -> Option<Box<dyn Any + Send>> {
+        lock(&self.shared.sched).stop = true;
+        self.shared.work.notify_all();
+        let mut failed = None;
+        for handle in self.handles.drain(..) {
+            if let Err(payload) = handle.join() {
+                failed.get_or_insert(payload);
+            }
+        }
+        failed
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+impl Lanes {
+    /// One lane per shard, in letter order, drained by `threads - 1`
+    /// helpers (at most one per lane beyond the engine thread's).
+    fn start(
+        shards: Vec<LetterShard>,
+        due: &[Arc<DueList>],
+        rng: &SimRng,
+        threads: usize,
+    ) -> Lanes {
+        let n = shards.len();
+        let lanes = shards
+            .into_iter()
+            .zip(due)
+            .map(|(shard, due)| {
+                Mutex::new(Lane {
+                    stream_key: format!("probes-{}", shard.letter()),
+                    shard,
+                    due: Arc::clone(due),
+                    rng: rng.clone(),
+                    last_minute: None,
+                })
+            })
+            .collect();
+        let shared = Arc::new(Shared {
+            lanes,
+            sched: Mutex::new(Sched {
+                queues: (0..n).map(|_| VecDeque::new()).collect(),
+                claimed: vec![false; n],
+                ready: VecDeque::with_capacity(n),
+                queued: 0,
+                running: 0,
+                parked: 0,
+                waiting: false,
+                stop: false,
+                failure: None,
+            }),
+            work: Condvar::new(),
+            released: Condvar::new(),
+        });
+        // A helper that cannot be started leaves its share to the others
+        // and to the engine thread.
+        let handles = (0..threads.saturating_sub(1).min(n.saturating_sub(1)))
+            .filter_map(|k| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("probe-lane-{k}"))
+                    .spawn(move || helper(&shared))
+                    .ok()
+            })
+            .collect();
+        Lanes {
+            helpers: Helpers {
+                shared: Arc::clone(&shared),
+                handles,
+            },
+            shared,
+        }
+    }
+
+    /// Hand one tick's items, one per lane in letter order, to the lanes.
+    /// Without helpers each runs at once and returns its snapshot buffer
+    /// to `spare`; otherwise they queue, and the engine thread runs items
+    /// until the queues are back within their bound.
+    fn submit(&self, items: Vec<Item>, spare: &mut Vec<Vec<SiteProbe>>) {
+        let shared = &*self.shared;
+        if self.helpers.handles.is_empty() {
+            for (lane, item) in items.into_iter().enumerate() {
+                lock(&shared.lanes[lane]).run(&item);
+                spare.push(item.snaps);
+            }
+            return;
+        }
+        let bound = QUEUE_BOUND_MINUTES * shared.lanes.len();
+        let mut s = shared.sched();
+        s.check();
+        for (lane, item) in items.into_iter().enumerate() {
+            s.push(lane, item);
+        }
+        if s.parked > 0 {
+            shared.work.notify_all();
+        }
+        while s.queued > bound {
+            s = shared.help(s);
+        }
+    }
+
+    /// Run every queued item, join the helpers and return the shards in
+    /// letter order. A lane that panicked is never released, so `help`
+    /// raises its panic here.
+    fn finish(mut self) -> Vec<LetterShard> {
+        {
+            let mut s = self.shared.sched();
+            while s.queued + s.running > 0 {
+                s = self.shared.help(s);
+            }
+        }
+        if let Some(payload) = self.helpers.join() {
+            panic::resume_unwind(payload);
+        }
+        drop(self.helpers);
+        let shared = Arc::try_unwrap(self.shared)
+            .unwrap_or_else(|_| unreachable!("every helper has been joined"));
+        shared
+            .lanes
+            .into_iter()
+            .map(|lane| {
+                lane.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .shard
+            })
+            .collect()
     }
 }
 
 impl ProbeWheel {
-    /// Precompute the wheel for the world's cleaned fleet. VPs excluded
-    /// by the cleaning stage never probe.
+    /// Precompute the due lists for the world's cleaned fleet and each
+    /// letter's site map. VPs excluded by the cleaning stage never probe.
     pub fn new(world: &SimWorld) -> ProbeWheel {
-        let excluded = world.cleaning.excluded_set();
-        let mut wheel = vec![vec![Vec::new(); world.letters.len()]; WHEEL_PERIOD_MINUTES as usize];
-        for vp in world.fleet.iter() {
-            if excluded.contains(&vp.id) {
-                continue;
-            }
-            for (i, &letter) in world.letters.iter().enumerate() {
-                let interval = if letter == Letter::A {
-                    A_INTERVAL_MINUTES
-                } else {
-                    INTERVAL_MINUTES
-                };
-                let phase = (u64::from(vp.id.0)
-                    .wrapping_mul(0x9E37_79B9)
-                    .wrapping_add(letter as u64 * 7))
-                    % interval;
-                for slot in (phase..WHEEL_PERIOD_MINUTES).step_by(interval as usize) {
-                    wheel[slot as usize][i].push(vp.id.0);
-                }
-            }
-        }
-        let letters = world
+        let shards = world.pipeline.shards();
+        let (due, captures) = world
             .letters
             .iter()
             .enumerate()
             .map(|(i, &letter)| {
+                let shard = &shards[i];
+                assert_eq!(shard.letter(), letter, "shards follow the letter order");
                 // Pipeline site indices in service-site order, resolved
                 // once so the fused path never touches an airport-code
                 // string.
@@ -198,24 +640,51 @@ impl ProbeWheel {
                             .expect("pipeline registered every service site")
                     })
                     .collect();
-                LetterProbes {
-                    stream_key: format!("probes-{letter}"),
+                let capture = Capture {
+                    letter,
                     site_map,
-                    snaps: Vec::new(),
+                    keep: shard.rtt_keep(),
                     epoch: 0,
-                    // Reserved here, on the engine thread: filled in a
-                    // tick's worker thread, it would live in that
-                    // thread's malloc arena for the rest of the run.
-                    routes: Vec::with_capacity(world.fleet.len()),
-                }
+                    routes: Arc::new([]),
+                    actions: None,
+                };
+                (
+                    Arc::new(DueList::new(&world.cleaning.kept, letter)),
+                    capture,
+                )
             })
-            .collect();
-        ProbeWheel { wheel, letters }
+            .unzip();
+        ProbeWheel {
+            due,
+            captures,
+            fault_generation: 0,
+            spare_snaps: Vec::new(),
+            lanes: None,
+        }
     }
 
-    /// The VPs due to probe letter index `letter` in minute `minute`.
+    /// The VPs due to probe letter index `letter` in minute `minute`,
+    /// ascending.
     pub fn due(&self, minute: u64, letter: usize) -> &[u32] {
-        &self.wheel[(minute % WHEEL_PERIOD_MINUTES) as usize][letter]
+        self.due[letter].at(minute)
+    }
+
+    /// Rebuild the letters' action tables when the fault state's probe
+    /// set has changed since the last build.
+    fn refresh_actions(&mut self, faults: &FaultState, n_vps: usize) {
+        if faults.probe_generation() == self.fault_generation {
+            return;
+        }
+        self.fault_generation = faults.probe_generation();
+        for cap in &mut self.captures {
+            let table: Arc<[ProbeAction]> = (0..n_vps as u32)
+                .map(|vp| faults.probe_action(vp, cap.letter))
+                .collect();
+            cap.actions = table
+                .iter()
+                .any(|&a| a != ProbeAction::Normal)
+                .then_some(table);
+        }
     }
 }
 
@@ -228,73 +697,47 @@ impl Subsystem for ProbeWheel {
         vec![SimTime::ZERO + SimDuration::from_mins(1)]
     }
 
-    /// One parallel pass over the letter shards: each task refreshes its
-    /// letter's routes if the catchment epoch moved, snapshots its sites
-    /// and resolves the shard's record slot once, then executes its due
-    /// probes in VP order and records each into its shard.
+    /// Capture what each letter's probes read at `t` and hand the
+    /// (letter, minute) items to the lanes. The first tick takes the
+    /// pipeline's shards and starts the lanes.
     fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
         let minute = t.as_secs() / 60;
-        let (services, fleet, rngf, faults) = (
-            &world.services,
-            &world.fleet,
-            world.rng_factory,
-            &world.faults,
-        );
-        let ProbeWheel { wheel, letters } = self;
-        let due_now = &wheel[(minute % WHEEL_PERIOD_MINUTES) as usize];
-        let mut tasks: Vec<(usize, (&mut LetterShard, &mut LetterProbes))> = world
-            .pipeline
-            .shards_mut()
-            .iter_mut()
-            .zip(letters)
-            .enumerate()
-            .collect();
-        let probed: Vec<u64> = tasks
-            .par_iter_mut()
-            .map(|(i, (shard, lp))| {
-                let i = *i;
-                let letter = shard.letter();
-                let mut rng = rngf.indexed_stream(&lp.stream_key, minute);
-                let svc = &services[i];
-                lp.refresh_routes(svc, fleet, shard);
-                svc.site_probes_into(&mut lp.snaps);
-                let slot = shard.slot(t);
-                let probe_faults = faults.has_probe_faults();
-                let due = &due_now[i];
-                for &vp_id in due {
-                    // A dropped-out VP never probes (no RNG draw); a
-                    // firmware-downgraded VP probes (same draws as a
-                    // healthy run) but its measurement is unusable.
-                    let action = if probe_faults {
-                        faults.probe_action(vp_id, letter)
-                    } else {
-                        ProbeAction::Normal
-                    };
-                    if action == ProbeAction::Skip {
-                        shard.note_missed(t);
-                        continue;
-                    }
-                    let route = lp.routes[vp_id as usize];
-                    let obs = execute_probe_fused(route.flags, route.view(&lp.snaps), &mut rng);
-                    if action == ProbeAction::Discard {
-                        shard.note_missed(t);
-                    } else if let Some(slot) = &slot {
-                        if let Err(err) = shard.record_in(slot, VpId(vp_id), obs) {
-                            // The wheel only probes kept VPs at registered
-                            // sites, so this is a programmer error, not
-                            // data to skip.
-                            debug_assert!(false, "pipeline rejected wheel observation: {err}");
-                            let _ = err;
-                        }
-                    }
-                }
-                due.len() as u64
-            })
-            .collect();
-        world
-            .metrics
-            .inc(keys::PROBES_FUSED, probed.iter().sum::<u64>());
+        self.refresh_actions(&world.faults, world.fleet.len());
+        let lanes = self.lanes.get_or_insert_with(|| {
+            Lanes::start(
+                world.pipeline.take_shards(),
+                &self.due,
+                world.rng_factory,
+                rayon::current_num_threads(),
+            )
+        });
+        let mut probed = 0;
+        let mut items = Vec::with_capacity(self.captures.len());
+        for (i, cap) in self.captures.iter_mut().enumerate() {
+            let svc = &world.services[i];
+            cap.refresh_routes(svc, &world.fleet);
+            let mut snaps = self.spare_snaps.pop().unwrap_or_default();
+            svc.site_probes_into(&mut snaps);
+            probed += self.due[i].at(minute).len() as u64;
+            items.push(Item {
+                minute,
+                t,
+                snaps,
+                routes: Arc::clone(&cap.routes),
+                actions: cap.actions.clone(),
+            });
+        }
+        lanes.submit(items, &mut self.spare_snaps);
+        world.metrics.inc(keys::PROBES_FUSED, probed);
         vec![t + SimDuration::from_mins(1)]
+    }
+
+    /// Drain every lane, join the helpers and return the shards to the
+    /// pipeline.
+    fn finish(&mut self, world: &mut SimWorld) {
+        if let Some(lanes) = self.lanes.take() {
+            world.pipeline.put_shards(lanes.finish());
+        }
     }
 }
 
@@ -302,24 +745,43 @@ impl Subsystem for ProbeWheel {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
+    use crate::engine::faults::{FaultInjector, FaultKind, FaultPlan};
     use crate::engine::instrument::NoopInstrumentation;
     use crate::engine::world::target_view;
+    use crate::engine::{drive, Subsystem};
     use rootcast_atlas::{clean_outcome, execute_probe};
-    use rootcast_netsim::SimRng;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// `small()` cut to `minutes`.
+    fn short_small(minutes: u64) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::small();
+        cfg.horizon = SimTime::from_mins(minutes);
+        cfg.pipeline.horizon = cfg.horizon;
+        cfg
+    }
+
+    /// Run `f` with `threads` rayon threads.
+    fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
 
     #[test]
     fn wheel_covers_every_pair_once_per_interval() {
-        let mut cfg = ScenarioConfig::small();
-        cfg.horizon = SimTime::from_mins(10);
-        cfg.pipeline.horizon = cfg.horizon;
+        let cfg = short_small(10);
         let rngf = SimRng::new(cfg.seed);
         let mut obs = NoopInstrumentation;
         let world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
         let wheel = ProbeWheel::new(&world);
         let kept = world.cleaning.kept_count();
         let n_letters = world.letters.len();
-        // Across one full period every kept VP hits every letter at the
+        // Across one hour every kept VP hits every letter at the
         // letter's own frequency: 60/4 for the 12 non-A letters, 60/30
         // for A.
         let total: usize = (0..60)
@@ -343,64 +805,268 @@ mod tests {
             }
         }
         assert_eq!(non_a, kept * 12);
-    }
-
-    /// Oracle: tick the wheel on one world for minutes 1..=8 and replay
-    /// its due lists through the public string path (`execute_probe` →
-    /// `clean_outcome` → `record`, whose `probe_view` resolves every
-    /// probe afresh) on a second world, one RNG stream per (letter,
-    /// minute) as the wheel draws. `between(minute, world)` runs on both
-    /// worlds before that minute's tick. Asserts every letter's
-    /// `LetterData` and the outcome tallies match, and that the wheel's
-    /// routes are current after every tick.
-    fn assert_wheel_matches_string_path(between: impl Fn(u64, &mut SimWorld)) {
-        let mut cfg = ScenarioConfig::small();
-        cfg.horizon = SimTime::from_mins(10);
-        cfg.pipeline.horizon = cfg.horizon;
-        assert!(cfg.faults.is_empty(), "the replay assumes no faults");
-        let rngf = SimRng::new(cfg.seed);
-        let (mut fused_obs, mut replay_obs) = (NoopInstrumentation, NoopInstrumentation);
-        let mut fused = SimWorld::build(&cfg, &rngf, &mut fused_obs).expect("world builds");
-        let mut replay = SimWorld::build(&cfg, &rngf, &mut replay_obs).expect("world builds");
-        let mut wheel = ProbeWheel::new(&fused);
-        for m in 1..=8u64 {
-            let t = SimTime::from_mins(m);
-            between(m, &mut fused);
-            between(m, &mut replay);
-            wheel.tick(&mut fused, t);
-            for (lp, svc) in wheel.letters.iter().zip(&fused.services) {
-                assert_eq!(lp.epoch, svc.catchment_epoch(), "stale routes at {m} min");
-            }
-            for (i, &letter) in replay.letters.iter().enumerate() {
-                let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), m);
-                for &vp_id in wheel.due(m, i) {
-                    let vp = replay.fleet.vp(VpId(vp_id));
-                    let view = target_view(&replay.services[i], vp);
-                    let raw = execute_probe(vp, letter, view, t, &mut rng);
-                    replay
-                        .pipeline
-                        .record(vp.id, letter, t, &clean_outcome(&raw))
-                        .expect("letter registered");
-                }
+        // Each minute's list is exactly the kept VPs whose phase it is.
+        for (i, &letter) in world.letters.iter().enumerate() {
+            let interval = if letter == Letter::A { 30 } else { 4 };
+            for m in 0..60u64 {
+                let want: Vec<u32> = world
+                    .cleaning
+                    .kept
+                    .iter()
+                    .map(|vp| vp.0)
+                    .filter(|&id| {
+                        (u64::from(id)
+                            .wrapping_mul(0x9E37_79B9)
+                            .wrapping_add(letter as u64 * 7))
+                            % interval
+                            == m % interval
+                    })
+                    .collect();
+                assert_eq!(wheel.due(m, i), want.as_slice(), "{letter} minute {m}");
             }
         }
+    }
+
+    /// Calls its function every minute, before the probes tick.
+    struct Hook(fn(u64, &mut SimWorld));
+
+    impl Subsystem for Hook {
+        fn name(&self) -> &'static str {
+            "hook"
+        }
+        fn initial_wakeups(&mut self) -> Vec<SimTime> {
+            vec![SimTime::from_mins(1)]
+        }
+        fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
+            (self.0)(t.as_secs() / 60, world);
+            vec![t + SimDuration::from_mins(1)]
+        }
+    }
+
+    /// The oracle: the wheel's due lists replayed through the public
+    /// string path (`execute_probe` → `clean_outcome` → `record`, whose
+    /// `probe_view` resolves every probe afresh), one RNG stream per
+    /// (letter, minute) as the lanes draw, with the fault state's probe
+    /// actions applied per probe.
+    struct StringPath {
+        due: ProbeWheel,
+    }
+
+    impl Subsystem for StringPath {
+        fn name(&self) -> &'static str {
+            "probes"
+        }
+        fn initial_wakeups(&mut self) -> Vec<SimTime> {
+            vec![SimTime::from_mins(1)]
+        }
+        fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
+            let m = t.as_secs() / 60;
+            for i in 0..world.letters.len() {
+                let letter = world.letters[i];
+                let mut rng = world
+                    .rng_factory
+                    .indexed_stream(&format!("probes-{letter}"), m);
+                for &vp_id in self.due.due(m, i) {
+                    let action = world.faults.probe_action(vp_id, letter);
+                    if action == ProbeAction::Skip {
+                        world.pipeline.shards_mut()[i].note_missed(t);
+                        continue;
+                    }
+                    let vp = world.fleet.vp(VpId(vp_id));
+                    let view = target_view(&world.services[i], vp);
+                    let raw = execute_probe(vp, letter, view, t, &mut rng);
+                    if action == ProbeAction::Discard {
+                        world.pipeline.shards_mut()[i].note_missed(t);
+                    } else {
+                        world
+                            .pipeline
+                            .record(vp.id, letter, t, &clean_outcome(&raw))
+                            .expect("letter registered");
+                    }
+                }
+            }
+            vec![t + SimDuration::from_mins(1)]
+        }
+    }
+
+    /// The wheel under test, checked after every tick: its routes are
+    /// current, and its action tables answer as `probe_action` does and
+    /// are rebuilt only when the probe fault set moves. With `hold` set
+    /// to `(minute, lanes)`, those lanes run nothing from that minute's
+    /// tick until `finish`, so they lag the engine clock.
+    struct Checked {
+        wheel: ProbeWheel,
+        hold: Option<(u64, Vec<usize>)>,
+        /// The probe fault generations the ticks saw, in order.
+        generations: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Subsystem for Checked {
+        fn name(&self) -> &'static str {
+            "probes"
+        }
+        fn initial_wakeups(&mut self) -> Vec<SimTime> {
+            self.wheel.initial_wakeups()
+        }
+        fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
+            let before: Vec<Option<Arc<[ProbeAction]>>> = self
+                .wheel
+                .captures
+                .iter()
+                .map(|c| c.actions.clone())
+                .collect();
+            let wakeups = self.wheel.tick(world, t);
+            let m = t.as_secs() / 60;
+            if let (Some((from, lanes)), Some(wheel_lanes)) = (&self.hold, &self.wheel.lanes) {
+                if *from == m && !wheel_lanes.helpers.handles.is_empty() {
+                    for &lane in lanes {
+                        wheel_lanes.shared.hold(lane);
+                    }
+                }
+            }
+            // Faults tick after the probes, so the state now is the one
+            // the tick captured.
+            let generation = world.faults.probe_generation();
+            let moved = {
+                let mut seen = self.generations.borrow_mut();
+                let moved = seen.last() != Some(&generation);
+                if moved {
+                    seen.push(generation);
+                }
+                moved
+            };
+            for ((cap, svc), old) in self.wheel.captures.iter().zip(&world.services).zip(before) {
+                assert_eq!(cap.epoch, svc.catchment_epoch(), "stale routes at {m} min");
+                let want: Vec<ProbeAction> = (0..world.fleet.len() as u32)
+                    .map(|vp| world.faults.probe_action(vp, cap.letter))
+                    .collect();
+                match &cap.actions {
+                    Some(table) => {
+                        assert_eq!(&table[..], &want[..], "{} at {m} min", cap.letter)
+                    }
+                    None => assert!(
+                        want.iter().all(|&a| a == ProbeAction::Normal),
+                        "{} has no action table at {m} min",
+                        cap.letter
+                    ),
+                }
+                if !moved {
+                    let kept = match (&old, &cap.actions) {
+                        (None, None) => true,
+                        (Some(old), Some(new)) => Arc::ptr_eq(old, new),
+                        _ => false,
+                    };
+                    assert!(kept, "{} rebuilt its table at {m} min", cap.letter);
+                }
+            }
+            wakeups
+        }
+        fn finish(&mut self, world: &mut SimWorld) {
+            if let (Some((_, lanes)), Some(wheel_lanes)) = (&self.hold, &self.wheel.lanes) {
+                if !wheel_lanes.helpers.handles.is_empty() {
+                    for &lane in lanes {
+                        let lag = wheel_lanes.shared.resume(lane);
+                        assert!(lag >= 5, "lane {lane} lags only {lag} minutes");
+                    }
+                }
+            }
+            self.wheel.finish(world);
+        }
+    }
+
+    impl Shared {
+        /// Keep `lane` from running; its items stay queued.
+        fn hold(&self, lane: usize) {
+            let mut s = self.sched();
+            while s.claimed[lane] {
+                s = self.help(s);
+            }
+            s.claimed[lane] = true;
+            s.ready.retain(|&l| l != lane);
+        }
+
+        /// Let a held `lane` run again; the minutes it has queued.
+        fn resume(&self, lane: usize) -> usize {
+            let mut s = self.sched();
+            s.claimed[lane] = false;
+            let queued = s.queues[lane].len();
+            if queued > 0 {
+                s.ready.push_back(lane);
+                if s.parked > 0 {
+                    self.work.notify_all();
+                }
+            }
+            queued
+        }
+    }
+
+    /// Drive the wheel over one world and the string path over another,
+    /// each with `between` ticking before the probes and `cfg`'s faults
+    /// after them, the wheel on `threads` threads with `hold` as in
+    /// [`Checked`]. Asserts every letter's `LetterData` and the outcome
+    /// tallies match; returns the probe fault generations seen.
+    fn assert_wheel_matches_string_path(
+        cfg: &ScenarioConfig,
+        threads: usize,
+        hold: Option<(u64, Vec<Letter>)>,
+        between: fn(u64, &mut SimWorld),
+    ) -> Vec<u64> {
+        let rngf = SimRng::new(cfg.seed);
+        let (mut fused_obs, mut replay_obs) = (NoopInstrumentation, NoopInstrumentation);
+        let mut fused = SimWorld::build(cfg, &rngf, &mut fused_obs).expect("world builds");
+        let mut replay = SimWorld::build(cfg, &rngf, &mut replay_obs).expect("world builds");
+        let hold = hold.map(|(from, letters)| {
+            let idx = letters
+                .iter()
+                .map(|l| fused.letters.iter().position(|x| x == l).expect("letter"))
+                .collect();
+            (from, idx)
+        });
+        let generations = Rc::new(RefCell::new(Vec::new()));
+        let mut fused_subs: Vec<Box<dyn Subsystem>> = vec![
+            Box::new(Hook(between)),
+            Box::new(Checked {
+                wheel: ProbeWheel::new(&fused),
+                hold,
+                generations: Rc::clone(&generations),
+            }),
+            Box::new(FaultInjector::new(
+                rngf.stream("faults"),
+                cfg.faults.clone(),
+            )),
+        ];
+        let mut replay_subs: Vec<Box<dyn Subsystem>> = vec![
+            Box::new(Hook(between)),
+            Box::new(StringPath {
+                due: ProbeWheel::new(&replay),
+            }),
+            Box::new(FaultInjector::new(
+                rngf.stream("faults"),
+                cfg.faults.clone(),
+            )),
+        ];
+        with_threads(threads, || drive(&mut fused, &mut fused_subs, cfg.horizon));
+        drive(&mut replay, &mut replay_subs, cfg.horizon);
         fused.pipeline.finalize();
         replay.pipeline.finalize();
         for &l in &fused.letters {
             assert!(
                 fused.pipeline.letter(l) == replay.pipeline.letter(l),
-                "letter {l}: the fused wheel diverged from the string path"
+                "letter {l}: the wheel diverged from the string path at {threads} threads"
             );
         }
         assert_eq!(
             fused.pipeline.outcome_stats(),
             replay.pipeline.outcome_stats()
         );
+        generations.take()
     }
 
     #[test]
     fn fused_and_reference_wheels_are_bit_identical() {
-        assert_wheel_matches_string_path(|_, _| {});
+        for threads in [1, 3] {
+            assert_wheel_matches_string_path(&short_small(10), threads, None, |_, _| {});
+        }
     }
 
     #[test]
@@ -408,7 +1074,7 @@ mod tests {
         // Withdrawing K-LHR mid-run bumps K's catchment epoch between
         // ticks: the wheel must re-resolve its cached routes, or the VPs
         // that moved would keep probing LHR.
-        assert_wheel_matches_string_path(|m, world| {
+        assert_wheel_matches_string_path(&short_small(10), 2, None, |m, world| {
             if m != 5 {
                 return;
             }
@@ -433,35 +1099,88 @@ mod tests {
         });
     }
 
+    /// `short_small(minutes)` with a probe dropout wave and a firmware
+    /// downgrade overlapping, and a site crash inside both windows.
+    fn faulted(minutes: u64) -> ScenarioConfig {
+        let mut cfg = short_small(minutes);
+        cfg.faults = FaultPlan::none()
+            .with(
+                SimTime::from_mins(3),
+                SimDuration::from_mins(10),
+                FaultKind::ProbeDropout {
+                    fraction: 0.3,
+                    letters: vec![Letter::E, Letter::K],
+                },
+            )
+            .with(
+                SimTime::from_mins(5),
+                SimDuration::from_mins(9),
+                FaultKind::FirmwareDowngrade { fraction: 0.2 },
+            )
+            .with(
+                SimTime::from_mins(7),
+                SimDuration::from_mins(4),
+                FaultKind::SiteCrash {
+                    letter: Letter::K,
+                    site: "AMS".into(),
+                },
+            );
+        cfg
+    }
+
+    #[test]
+    fn faulted_lanes_match_the_string_path_and_rebuild_tables_per_transition() {
+        let cfg = faulted(20);
+        for threads in [1, 3] {
+            let generations = assert_wheel_matches_string_path(&cfg, threads, None, |_, _| {});
+            // No probe fault, dropout, dropout plus downgrade, downgrade
+            // alone, none: every transition reached a tick.
+            assert_eq!(generations, vec![0, 1, 2, 3, 4], "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn lagging_lanes_match_the_string_path() {
+        // K (the raster and the watches) and E (in the dropout wave) run
+        // nothing for the last eight minutes, so `finish` drains eight
+        // queued minutes on each.
+        for threads in [2, 3] {
+            assert_wheel_matches_string_path(
+                &faulted(20),
+                threads,
+                Some((12, vec![Letter::K, Letter::E])),
+                |_, _| {},
+            );
+        }
+    }
+
     #[test]
     fn probe_results_identical_across_thread_counts() {
-        let mut cfg = ScenarioConfig::small();
-        cfg.horizon = SimTime::from_mins(10);
-        cfg.pipeline.horizon = cfg.horizon;
+        let cfg = faulted(12);
         let rngf = SimRng::new(cfg.seed);
-
         let run_minutes = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
+            with_threads(threads, || {
                 let mut obs = NoopInstrumentation;
                 let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
-                let mut wheel = ProbeWheel::new(&world);
-                for m in 1..=8u64 {
-                    wheel.tick(&mut world, SimTime::from_mins(m));
-                }
+                let mut subs: Vec<Box<dyn Subsystem>> = vec![
+                    Box::new(ProbeWheel::new(&world)),
+                    Box::new(FaultInjector::new(
+                        rngf.stream("faults"),
+                        cfg.faults.clone(),
+                    )),
+                ];
+                drive(&mut world, &mut subs, cfg.horizon);
                 world.pipeline.finalize();
-                world
+                let letters: Vec<_> = world
                     .letters
                     .iter()
                     .map(|&l| world.pipeline.letter(l).clone())
-                    .collect::<Vec<_>>()
+                    .collect();
+                (letters, world.pipeline.outcome_stats())
             })
         };
-        // Back to back in one process, so the later counts run on
-        // workers parked by the earlier ones.
+        // Back to back in one process, so the later counts start their
+        // helpers while earlier ones may still be exiting.
         let single = run_minutes(1);
         for threads in 2..=4 {
             assert!(single == run_minutes(threads), "{threads} threads diverged");
@@ -469,8 +1188,65 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_lane_panics_drive_instead_of_hanging() {
+        for threads in [1, 2, 3] {
+            let (done, outcome) = mpsc::channel();
+            std::thread::spawn(move || {
+                let cfg = short_small(6);
+                let rngf = SimRng::new(cfg.seed);
+                let mut obs = NoopInstrumentation;
+                let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+                let mut wheel = ProbeWheel::new(&world);
+                // An empty route table marked current: K's first item
+                // indexes past it, inside whichever thread runs the lane.
+                let k = world
+                    .letters
+                    .iter()
+                    .position(|&l| l == Letter::K)
+                    .expect("K present");
+                wheel.captures[k].routes = Arc::new([]);
+                wheel.captures[k].epoch = world.services[k].catchment_epoch();
+                let mut subs: Vec<Box<dyn Subsystem>> = vec![Box::new(wheel)];
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    with_threads(threads, || drive(&mut world, &mut subs, cfg.horizon))
+                }));
+                let _ = done.send(result.is_err());
+            });
+            let panicked = outcome
+                .recv_timeout(Duration::from_secs(120))
+                .expect("drive hung after a lane panicked");
+            assert!(panicked, "{threads} threads: drive returned normally");
+        }
+    }
+
+    #[test]
+    fn dropping_a_wheel_mid_run_joins_its_helpers() {
+        let cfg = short_small(10);
+        let rngf = SimRng::new(cfg.seed);
+        let mut obs = NoopInstrumentation;
+        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut wheel = ProbeWheel::new(&world);
+        with_threads(3, || {
+            for m in 1..=5 {
+                wheel.tick(&mut world, SimTime::from_mins(m));
+            }
+        });
+        let lanes = wheel
+            .lanes
+            .as_ref()
+            .expect("the first tick starts the lanes");
+        assert_eq!(lanes.helpers.handles.len(), 2);
+        // Every helper holds the shared state until it exits.
+        let shared = Arc::downgrade(&lanes.shared);
+        drop(wheel);
+        assert!(
+            shared.upgrade().is_none(),
+            "a helper outlived the dropped wheel"
+        );
+    }
+
+    #[test]
     fn probe_tasks_never_grow_the_reserved_rtt_bins() {
-        use crate::engine::faults::{FaultKind, FaultPlan};
         let mut cfg = ScenarioConfig::small();
         cfg.faults = FaultPlan::none()
             .with(
@@ -494,11 +1270,7 @@ mod tests {
                 SimDuration::from_mins(40),
                 FaultKind::FirmwareDowngrade { fraction: 0.2 },
             );
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .expect("pool");
-        let out = pool.install(|| crate::sim::run(&cfg)).expect("faulted run");
+        let out = with_threads(2, || crate::sim::run(&cfg)).expect("faulted run");
         let reserved = out
             .pipeline
             .n_vps()

@@ -87,11 +87,13 @@ impl SpanProfile {
         Some(&self.stats[i])
     }
 
-    /// Ticks of the engine subsystem `name` (the count of
-    /// `drive/<name>`); 0 when it never ticked.
+    /// Ticks of the engine subsystem `name`: the count of
+    /// `drive/<name>` less its `drive/<name>/finish`; 0 when it never
+    /// ticked.
     pub fn ticks(&self, subsystem: &str) -> u64 {
-        self.get(&format!("drive/{subsystem}"))
-            .map_or(0, |s| s.count)
+        let count = |path: &str| self.get(path).map_or(0, |s| s.count);
+        let name = format!("drive/{subsystem}");
+        count(&name) - count(&format!("{name}/finish"))
     }
 
     /// The breakdown as one text table, one row per path in

@@ -18,8 +18,9 @@
 //!   `.nl` served-rate series.
 //! * [`ProbeWheel`](crate::engine::ProbeWheel) (every minute): the Atlas
 //!   fleet's wheel — each (VP, letter) pair probes on its own phase of
-//!   the letter's probing interval (§2.4.1), one parallel
-//!   probe-and-record pass per letter.
+//!   the letter's probing interval (§2.4.1); each letter's probes run
+//!   on its own lane, behind the engine clock, and `finish` drains the
+//!   lanes.
 //! * [`ResolverRefresh`](crate::engine::ResolverRefresh) (every 10 min):
 //!   resolvers re-weight letter preferences from current RTT/loss — the
 //!   letter-flip mechanism (§3.2.2).
@@ -288,7 +289,8 @@ mod tests {
         assert_eq!(out.nl_sites.len(), 2);
         // The span recorder saw every phase and the five production
         // subsystems tick (the fault injector never wakes on an empty
-        // plan, so no fault event is logged).
+        // plan, so no fault event is logged); all six finish under
+        // `drive`.
         assert!(!out.trace.iter().any(|e| matches!(
             e.kind,
             TraceEventKind::FaultInjected { .. } | TraceEventKind::FaultRecovered { .. }
@@ -307,7 +309,11 @@ mod tests {
             .enumerate()
             .filter(|(_, s)| s.parent.is_some_and(|p| out.spans.path(p) == "drive"))
             .count();
-        assert_eq!(drive_children, 5);
+        assert_eq!(drive_children, 6);
+        assert_eq!(
+            out.spans.get("drive/faults/finish").map(|s| s.count),
+            Some(1)
+        );
         assert_eq!(out.spans.ticks("fluid"), 120); // one per minute over 2 h
         assert_eq!(out.spans.ticks("rssac"), 120);
         assert_eq!(out.spans.ticks("probes"), 120);

@@ -28,9 +28,9 @@
 //! Simulations are fully deterministic: the same master seed always
 //! reproduces the same run, bit for bit, at any thread count. Randomness
 //! is split into named [`SimRng`] streams, so a run may fan work out
-//! inside one simulation (the probe tick gives each letter its own task
-//! and its own stream per minute) as well as across simulations (sweeps)
-//! without any draw depending on scheduling.
+//! inside one simulation (each letter's probes run on a lane of their
+//! own, with their own stream per minute) as well as across simulations
+//! (sweeps) without any draw depending on scheduling.
 
 #![forbid(unsafe_code)]
 

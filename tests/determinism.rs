@@ -1,13 +1,14 @@
 //! Determinism regression: the engine's outputs are a pure function of
 //! the scenario seed, at any rayon thread count.
 //!
-//! `ProbeWheel` runs one task per letter that probes and records into
-//! that letter's own pipeline shard, drawing from per-(letter, minute)
-//! RNG streams; the cached `FluidTraffic` tick is serial. The schedule of thread interleavings therefore cannot
-//! reach any simulation state. These tests pin that property end to
-//! end: two default-pool runs and one forced single-thread run of
-//! `ScenarioConfig::small()` must agree bit for bit, and must equal a
-//! committed golden digest.
+//! `ProbeWheel` runs one probe lane per letter that probes and records
+//! into that letter's own pipeline shard, minute by minute in order,
+//! drawing from per-(letter, minute) RNG streams; the cached
+//! `FluidTraffic` tick is serial. The schedule of thread interleavings
+//! therefore cannot reach any simulation state. These tests pin that
+//! property end to end: runs of `ScenarioConfig::small()`, plain and
+//! faulted, on the default pool and at 1, 2, 3 and 4 threads must agree
+//! bit for bit, and must equal committed golden digests.
 //!
 //! Runs are compared through [`output_digest`], a bit-exact fold of
 //! everything the analysis layer consumes (floats via `to_bits`, so
@@ -42,17 +43,7 @@ fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     );
     let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical runs diverged");
-
-    let single = single_threaded(|| run(&cfg).expect("valid scenario"));
-    assert_eq!(
-        first,
-        output_digest(&single),
-        "single-thread run diverged from the default pool"
-    );
-    assert!(
-        pooled.trace == single.trace,
-        "single-thread event log diverged from the default pool"
-    );
+    assert_identical_at_thread_counts(&cfg, &pooled);
     let (n, digest) = event_log_digest(&pooled);
     assert_eq!(
         (n, digest),
@@ -61,13 +52,44 @@ fn small_scenario_is_bit_identical_across_runs_and_thread_counts() {
     );
 }
 
-/// Run `f` on a one-thread rayon pool.
-fn single_threaded<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+/// Run `f` on a rayon pool of `threads`.
+fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
+        .num_threads(threads)
         .build()
-        .expect("single-thread pool")
+        .expect("pool")
         .install(f)
+}
+
+/// Assert that `cfg` runs at 1, 2, 3 and 4 threads exactly as `pooled`
+/// ran on the default pool: the same output digest, event log, every
+/// letter's `LetterData` and outcome tallies. `output_digest` folds only
+/// the success series; the probe lanes also write coverage, flips, RTTs,
+/// watches and the raster.
+fn assert_identical_at_thread_counts(cfg: &ScenarioConfig, pooled: &SimOutput) {
+    for threads in 1..=4 {
+        let out = with_threads(threads, || run(cfg).expect("valid scenario"));
+        assert_eq!(
+            output_digest(pooled),
+            output_digest(&out),
+            "{threads} threads: output diverged from the default pool"
+        );
+        assert!(
+            pooled.trace == out.trace,
+            "{threads} threads: event log diverged from the default pool"
+        );
+        for &l in &pooled.letters {
+            assert!(
+                pooled.pipeline.letter(l) == out.pipeline.letter(l),
+                "{threads} threads: letter {l} diverged from the default pool"
+            );
+        }
+        assert_eq!(
+            pooled.pipeline.outcome_stats(),
+            out.pipeline.outcome_stats(),
+            "{threads} threads: outcome tallies diverged from the default pool"
+        );
+    }
 }
 
 /// FNV-1a over the event log: per event, its simulated time in
@@ -323,34 +345,13 @@ fn fault_runs_are_bit_identical_across_thread_counts() {
     );
     let second = output_digest(&run(&cfg).expect("valid scenario"));
     assert_eq!(first, second, "two identical fault runs diverged");
-
-    let single = single_threaded(|| run(&cfg).expect("valid scenario"));
-    assert_eq!(
-        first,
-        output_digest(&single),
-        "single-thread fault run diverged from the default pool"
-    );
-    assert!(
-        pooled.trace == single.trace,
-        "single-thread fault run's event log diverged from the default pool"
-    );
+    // The dropout and firmware faults also reach coverage, flips, RTTs
+    // and watches through each shard's missed-probe path.
+    assert_identical_at_thread_counts(&cfg, &pooled);
     let (n, digest) = event_log_digest(&pooled);
     assert_eq!(
         (n, digest),
         FAULTED_SMALL_EVENT_LOG_GOLDEN,
         "faulted small() event log moved: {n} events, {digest:#018x}"
-    );
-    // The digest folds only the success series; the dropout and
-    // firmware faults also reach coverage, flips, RTTs and watches
-    // through each shard's missed-probe path.
-    for &l in &pooled.letters {
-        assert!(
-            pooled.pipeline.letter(l) == single.pipeline.letter(l),
-            "letter {l}: single-thread fault run diverged from the default pool"
-        );
-    }
-    assert_eq!(
-        pooled.pipeline.outcome_stats(),
-        single.pipeline.outcome_stats()
     );
 }

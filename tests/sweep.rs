@@ -10,8 +10,9 @@
 //!    way.
 //!
 //! Plus the thread budget the sweep's nested fan-out relies on: each
-//! run's per-letter probe tick fans out again inside the sweep's
-//! workers, and must stay within the sweep's pool.
+//! run inside the sweep's workers starts one probe-lane helper per
+//! thread of its share beyond its own, and must stay within the
+//! sweep's pool.
 
 use rayon::prelude::*;
 use rootcast::{
@@ -249,8 +250,8 @@ fn changed_config_invalidates_only_its_manifest_entry() {
 #[test]
 fn nested_fan_outs_stay_within_the_pool() {
     // Each worker, the caller included, sees its share,
-    // max(1, n / workers), of the pool's n threads, so a per-letter
-    // fan-out nested inside a parallel sweep never multiplies the
+    // max(1, n / workers), of the pool's n threads, so the probe lanes
+    // of a run nested inside a parallel sweep never multiply the
     // thread count.
     let seen = |threads: usize, items: usize| -> Vec<usize> {
         rayon::ThreadPoolBuilder::new()
