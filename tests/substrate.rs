@@ -11,7 +11,7 @@ use rootcast_atlas::{
 use rootcast_attack::{Botnet, BotnetParams};
 use rootcast_bgp::RouteCollector;
 use rootcast_dns::{Letter, ServerIdentity};
-use rootcast_netsim::{SimDuration, SimRng, SimTime};
+use rootcast_netsim::{Fnv1a, SimDuration, SimRng, SimTime};
 use rootcast_topology::{gen, Tier, TopologyParams};
 
 fn topology() -> rootcast_topology::AsGraph {
@@ -211,5 +211,62 @@ fn vpid_indexing_is_consistent() {
     for (i, vp) in fleet.iter().enumerate() {
         assert_eq!(vp.id, VpId(i as u32));
         assert_eq!(fleet.vp(vp.id).asn, vp.asn);
+    }
+}
+
+/// FNV-1a over everything `Substrate::build` computes: every graph
+/// node, every adjacency (neighbor, relation) with the edge's
+/// `geo_delay` in nanoseconds, every fleet VP, the cleaning verdicts
+/// (`excluded`, then `kept`), and each service's baseline RIB entries.
+/// Output digests see the substrate only through a run; this pins it
+/// at the layer that builds it.
+fn substrate_digest(cfg: &rootcast::ScenarioConfig) -> u64 {
+    let sub = rootcast::Substrate::build(cfg);
+    let mut h = Fnv1a::new();
+    for node in sub.graph.nodes() {
+        h.write(format!("{node:?}").as_bytes());
+        for adj in sub.graph.neighbors(node.id) {
+            h.write(format!("{:?} {:?}", adj.neighbor, adj.relation).as_bytes());
+            h.write_u64(sub.graph.geo_delay(node.id, adj.neighbor).as_nanos());
+        }
+    }
+    for vp in sub.fleet.iter() {
+        h.write(format!("{vp:?}").as_bytes());
+    }
+    h.write(format!("{:?}", sub.cleaning.excluded).as_bytes());
+    h.write(format!("{:?}", sub.cleaning.kept).as_bytes());
+    for svc in &sub.services {
+        for (asn, route) in svc.rib().iter() {
+            h.write(format!("{asn:?} {route:?}").as_bytes());
+        }
+    }
+    h.finish()
+}
+
+/// [`substrate_digest`] of `ScenarioConfig::small()`.
+const SMALL_SUBSTRATE_GOLDEN: u64 = 0x2dabe10ba83624d4;
+
+/// [`substrate_digest`] of `ScenarioConfig::nov2015()`.
+const NOV2015_SUBSTRATE_GOLDEN: u64 = 0x2da556839935b68b;
+
+#[test]
+fn substrate_build_is_pinned() {
+    for (name, cfg, golden) in [
+        (
+            "small()",
+            rootcast::ScenarioConfig::small(),
+            SMALL_SUBSTRATE_GOLDEN,
+        ),
+        (
+            "nov2015()",
+            rootcast::ScenarioConfig::nov2015(),
+            NOV2015_SUBSTRATE_GOLDEN,
+        ),
+    ] {
+        let digest = substrate_digest(&cfg);
+        assert_eq!(
+            digest, golden,
+            "{name} substrate moved: {digest:#018x} vs golden {golden:#018x}"
+        );
     }
 }
