@@ -13,8 +13,11 @@
 //!    without the short-RTT signature are kept as errors (the odd
 //!    mangled reply should not silence a VP).
 
-use crate::probe::{RawMeasurement, RawOutcome};
-use crate::vp::{VpFleet, VpId, MIN_FIRMWARE};
+use crate::probe::{
+    execute_probe_fused, IndexedView, ProbeFlags, RawMeasurement, RawOutcome, HIJACKED_REPLY_MICROS,
+};
+use crate::vp::{VantagePoint, VpFleet, VpId, MIN_FIRMWARE};
+use rand::Rng;
 use rootcast_dns::ServerIdentity;
 use rootcast_netsim::SimDuration;
 use std::collections::BTreeSet;
@@ -36,8 +39,7 @@ pub enum CleanObs {
 /// The indexed, `Copy` form of [`CleanObs`] used by the fused probe
 /// path: the site is carried as the pipeline's per-letter site index
 /// instead of a parsed [`ServerIdentity`], skipping the wire-format
-/// string round trip entirely. Produced by
-/// [`execute_probe_fused`](crate::probe::execute_probe_fused) and
+/// string round trip entirely. Produced by [`execute_probe_fused`] and
 /// consumed by [`LetterShard::record`](crate::pipeline::LetterShard::record).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FastObs {
@@ -61,7 +63,7 @@ pub enum ExclusionReason {
 }
 
 /// The cleaning verdict for a whole fleet.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CleaningReport {
     pub excluded: Vec<(VpId, ExclusionReason)>,
     /// VPs kept, ascending.
@@ -80,31 +82,74 @@ impl CleaningReport {
 
 /// Identify VPs to exclude using a calibration sample of raw
 /// measurements (one probe per VP per letter is plenty — hijacks are a
-/// static property of the VP's network path).
+/// static property of the VP's network path). The string-path twin of
+/// [`calibrate_fleet`], and its oracle: both hand per-VP hijack
+/// verdicts to one report builder.
 pub fn clean_fleet(fleet: &VpFleet, calibration: &[RawMeasurement]) -> CleaningReport {
-    let mut excluded: Vec<(VpId, ExclusionReason)> = Vec::new();
-    let mut hijacked: BTreeSet<VpId> = BTreeSet::new();
+    let mut hijacked = vec![false; fleet.len()];
     for m in calibration {
         if let RawOutcome::Reply { txt, rtt } = &m.outcome {
             let parses = ServerIdentity::parse_txt(m.letter, txt).is_some();
             if !parses && *rtt < HIJACK_RTT {
-                hijacked.insert(VpId(m.vp));
+                if let Some(h) = hijacked.get_mut(m.vp as usize) {
+                    *h = true;
+                }
             }
         }
     }
-    for vp in fleet.iter() {
+    cleaning_report(fleet, &hijacked)
+}
+
+/// The hijacked VPs' string-path reply is unparseable at an RTT drawn
+/// from [`HIJACKED_REPLY_MICROS`], always under [`HIJACK_RTT`]: every
+/// such reply is the hijack signature [`clean_fleet`] looks for.
+const _: () = assert!(HIJACKED_REPLY_MICROS.end * 1000 <= HIJACK_RTT.as_nanos());
+
+/// The calibration pass on the fused path: one probe per (VP, letter),
+/// VP-major, through [`execute_probe_fused`], where `view(vp, letter)`
+/// is the letter's service as `vp` sees it. It draws `rng` exactly as
+/// [`execute_probe`](crate::probe::execute_probe) would, and its report
+/// equals [`clean_fleet`] over those probes on the string path:
+/// [`FastObs::Error`] comes only from a hijacked VP, and that VP's
+/// string-path reply always carries the hijack signature (pinned
+/// above), while every other reply parses or times out.
+pub fn calibrate_fleet<R: Rng>(
+    fleet: &VpFleet,
+    n_letters: usize,
+    mut view: impl FnMut(&VantagePoint, usize) -> Option<IndexedView>,
+    rng: &mut R,
+) -> CleaningReport {
+    let hijacked: Vec<bool> = fleet
+        .iter()
+        .map(|vp| {
+            let flags = ProbeFlags::new(vp, false);
+            let mut signature = false;
+            for letter in 0..n_letters {
+                // Every probe draws, whatever the verdict so far.
+                signature |= execute_probe_fused(flags, view(vp, letter), rng) == FastObs::Error;
+            }
+            signature
+        })
+        .collect();
+    cleaning_report(fleet, &hijacked)
+}
+
+/// Turn per-VP hijack verdicts (`hijacked[id]`) into the fleet's
+/// report: old firmware first, then hijacks, the rest kept, each list
+/// in fleet order.
+fn cleaning_report(fleet: &VpFleet, hijacked: &[bool]) -> CleaningReport {
+    assert_eq!(hijacked.len(), fleet.len(), "one verdict per VP");
+    let mut excluded: Vec<(VpId, ExclusionReason)> = Vec::new();
+    let mut kept = Vec::new();
+    for (vp, &hijacked) in fleet.iter().zip(hijacked) {
         if vp.firmware < MIN_FIRMWARE {
             excluded.push((vp.id, ExclusionReason::OldFirmware));
-        } else if hijacked.contains(&vp.id) {
+        } else if hijacked {
             excluded.push((vp.id, ExclusionReason::Hijacked));
+        } else {
+            kept.push(vp.id);
         }
     }
-    let excluded_ids: BTreeSet<VpId> = excluded.iter().map(|&(id, _)| id).collect();
-    let kept = fleet
-        .iter()
-        .map(|v| v.id)
-        .filter(|id| !excluded_ids.contains(id))
-        .collect();
     CleaningReport { excluded, kept }
 }
 

@@ -27,7 +27,9 @@ pub mod pipeline;
 pub mod probe;
 pub mod vp;
 
-pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
+pub use clean::{
+    calibrate_fleet, clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs,
+};
 pub use pipeline::{
     raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
     PipelineError, ProbeOutcomeStats, Raster, RecordSlot, RttKeep, ServerWatch, BIN_WIDTH,

@@ -25,6 +25,11 @@ pub const PROBE_INTERVAL: SimDuration = SimDuration::from_mins(4);
 /// How often each VP probed A-root at event time (§2.4.1: every 30 min).
 pub const A_PROBE_INTERVAL: SimDuration = SimDuration::from_mins(30);
 
+/// The RTT range, in microseconds, of a hijacking middlebox's reply:
+/// always under [`HIJACK_RTT`](crate::clean::HIJACK_RTT), the cleaning
+/// stage's threshold.
+pub(crate) const HIJACKED_REPLY_MICROS: std::ops::Range<u64> = 600..4000;
+
 /// What a probe toward a service would experience from a given AS.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetView {
@@ -141,7 +146,7 @@ pub fn execute_probe<R: Rng>(
             at,
             outcome: RawOutcome::Reply {
                 txt: format!("cache{}.local", vp.id.0 % 7),
-                rtt: SimDuration::from_micros(rng.gen_range(600..4000)),
+                rtt: SimDuration::from_micros(rng.gen_range(HIJACKED_REPLY_MICROS)),
             },
         };
     }
@@ -260,6 +265,11 @@ impl ProbeFlags {
 /// [`UNMEASURED_RTT`] instead of the jittered RTT: it is a site answer
 /// whatever the jitter, so the outcome class and the RNG position are
 /// those of the kept probe.
+///
+/// Always inlined: it is the probe lanes' inner loop, and an outlined
+/// call there costs the canonical run several percent
+/// (`scripts/kernel_inlined.sh` checks the release build).
+#[inline(always)]
 pub fn execute_probe_fused<R: Rng>(
     flags: ProbeFlags,
     view: Option<IndexedView>,
@@ -268,10 +278,11 @@ pub fn execute_probe_fused<R: Rng>(
     use crate::clean::FastObs;
     if flags.hijacked() {
         // The middlebox reply is unparseable at an implausibly fast RTT,
-        // which cleans to an error. Hijacked VPs never survive
-        // `clean_fleet`, so fused callers probing a cleaned fleet never
-        // take this branch — the draw is kept for RNG parity.
-        let _ = SimDuration::from_micros(rng.gen_range(600..4000));
+        // which cleans to an error, and is the only way this kernel
+        // returns one: the calibration pass reads it as the hijack
+        // signature. Hijacked VPs never survive cleaning, so the probe
+        // lanes never take this branch — the draw is kept for RNG parity.
+        let _ = SimDuration::from_micros(rng.gen_range(HIJACKED_REPLY_MICROS));
         return FastObs::Error;
     }
     if flags.flaky() && rng.gen_bool(0.02) {

@@ -9,7 +9,7 @@
 //! has real work to do.
 
 use rand::Rng;
-use rootcast_netsim::rng::weighted_index;
+use rootcast_netsim::rng::SummedWeights;
 use rootcast_netsim::stats::mix64;
 use rootcast_netsim::SimRng;
 use rootcast_topology::{city, AsGraph, AsId, Region, Tier};
@@ -133,9 +133,10 @@ impl VpFleet {
                     * c.population_weight.max(0.01)
             })
             .collect();
+        let weights = SummedWeights::new(&weights);
         let vps = (0..params.n_vps)
             .map(|i| {
-                let asn = stubs[weighted_index(&mut rng, &weights)];
+                let asn = stubs[weights.sample(&mut rng)];
                 let firmware = if rng.gen_bool(params.old_firmware_fraction) {
                     rng.gen_range(4200..MIN_FIRMWARE)
                 } else {

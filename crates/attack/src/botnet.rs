@@ -13,7 +13,7 @@
 //! expected unique-source count feeds RSSAC and whose heavy share feeds
 //! the analytic RRL.
 
-use rootcast_netsim::rng::weighted_index;
+use rootcast_netsim::rng::SummedWeights;
 use rootcast_netsim::SimRng;
 use rootcast_topology::{city, AsGraph, Region, Tier};
 
@@ -81,10 +81,11 @@ impl Botnet {
                 default_region_bias(c.region) * c.population_weight.max(0.01)
             })
             .collect();
+        let placement = SummedWeights::new(&placement_weights);
         let mut weights = vec![0.0f64; graph.len()];
         let mut placed = 0usize;
         for rank in 0..params.n_members {
-            let pick = stubs[weighted_index(&mut rng, &placement_weights)];
+            let pick = stubs[placement.sample(&mut rng)];
             // Zipf-ish member volume: member `rank` emits ∝ 1/(rank+1)^0.9.
             let volume = 1.0 / ((rank + 1) as f64).powf(0.9);
             if weights[pick.0 as usize] == 0.0 {

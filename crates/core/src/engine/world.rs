@@ -11,8 +11,8 @@ use crate::engine::trace::{TraceEvent, TraceEventKind};
 use rand::Rng;
 use rootcast_anycast::{AnycastService, FacilityTable};
 use rootcast_atlas::{
-    clean_fleet, execute_probe, CleaningReport, MeasurementPipeline, RawMeasurement, TargetView,
-    VantagePoint, VpFleet, BIN_WIDTH,
+    calibrate_fleet, CleaningReport, IndexedView, MeasurementPipeline, VantagePoint, VpFleet,
+    BIN_WIDTH,
 };
 use rootcast_attack::{population_weights, Botnet, ResolverPopulation};
 use rootcast_bgp::RouteCollector;
@@ -24,11 +24,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The service as `vp` sees it right now, with the catchment site named
-/// by its airport code: the view the public `execute_probe` path takes.
-/// Draws no RNG.
-pub(crate) fn target_view(svc: &AnycastService, vp: &VantagePoint) -> Option<TargetView> {
+/// by its airport code: the view the public `execute_probe` path takes,
+/// for the string-path oracles. Draws no RNG.
+#[cfg(test)]
+pub(crate) fn target_view(
+    svc: &AnycastService,
+    vp: &VantagePoint,
+) -> Option<rootcast_atlas::TargetView> {
     let pv = svc.probe_view(vp.asn, vp.client_hash())?;
-    Some(TargetView::new(
+    Some(rootcast_atlas::TargetView::new(
         svc.site(pv.site).spec.code.clone(),
         pv.server,
         pv.rtt,
@@ -193,19 +197,7 @@ impl Substrate {
         let pop_weights = population_weights(&graph);
 
         let fleet = VpFleet::generate(&graph, &cfg.fleet, &rng_factory);
-        // Calibration pass: one probe per (VP, letter) to feed hijack
-        // detection, exactly how the paper's cleaning classifies VPs.
-        let mut calibration: Vec<RawMeasurement> = Vec::with_capacity(fleet.len() * letters.len());
-        {
-            let mut cal_rng = rng_factory.stream("calibration");
-            for vp in fleet.iter() {
-                for (svc, &letter) in services.iter().zip(&letters) {
-                    let view = target_view(svc, vp);
-                    calibration.push(execute_probe(vp, letter, view, SimTime::ZERO, &mut cal_rng));
-                }
-            }
-        }
-        let cleaning = clean_fleet(&fleet, &calibration);
+        let cleaning = calibrate(&fleet, &services[..letters.len()], &rng_factory);
 
         Substrate {
             cfg: cfg.clone(),
@@ -220,6 +212,26 @@ impl Substrate {
             cleaning,
         }
     }
+}
+
+/// The `t = 0` calibration pass: one probe per (VP, letter) on the
+/// `calibration` stream, VP-major, through the fused kernel, and the
+/// paper's cleaning over the hijack verdicts it yields
+/// ([`calibrate_fleet`]). `services` are the letters' only; `.nl` is
+/// not probed.
+fn calibrate(fleet: &VpFleet, services: &[AnycastService], rng_factory: &SimRng) -> CleaningReport {
+    let mut rng = rng_factory.stream("calibration");
+    let view = |vp: &VantagePoint, i: usize| {
+        let pv = services[i].probe_view(vp.asn, vp.client_hash())?;
+        // The verdict never reads the site; the index is the service's.
+        Some(IndexedView::new(
+            pv.site as u16,
+            pv.server,
+            pv.rtt,
+            pv.drop_prob,
+        ))
+    };
+    calibrate_fleet(fleet, services.len(), view, &mut rng)
 }
 
 impl<'a> SimWorld<'a> {
@@ -469,5 +481,75 @@ mod tests {
         // The scratchpad starts empty at t=0.
         assert_eq!(world.fluid.last_fluid, SimTime::ZERO);
         assert!(world.fluid.offered.is_empty());
+    }
+
+    /// The calibration pass on the public string path: `execute_probe`
+    /// through `target_view`, then `clean_fleet` over the raw replies.
+    /// Also returns how many probes timed out.
+    fn string_path_cleaning(sub: &Substrate) -> (CleaningReport, usize) {
+        let mut rng = SimRng::new(sub.cfg.seed).stream("calibration");
+        let mut calibration = Vec::new();
+        for vp in sub.fleet.iter() {
+            for (svc, &letter) in sub.services.iter().zip(&sub.letters) {
+                let view = target_view(svc, vp);
+                calibration.push(rootcast_atlas::execute_probe(
+                    vp,
+                    letter,
+                    view,
+                    SimTime::ZERO,
+                    &mut rng,
+                ));
+            }
+        }
+        let timeouts = calibration
+            .iter()
+            .filter(|m| m.outcome == rootcast_atlas::RawOutcome::Timeout)
+            .count();
+        (
+            rootcast_atlas::clean_fleet(&sub.fleet, &calibration),
+            timeouts,
+        )
+    }
+
+    #[test]
+    fn fused_calibration_matches_string_path_cleaning() {
+        use rootcast_atlas::{ExclusionReason, FleetParams, MIN_FIRMWARE};
+        let mut cases = Vec::new();
+        for seed in [20151130, 20151201] {
+            let mut cfg = ScenarioConfig::nov2015();
+            cfg.seed = seed;
+            cases.push(cfg);
+        }
+        // A small fleet where every branch fires: old firmware, hijacks
+        // (some on old firmware too), flaky timeouts, kept VPs.
+        let mut cfg = ScenarioConfig::small();
+        cfg.fleet = FleetParams {
+            n_vps: 400,
+            old_firmware_fraction: 0.25,
+            hijacked_fraction: 0.25,
+            flaky_fraction: 0.5,
+        };
+        cases.push(cfg);
+        let subs: Vec<Substrate> = cases.iter().map(Substrate::build).collect();
+        for sub in &subs {
+            let seed = sub.cfg.seed;
+            let (oracle, timeouts) = string_path_cleaning(sub);
+            assert_eq!(sub.cleaning, oracle, "seed {seed}");
+            let count = |reason| {
+                oracle
+                    .excluded
+                    .iter()
+                    .filter(|&&(_, r)| r == reason)
+                    .count()
+            };
+            assert!(count(ExclusionReason::OldFirmware) > 0, "seed {seed}");
+            assert!(count(ExclusionReason::Hijacked) > 0, "seed {seed}");
+            assert!(oracle.kept_count() > 0, "seed {seed}");
+            assert!(timeouts > 0, "seed {seed}");
+        }
+        assert!(subs[2]
+            .fleet
+            .iter()
+            .any(|vp| vp.hijacked && vp.firmware < MIN_FIRMWARE));
     }
 }

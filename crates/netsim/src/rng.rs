@@ -69,33 +69,79 @@ pub fn exp_sample<R: Rng>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Sample an index from a discrete distribution given by non-negative
-/// weights. Panics if all weights are zero or the slice is empty.
-pub fn weighted_index<R: Rng>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
-    assert!(
-        total > 0.0 && total.is_finite(),
-        "weights must have a positive finite sum"
-    );
-    let mut x = rng.gen_range(0.0..total);
-    for (i, &w) in weights.iter().enumerate() {
-        if x < w {
-            return i;
+/// A discrete distribution over indices, given by non-negative weights
+/// whose sum is taken once, so many draws from one distribution do not
+/// re-sum every weight for every draw.
+#[derive(Debug, Clone, Copy)]
+pub struct SummedWeights<'a> {
+    weights: &'a [f64],
+    /// `weights.iter().sum()`, left to right: the draws depend on its
+    /// exact bits.
+    total: f64,
+}
+
+impl<'a> SummedWeights<'a> {
+    pub fn new(weights: &'a [f64]) -> SummedWeights<'a> {
+        SummedWeights {
+            weights,
+            total: weights.iter().sum(),
         }
-        x -= w;
     }
-    // Floating-point round-off can leave us past the end; return the last
-    // non-zero weight.
-    weights
-        .iter()
-        .rposition(|&w| w > 0.0)
-        .expect("at least one positive weight")
+
+    /// The sum of the weights.
+    pub fn total(&self) -> f64 {
+        self.total
+    }
+
+    /// Sample an index with probability proportional to its weight.
+    /// Panics if all weights are zero or the slice is empty.
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+        assert!(
+            self.total > 0.0 && self.total.is_finite(),
+            "weights must have a positive finite sum"
+        );
+        let mut x = rng.gen_range(0.0..self.total);
+        for (i, &w) in self.weights.iter().enumerate() {
+            if x < w {
+                return i;
+            }
+            x -= w;
+        }
+        // Floating-point round-off can leave us past the end; return the
+        // last non-zero weight.
+        self.weights
+            .iter()
+            .rposition(|&w| w > 0.0)
+            .expect("at least one positive weight")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::RngCore;
+
+    /// The reference draw: sum the weights, then scan. What every
+    /// weighted draw in the workspace did before [`SummedWeights`], and
+    /// its oracle.
+    fn weighted_index<R: Rng>(rng: &mut R, weights: &[f64]) -> usize {
+        let total: f64 = weights.iter().sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "weights must have a positive finite sum"
+        );
+        let mut x = rng.gen_range(0.0..total);
+        for (i, &w) in weights.iter().enumerate() {
+            if x < w {
+                return i;
+            }
+            x -= w;
+        }
+        weights
+            .iter()
+            .rposition(|&w| w > 0.0)
+            .expect("at least one positive weight")
+    }
 
     #[test]
     fn same_seed_same_stream() {
@@ -138,22 +184,90 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_respects_weights() {
+    fn summed_weights_respect_weights() {
         let mut rng = SimRng::new(9).stream("w");
         let weights = [1.0, 0.0, 3.0];
+        let weights = SummedWeights::new(&weights);
         let mut counts = [0u32; 3];
         for _ in 0..10_000 {
-            counts[weighted_index(&mut rng, &weights)] += 1;
+            counts[weights.sample(&mut rng)] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = f64::from(counts[2]) / f64::from(counts[0]);
         assert!((ratio - 3.0).abs() < 0.3, "ratio={ratio}");
     }
 
+    /// Uneven weights with zeros, whose sum depends on the order it is
+    /// taken in.
+    fn uneven_weights() -> Vec<f64> {
+        let weights: Vec<f64> = (0..1500u32)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                k => 0.01 + f64::from(k * i % 97) / 3.0,
+            })
+            .collect();
+        let forward: f64 = weights.iter().sum();
+        let reverse: f64 = weights.iter().rev().sum();
+        assert_ne!(forward.to_bits(), reverse.to_bits());
+        weights
+    }
+
+    #[test]
+    fn summed_weights_draw_as_weighted_index() {
+        let weights = uneven_weights();
+        let summed = SummedWeights::new(&weights);
+        let mut by_index = SimRng::new(11).stream("w");
+        let mut by_summed = by_index.clone();
+        for draw in 0..10_000 {
+            assert_eq!(
+                weighted_index(&mut by_index, &weights),
+                summed.sample(&mut by_summed),
+                "draw {draw}"
+            );
+        }
+        assert_eq!(by_index.next_u64(), by_summed.next_u64());
+    }
+
+    /// Always returns the same word.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn summed_weights_agree_at_every_boundary() {
+        // `gen_range(0.0..total)` is `total * (word >> 11) / 2^53`. The
+        // words around each cumulative boundary put the draw within a
+        // few ulps of it, where a total off by one ulp picks the
+        // neighbouring index.
+        let weights = uneven_weights();
+        let summed = SummedWeights::new(&weights);
+        let mut boundary = 0.0;
+        for &w in &weights {
+            boundary += w;
+            let k = (boundary / summed.total() * (1u64 << 53) as f64) as u64;
+            for k in k.saturating_sub(4)..(k + 4).min(1 << 53) {
+                let word = k << 11;
+                assert_eq!(
+                    weighted_index(&mut Fixed(word), &weights),
+                    summed.sample(&mut Fixed(word)),
+                    "word {word:#x} near boundary {boundary}"
+                );
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "positive finite sum")]
-    fn weighted_index_rejects_all_zero() {
+    fn summed_weights_reject_all_zero() {
         let mut rng = SimRng::new(9).stream("w");
-        weighted_index(&mut rng, &[0.0, 0.0]);
+        SummedWeights::new(&[0.0, 0.0]).sample(&mut rng);
     }
 }

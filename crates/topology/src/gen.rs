@@ -16,10 +16,10 @@
 //! The generator is deterministic: the same [`SimRng`] master seed yields
 //! the same graph.
 
-use crate::geo::{city, city_catalog, CityId};
+use crate::geo::{city_catalog, city_distance_km, CityId};
 use crate::graph::{AsGraph, AsId, Relation, Tier};
 use rand::Rng;
-use rootcast_netsim::rng::weighted_index;
+use rootcast_netsim::rng::SummedWeights;
 use rootcast_netsim::SimRng;
 use std::fmt;
 
@@ -137,6 +137,7 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
     let mut g = AsGraph::new();
     let cities = city_catalog();
     let weights: Vec<f64> = cities.iter().map(|c| c.population_weight).collect();
+    let city_weights = SummedWeights::new(&weights);
 
     // Tier-1 backbones live in the highest-weight cities, spread out: pick
     // the top cities by weight, one per index order.
@@ -172,7 +173,7 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
             t2.push(g.add_node(Tier::Tier2, c));
         }
         while t2.len() < params.n_tier2 {
-            let c = CityId(weighted_index(&mut rng, &weights) as u16);
+            let c = CityId(city_weights.sample(&mut rng) as u16);
             t2.push(g.add_node(Tier::Tier2, c));
         }
         t2
@@ -191,10 +192,11 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
                     }
                 })
                 .collect();
-            if w.iter().sum::<f64>() <= 0.0 {
+            let w = SummedWeights::new(&w);
+            if w.total() <= 0.0 {
                 break;
             }
-            let pick = tier1[weighted_index(&mut rng, &w)];
+            let pick = tier1[w.sample(&mut rng)];
             chosen.push(pick);
             // t2 is the customer of the tier-1.
             g.add_edge(pick, t2, Relation::Customer);
@@ -215,7 +217,7 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
     // Stubs: weighted city placement, 1–2 providers among nearby Tier-2s
     // (or, rarely, a Tier-1 — large enterprises buy direct transit).
     for _ in 0..params.n_stub {
-        let c = CityId(weighted_index(&mut rng, &weights) as u16);
+        let c = CityId(city_weights.sample(&mut rng) as u16);
         let s = g.add_node(Tier::Stub, c);
         let n_providers = if rng.gen_bool(params.stub_multihome_prob) {
             2
@@ -236,10 +238,11 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
                     }
                 })
                 .collect();
-            if w.iter().sum::<f64>() <= 0.0 {
+            let w = SummedWeights::new(&w);
+            if w.total() <= 0.0 {
                 break;
             }
-            let pick = pool[weighted_index(&mut rng, &w)];
+            let pick = pool[w.sample(&mut rng)];
             chosen.push(pick);
             g.add_edge(pick, s, Relation::Customer);
         }
@@ -250,9 +253,7 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
 }
 
 fn distance_km(g: &AsGraph, a: AsId, b: AsId) -> f64 {
-    let ca = city(g.node(a).city);
-    let cb = city(g.node(b).city);
-    ca.distance_km(cb)
+    city_distance_km(g.node(a).city, g.node(b).city)
 }
 
 /// Weight for choosing provider `p` for customer `c`: inverse distance
@@ -265,6 +266,7 @@ fn proximity_weight(g: &AsGraph, c: AsId, p: AsId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geo::city;
 
     #[test]
     fn params_validation_rejects_bad_knobs() {

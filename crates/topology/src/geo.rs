@@ -9,6 +9,7 @@
 
 use rootcast_netsim::SimDuration;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Mean Earth radius in kilometers.
 const EARTH_RADIUS_KM: f64 = 6371.0;
@@ -111,7 +112,7 @@ impl City {
 ///
 /// Population weights are coarse (order-of-magnitude) Internet-user
 /// weights; they shape where stub ASes, clients, and attackers live.
-pub fn city_catalog() -> &'static [City] {
+pub const fn city_catalog() -> &'static [City] {
     use Region::*;
     // (code, name, region, lat, lon, weight)
     const CITIES: &[City] = &[
@@ -895,6 +896,76 @@ pub fn city(id: CityId) -> &'static City {
     &city_catalog()[id.0 as usize]
 }
 
+/// Number of cities in the catalog.
+const N_CITIES: usize = city_catalog().len();
+
+/// [`City::distance_km`] and [`City::propagation_delay`] for every pair
+/// of catalog cities, built once per process. Topology generation and
+/// every BGP edge relaxation ask for these, so each pair's haversine
+/// runs once instead of once per call. Both are symmetric bit for bit
+/// (the haversine's terms are even in the coordinate differences), so
+/// only the lower triangle is kept: pair `(a, b)` with `a >= b` at
+/// `a * (a + 1) / 2 + b`, 4,465 pairs. Delays are kept as `u32`
+/// nanoseconds, 12 bytes a pair, about 54 KB in all.
+struct CityPairs {
+    km: Vec<f64>,
+    delay_ns: Vec<u32>,
+}
+
+/// No great-circle delay reaches `u32::MAX` nanoseconds (4.29 s): half
+/// the Earth's circumference over fiber is about 100 ms.
+const _: () =
+    assert!(std::f64::consts::PI * EARTH_RADIUS_KM / FIBER_KM_PER_MS * 1e6 < u32::MAX as f64);
+
+fn city_pairs() -> &'static CityPairs {
+    static PAIRS: OnceLock<CityPairs> = OnceLock::new();
+    PAIRS.get_or_init(|| {
+        let cat = city_catalog();
+        let n_pairs = N_CITIES * (N_CITIES + 1) / 2;
+        let mut pairs = CityPairs {
+            km: Vec::with_capacity(n_pairs),
+            delay_ns: Vec::with_capacity(n_pairs),
+        };
+        for (a, ca) in cat.iter().enumerate() {
+            for cb in &cat[..=a] {
+                pairs.km.push(ca.distance_km(cb));
+                // Lossless: every delay fits (asserted above).
+                pairs
+                    .delay_ns
+                    .push(ca.propagation_delay(cb).as_nanos() as u32);
+            }
+        }
+        pairs
+    })
+}
+
+/// Index of the unordered pair `{a, b}` in [`CityPairs`]. Out of the
+/// table's range when either id is out of the catalog's.
+#[inline]
+fn pair_index(a: CityId, b: CityId) -> usize {
+    let (hi, lo) = if a >= b { (a.0, b.0) } else { (b.0, a.0) };
+    let hi = usize::from(hi);
+    hi * (hi + 1) / 2 + usize::from(lo)
+}
+
+/// `city(a).distance_km(city(b))`, from the pair table.
+///
+/// # Panics
+/// Panics if either id is out of range, like [`city`].
+#[inline]
+pub(crate) fn city_distance_km(a: CityId, b: CityId) -> f64 {
+    city_pairs().km[pair_index(a, b)]
+}
+
+/// `city(a).propagation_delay(city(b))`, from the pair table.
+///
+/// # Panics
+/// Panics if either id is out of range, like [`city`].
+#[inline]
+pub(crate) fn city_propagation_delay(a: CityId, b: CityId) -> SimDuration {
+    SimDuration::from_nanos(u64::from(city_pairs().delay_ns[pair_index(a, b)]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,6 +1024,38 @@ mod tests {
         let d = ams.propagation_delay(syd);
         // ~16,600 km at 200 km/ms ≈ 83 ms one way.
         assert!(d.as_millis() > 60 && d.as_millis() < 110, "delay {d}");
+    }
+
+    #[test]
+    fn pair_table_matches_city_methods_bit_for_bit() {
+        let cat = city_catalog();
+        assert_eq!(cat.len(), N_CITIES);
+        assert_eq!(city_pairs().km.len(), N_CITIES * (N_CITIES + 1) / 2);
+        for (i, a) in cat.iter().enumerate() {
+            for (j, b) in cat.iter().enumerate() {
+                let (ia, ib) = (CityId(i as u16), CityId(j as u16));
+                assert_eq!(
+                    city_distance_km(ia, ib).to_bits(),
+                    a.distance_km(b).to_bits(),
+                    "{} -> {} km",
+                    a.code,
+                    b.code
+                );
+                assert_eq!(
+                    city_propagation_delay(ia, ib),
+                    a.propagation_delay(b),
+                    "{} -> {} delay",
+                    a.code,
+                    b.code
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn pair_table_rejects_out_of_range_ids() {
+        city_distance_km(CityId(0), CityId(N_CITIES as u16));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! customers. The graph here records those relationships; the `rootcast-bgp`
 //! crate runs policy routing over it.
 
-use crate::geo::{city, CityId};
+use crate::geo::{city_propagation_delay, CityId};
 use std::fmt;
 
 /// An autonomous-system identifier (index into the graph's node table; not
@@ -99,26 +99,37 @@ impl AsGraph {
     }
 
     /// Connect `a` and `b` with `a_to_b` describing what `b` is to `a`
-    /// (e.g. `Relation::Customer` means `b` is `a`'s customer).
+    /// (e.g. `Relation::Customer` means `b` is `a`'s customer). Each side
+    /// is inserted at its sorted position, so the lists stay sorted
+    /// without a re-sort.
     ///
     /// # Panics
     /// Panics if the edge already exists or on a self-loop.
     pub fn add_edge(&mut self, a: AsId, b: AsId, b_is_to_a: Relation) {
         assert_ne!(a, b, "self-loop at {a}");
-        assert!(
-            !self.are_neighbors(a, b),
-            "duplicate edge between {a} and {b}"
+        let (Err(at_a), Err(at_b)) = (self.find(a, b), self.find(b, a)) else {
+            panic!("duplicate edge between {a} and {b}");
+        };
+        self.adj[a.0 as usize].insert(
+            at_a,
+            Adjacency {
+                neighbor: b,
+                relation: b_is_to_a,
+            },
         );
-        self.adj[a.0 as usize].push(Adjacency {
-            neighbor: b,
-            relation: b_is_to_a,
-        });
-        self.adj[b.0 as usize].push(Adjacency {
-            neighbor: a,
-            relation: b_is_to_a.flipped(),
-        });
-        self.adj[a.0 as usize].sort_by_key(|x| x.neighbor);
-        self.adj[b.0 as usize].sort_by_key(|x| x.neighbor);
+        self.adj[b.0 as usize].insert(
+            at_b,
+            Adjacency {
+                neighbor: a,
+                relation: b_is_to_a.flipped(),
+            },
+        );
+    }
+
+    /// Binary search of `a`'s sorted adjacency list for `b`: its
+    /// position if adjacent, else where it would be inserted.
+    fn find(&self, a: AsId, b: AsId) -> Result<usize, usize> {
+        self.adj[a.0 as usize].binary_search_by_key(&b, |x| x.neighbor)
     }
 
     pub fn len(&self) -> usize {
@@ -143,15 +154,13 @@ impl AsGraph {
     }
 
     pub fn are_neighbors(&self, a: AsId, b: AsId) -> bool {
-        self.adj[a.0 as usize].iter().any(|x| x.neighbor == b)
+        self.find(a, b).is_ok()
     }
 
     /// The relationship `b` has to `a`, if adjacent.
     pub fn relation(&self, a: AsId, b: AsId) -> Option<Relation> {
-        self.adj[a.0 as usize]
-            .iter()
-            .find(|x| x.neighbor == b)
-            .map(|x| x.relation)
+        let i = self.find(a, b).ok()?;
+        Some(self.adj[a.0 as usize][i].relation)
     }
 
     /// All ASes of a given tier, ascending by id.
@@ -165,11 +174,10 @@ impl AsGraph {
 
     /// One-way propagation delay between two adjacent or non-adjacent
     /// ASes' home cities (pure geography; the routing layer adds per-hop
-    /// overhead).
+    /// overhead), read from the city-pair table.
+    #[inline]
     pub fn geo_delay(&self, a: AsId, b: AsId) -> rootcast_netsim::SimDuration {
-        let ca = city(self.node(a).city);
-        let cb = city(self.node(b).city);
-        ca.propagation_delay(cb)
+        city_propagation_delay(self.node(a).city, self.node(b).city)
     }
 
     /// One-way last-mile ("access") delay inside an AS: the distance from
@@ -307,6 +315,26 @@ mod tests {
     fn geo_delay_positive_between_cities() {
         let (g, a, b) = two_node_graph();
         assert!(g.geo_delay(a, b).as_nanos() > 0);
+    }
+
+    #[test]
+    fn adjacency_stays_sorted_under_any_insertion_order() {
+        let (ams, _) = city_by_code("AMS").unwrap();
+        let mut g = AsGraph::new();
+        let hub = g.add_node(Tier::Tier1, ams);
+        let others: Vec<AsId> = (0..9).map(|_| g.add_node(Tier::Stub, ams)).collect();
+        for k in [4, 0, 8, 2, 6, 1, 7, 3, 5] {
+            g.add_edge(hub, others[k], Relation::Customer);
+        }
+        let ids: Vec<AsId> = g.neighbors(hub).iter().map(|a| a.neighbor).collect();
+        assert_eq!(ids, others);
+        for &o in &others {
+            assert!(g.are_neighbors(hub, o) && g.are_neighbors(o, hub));
+            assert_eq!(g.relation(o, hub), Some(Relation::Provider));
+        }
+        assert!(!g.are_neighbors(others[0], others[1]));
+        assert_eq!(g.relation(others[0], others[1]), None);
+        assert!(g.validate().is_ok());
     }
 
     #[test]

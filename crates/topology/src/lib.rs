@@ -10,7 +10,7 @@
 //!
 //! * [`geo`] — a catalog of world cities keyed by airport code (the
 //!   convention used to name root-server sites), great-circle distance,
-//!   and fiber propagation delay;
+//!   and fiber propagation delay, tabulated once for every city pair;
 //! * [`graph`] — the AS graph with Gao–Rexford customer/peer/provider
 //!   relationships;
 //! * [`gen`] — a deterministic three-tier topology generator.
