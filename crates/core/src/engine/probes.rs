@@ -20,16 +20,19 @@
 //! * while probe faults are active, the letter's [`ProbeAction`] table,
 //!   shared until the fault state's probe set changes.
 //!
-//! A lane owns its letter's pipeline shard and runs its items strictly
-//! in minute order, under its own lock. Each item draws from the
-//! `probes-{letter}` RNG stream indexed by its minute and records in VP
-//! order. Lanes drain on `current_num_threads() - 1` helper threads and
-//! on the engine thread, which runs items itself whenever more than
-//! `QUEUE_BOUND_MINUTES` of them per lane are queued; with one thread,
-//! each item runs inline at its tick. [`Subsystem::finish`] drains every
-//! lane, joins the helpers and hands the shards back to the pipeline.
-//! What a lane computes depends only on its items, never on which thread
-//! runs them or when, so outputs are bit-identical at any thread count.
+//! A lane owns its letter's pipeline shard behind a lock, next to the
+//! queue of its items; whoever holds the lock runs the queue's front
+//! items, so a lane runs its items strictly in minute order. Each item
+//! draws from the `probes-{letter}` RNG stream indexed by its minute and
+//! records in VP order. Lanes drain on `current_num_threads() - 1` helper
+//! threads, which take any lane no other thread holds and park when none
+//! has an item, and on the engine thread, which after each tick runs
+//! items until at most `QUEUE_BOUND_MINUTES` of them per lane are pending
+//! (none without helpers, so one thread runs each tick's items before the
+//! next). [`Subsystem::finish`] drains every lane, joins the helpers and
+//! hands the shards back to the pipeline. What a lane computes depends
+//! only on its items, never on which thread runs them or when, so
+//! outputs are bit-identical at any thread count.
 
 use crate::engine::faults::{FaultState, ProbeAction};
 use crate::engine::metrics::keys;
@@ -44,7 +47,8 @@ use rootcast_netsim::{SimDuration, SimRng, SimTime};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle};
 
 /// The probe intervals in whole minutes, one phase per minute.
@@ -59,10 +63,6 @@ const _: () = assert!(
 /// beyond that the engine thread runs items itself, which bounds the
 /// captured state in flight.
 const QUEUE_BOUND_MINUTES: usize = 2;
-
-/// Times an idle helper looks for a ready lane, yielding in between,
-/// before it parks.
-const SPIN_ROUNDS: u32 = 100;
 
 /// The probing subsystem: per letter, the VPs due each minute and the
 /// lane that probes them.
@@ -80,8 +80,6 @@ pub struct ProbeWheel {
     captures: Vec<Capture>,
     /// [`FaultState::probe_generation`] the action tables were built at.
     fault_generation: u64,
-    /// Snapshot buffers that inline items hand back for reuse.
-    spare_snaps: Vec<Vec<SiteProbe>>,
     /// The lanes, from the first tick, which takes the pipeline's shards,
     /// until `finish` returns them.
     lanes: Option<Lanes>,
@@ -148,6 +146,9 @@ struct Capture {
     /// Per VP id: what the active probe faults do to its probes of the
     /// letter; `None` when they leave every probe of it alone.
     actions: Option<Arc<[ProbeAction]>>,
+    /// The buffer the next item's site snapshots are written to: one its
+    /// lane handed back, so buffers are reused at any thread count.
+    snaps: Vec<SiteProbe>,
 }
 
 /// Everything one probe reads of its VP, in 16 bytes: a [`ProbeRoute`]
@@ -302,8 +303,8 @@ impl Lane {
     }
 }
 
-/// Lock `m`, ignoring poison: a lane that panicked is never run again,
-/// and the schedule is never left half-written.
+/// Lock `m`, ignoring poison: a lane's panic is caught before its lock
+/// is released, and a failed lane is never run again.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -312,149 +313,105 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Lanes {
     shared: Arc<Shared>,
     helpers: Helpers,
+    /// Items that may be pending when a tick returns.
+    bound: usize,
 }
 
 /// What the engine thread and the helpers share.
 struct Shared {
-    /// Per letter index, locked by whoever claimed the lane.
-    lanes: Vec<Mutex<Lane>>,
-    sched: Mutex<Sched>,
-    /// Parked helpers wait here for a ready lane.
-    work: Condvar,
-    /// The engine thread waits here for a lane to be released.
-    released: Condvar,
+    /// Per letter index.
+    slots: Vec<Slot>,
+    /// Items queued or running, not yet finished.
+    pending: AtomicUsize,
+    /// Helpers leave, and no lane starts another item, once this is set.
+    stop: AtomicBool,
+    /// The message of the first panic caught in a lane.
+    failure: Mutex<Option<String>>,
 }
 
-/// Which items wait on which lane, and which lanes are being run. A
-/// lane is in `ready` exactly when it has queued items and nobody has
-/// claimed it, so one thread at a time runs a lane, front item first.
-struct Sched {
-    queues: Vec<VecDeque<Item>>,
-    claimed: Vec<bool>,
-    ready: VecDeque<usize>,
-    /// Items queued and not yet claimed.
-    queued: usize,
-    /// Items claimed and not yet released.
-    running: usize,
-    /// Helpers parked on `work`.
-    parked: usize,
-    /// Whether the engine thread waits on `released`.
-    waiting: bool,
-    /// Helpers leave once this is set.
-    stop: bool,
-    /// The message of the first panic a helper caught in a lane.
-    failure: Option<String>,
+/// One letter's lane. Whoever holds `lane` runs the front items of
+/// `queue`, so one thread at a time runs a lane, oldest item first.
+struct Slot {
+    queue: Mutex<Queue>,
+    lane: Mutex<Lane>,
 }
 
-impl Sched {
-    /// Queue `item` on `lane`.
-    fn push(&mut self, lane: usize, item: Item) {
-        self.queues[lane].push_back(item);
-        self.queued += 1;
-        if !self.claimed[lane] && self.queues[lane].len() == 1 {
-            self.ready.push_back(lane);
+struct Queue {
+    items: VecDeque<Item>,
+    /// Snapshot buffers of run items, for the engine thread to refill.
+    spare: Vec<Vec<SiteProbe>>,
+}
+
+impl Shared {
+    /// Run `lane`'s queued items, oldest first, while more than `keep`
+    /// items are pending. A lane another thread holds is skipped, or
+    /// with `wait` waited for. A panic is recorded and stops the lanes.
+    /// Whether this call ran an item.
+    fn drain(&self, lane: usize, wait: bool, keep: usize) -> bool {
+        let slot = &self.slots[lane];
+        let mut held = match slot.lane.try_lock() {
+            Ok(held) => held,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) if wait => lock(&slot.lane),
+            Err(TryLockError::WouldBlock) => return false,
+        };
+        let mut ran = false;
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut queue = lock(&slot.queue);
+            while !self.stop.load(Ordering::SeqCst) && self.pending.load(Ordering::SeqCst) > keep {
+                let Some(item) = queue.items.pop_front() else {
+                    break;
+                };
+                drop(queue);
+                held.run(&item);
+                ran = true;
+                let Item { snaps, .. } = item;
+                self.pending.fetch_sub(1, Ordering::SeqCst);
+                queue = lock(&slot.queue);
+                queue.spare.push(snaps);
+            }
+        }));
+        if let Err(payload) = run {
+            lock(&self.failure).get_or_insert_with(|| panic_message(&*payload));
+            self.stop.store(true, Ordering::SeqCst);
         }
+        ran
     }
 
-    /// Claim the longest-ready lane and its front item.
-    fn claim(&mut self) -> Option<(usize, Item)> {
-        let lane = self.ready.pop_front()?;
-        let item = self.queues[lane]
-            .pop_front()
-            .expect("a ready lane has a queued item");
-        self.claimed[lane] = true;
-        self.queued -= 1;
-        self.running += 1;
-        Some((lane, item))
-    }
-
-    /// Panic, on the engine thread, if a helper caught a panic in a lane.
-    fn check(&self) {
-        if let Some(msg) = &self.failure {
+    /// On the engine thread: run items until at most `bound` are
+    /// pending, first on every lane no other thread holds, then waiting
+    /// for a held one. Panics if a lane has panicked.
+    fn settle(&self, bound: usize) {
+        while self.pending.load(Ordering::SeqCst) > bound && !self.stop.load(Ordering::SeqCst) {
+            let mut ran = false;
+            for lane in 0..self.slots.len() {
+                ran |= self.drain(lane, false, bound);
+            }
+            if !ran {
+                if let Some(lane) =
+                    (0..self.slots.len()).find(|&l| !lock(&self.slots[l].queue).items.is_empty())
+                {
+                    self.drain(lane, true, bound);
+                }
+            }
+        }
+        if let Some(msg) = &*lock(&self.failure) {
             panic!("a probe lane panicked: {msg}");
         }
     }
 }
 
-impl Shared {
-    fn sched(&self) -> MutexGuard<'_, Sched> {
-        lock(&self.sched)
-    }
-
-    /// Run a claimed item, then release its lane.
-    fn run(&self, lane: usize, item: Item) {
-        lock(&self.lanes[lane]).run(&item);
-        // Freed before the schedule lock is taken.
-        drop(item);
-        let mut s = self.sched();
-        s.claimed[lane] = false;
-        s.running -= 1;
-        if !s.queues[lane].is_empty() {
-            s.ready.push_back(lane);
-            if s.parked > 0 {
-                self.work.notify_one();
-            }
+/// A helper's life: from its own lane on, run every lane no other thread
+/// holds; park when none had an item; leave once stopped.
+fn helper(shared: &Shared, first: usize) {
+    let n = shared.slots.len();
+    while !shared.stop.load(Ordering::SeqCst) {
+        let mut ran = false;
+        for k in 0..n {
+            ran |= shared.drain((first + k) % n, false, 0);
         }
-        if s.waiting {
-            self.released.notify_one();
-        }
-    }
-
-    /// On the engine thread: run one ready item, or wait until a helper
-    /// releases a lane. Panics if a helper caught a panic in a lane.
-    fn help<'a>(&'a self, mut s: MutexGuard<'a, Sched>) -> MutexGuard<'a, Sched> {
-        s.check();
-        if let Some((lane, item)) = s.claim() {
-            drop(s);
-            self.run(lane, item);
-            return self.sched();
-        }
-        s.waiting = true;
-        let mut s = self
-            .released
-            .wait(s)
-            .unwrap_or_else(PoisonError::into_inner);
-        s.waiting = false;
-        s
-    }
-
-    /// A helper's next item: spin briefly, then park until one is ready.
-    /// `None` once the helpers are stopped or a lane has failed.
-    fn next(&self) -> Option<(usize, Item)> {
-        let mut s = self.sched();
-        let mut idle_rounds = 0;
-        loop {
-            if s.stop || s.failure.is_some() {
-                return None;
-            }
-            if let Some(claimed) = s.claim() {
-                return Some(claimed);
-            }
-            if idle_rounds < SPIN_ROUNDS {
-                idle_rounds += 1;
-                drop(s);
-                thread::yield_now();
-                s = self.sched();
-            } else {
-                s.parked += 1;
-                s = self.work.wait(s).unwrap_or_else(PoisonError::into_inner);
-                s.parked -= 1;
-                idle_rounds = 0;
-            }
-        }
-    }
-}
-
-/// A helper's life: run ready items until stopped. A panic in a lane is
-/// recorded for the engine thread to raise, and ends the helper.
-fn helper(shared: &Shared) {
-    while let Some((lane, item)) = shared.next() {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| shared.run(lane, item))) {
-            let mut s = shared.sched();
-            s.failure.get_or_insert_with(|| panic_message(&*payload));
-            drop(s);
-            shared.released.notify_all();
-            return;
+        if !ran {
+            thread::park();
         }
     }
 }
@@ -476,24 +433,27 @@ struct Helpers {
 }
 
 impl Helpers {
+    fn unpark(&self) {
+        for handle in &self.handles {
+            handle.thread().unpark();
+        }
+    }
+
     /// Stop every helper once it has finished its item, and join it; the
     /// payload of a helper that panicked outside a lane, if any.
-    fn join(&mut self) -> Option<Box<dyn Any + Send>> {
-        lock(&self.shared.sched).stop = true;
-        self.shared.work.notify_all();
-        let mut failed = None;
-        for handle in self.handles.drain(..) {
-            if let Err(payload) = handle.join() {
-                failed.get_or_insert(payload);
-            }
-        }
-        failed
+    fn join(&mut self) -> thread::Result<()> {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.unpark();
+        self.handles
+            .drain(..)
+            .map(JoinHandle::join)
+            .fold(Ok(()), Result::and)
     }
 }
 
 impl Drop for Helpers {
     fn drop(&mut self) {
-        self.join();
+        let _ = self.join();
     }
 }
 
@@ -507,47 +467,46 @@ impl Lanes {
         threads: usize,
     ) -> Lanes {
         let n = shards.len();
-        let lanes = shards
+        let slots = shards
             .into_iter()
             .zip(due)
-            .map(|(shard, due)| {
-                Mutex::new(Lane {
+            .map(|(shard, due)| Slot {
+                queue: Mutex::new(Queue {
+                    items: VecDeque::new(),
+                    spare: Vec::new(),
+                }),
+                lane: Mutex::new(Lane {
                     stream_key: format!("probes-{}", shard.letter()),
                     shard,
                     due: Arc::clone(due),
                     rng: rng.clone(),
                     last_minute: None,
-                })
+                }),
             })
             .collect();
         let shared = Arc::new(Shared {
-            lanes,
-            sched: Mutex::new(Sched {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                claimed: vec![false; n],
-                ready: VecDeque::with_capacity(n),
-                queued: 0,
-                running: 0,
-                parked: 0,
-                waiting: false,
-                stop: false,
-                failure: None,
-            }),
-            work: Condvar::new(),
-            released: Condvar::new(),
+            slots,
+            pending: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            failure: Mutex::new(None),
         });
         // A helper that cannot be started leaves its share to the others
         // and to the engine thread.
-        let handles = (0..threads.saturating_sub(1).min(n.saturating_sub(1)))
+        let handles: Vec<_> = (0..threads.saturating_sub(1).min(n.saturating_sub(1)))
             .filter_map(|k| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("probe-lane-{k}"))
-                    .spawn(move || helper(&shared))
+                    .spawn(move || helper(&shared, k))
                     .ok()
             })
             .collect();
         Lanes {
+            bound: if handles.is_empty() {
+                0
+            } else {
+                QUEUE_BOUND_MINUTES * n
+            },
             helpers: Helpers {
                 shared: Arc::clone(&shared),
                 handles,
@@ -556,54 +515,40 @@ impl Lanes {
         }
     }
 
-    /// Hand one tick's items, one per lane in letter order, to the lanes.
-    /// Without helpers each runs at once and returns its snapshot buffer
-    /// to `spare`; otherwise they queue, and the engine thread runs items
-    /// until the queues are back within their bound.
-    fn submit(&self, items: Vec<Item>, spare: &mut Vec<Vec<SiteProbe>>) {
-        let shared = &*self.shared;
-        if self.helpers.handles.is_empty() {
-            for (lane, item) in items.into_iter().enumerate() {
-                lock(&shared.lanes[lane]).run(&item);
-                spare.push(item.snaps);
-            }
-            return;
-        }
-        let bound = QUEUE_BOUND_MINUTES * shared.lanes.len();
-        let mut s = shared.sched();
-        s.check();
-        for (lane, item) in items.into_iter().enumerate() {
-            s.push(lane, item);
-        }
-        if s.parked > 0 {
-            shared.work.notify_all();
-        }
-        while s.queued > bound {
-            s = shared.help(s);
-        }
+    /// Queue `item` on `lane`; a spare snapshot buffer for the lane's
+    /// next item, empty when none has come back yet.
+    fn push(&self, lane: usize, item: Item) -> Vec<SiteProbe> {
+        // Counted first, so a helper that runs the item at once never
+        // takes the count below zero.
+        self.shared.pending.fetch_add(1, Ordering::SeqCst);
+        let mut queue = lock(&self.shared.slots[lane].queue);
+        queue.items.push_back(item);
+        queue.spare.pop().unwrap_or_default()
+    }
+
+    /// Wake the helpers for the tick's pushed items, and run items on the
+    /// engine thread until at most `bound` are pending.
+    fn submit(&self) {
+        self.helpers.unpark();
+        self.shared.settle(self.bound);
     }
 
     /// Run every queued item, join the helpers and return the shards in
-    /// letter order. A lane that panicked is never released, so `help`
-    /// raises its panic here.
+    /// letter order.
     fn finish(mut self) -> Vec<LetterShard> {
-        {
-            let mut s = self.shared.sched();
-            while s.queued + s.running > 0 {
-                s = self.shared.help(s);
-            }
-        }
-        if let Some(payload) = self.helpers.join() {
+        self.shared.settle(0);
+        if let Err(payload) = self.helpers.join() {
             panic::resume_unwind(payload);
         }
         drop(self.helpers);
         let shared = Arc::try_unwrap(self.shared)
             .unwrap_or_else(|_| unreachable!("every helper has been joined"));
         shared
-            .lanes
+            .slots
             .into_iter()
-            .map(|lane| {
-                lane.into_inner()
+            .map(|slot| {
+                slot.lane
+                    .into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
                     .shard
             })
@@ -647,6 +592,7 @@ impl ProbeWheel {
                     epoch: 0,
                     routes: Arc::new([]),
                     actions: None,
+                    snaps: Vec::new(),
                 };
                 (
                     Arc::new(DueList::new(&world.cleaning.kept, letter)),
@@ -658,7 +604,6 @@ impl ProbeWheel {
             due,
             captures,
             fault_generation: 0,
-            spare_snaps: Vec::new(),
             lanes: None,
         }
     }
@@ -712,22 +657,24 @@ impl Subsystem for ProbeWheel {
             )
         });
         let mut probed = 0;
-        let mut items = Vec::with_capacity(self.captures.len());
         for (i, cap) in self.captures.iter_mut().enumerate() {
             let svc = &world.services[i];
             cap.refresh_routes(svc, &world.fleet);
-            let mut snaps = self.spare_snaps.pop().unwrap_or_default();
+            let mut snaps = std::mem::take(&mut cap.snaps);
             svc.site_probes_into(&mut snaps);
             probed += self.due[i].at(minute).len() as u64;
-            items.push(Item {
-                minute,
-                t,
-                snaps,
-                routes: Arc::clone(&cap.routes),
-                actions: cap.actions.clone(),
-            });
+            cap.snaps = lanes.push(
+                i,
+                Item {
+                    minute,
+                    t,
+                    snaps,
+                    routes: Arc::clone(&cap.routes),
+                    actions: cap.actions.clone(),
+                },
+            );
         }
-        lanes.submit(items, &mut self.spare_snaps);
+        lanes.submit();
         world.metrics.inc(keys::PROBES_FUSED, probed);
         vec![t + SimDuration::from_mins(1)]
     }
@@ -890,15 +837,37 @@ mod tests {
     }
 
     /// The wheel under test, checked after every tick: its routes are
-    /// current, and its action tables answer as `probe_action` does and
-    /// are rebuilt only when the probe fault set moves. With `hold` set
-    /// to `(minute, lanes)`, those lanes run nothing from that minute's
-    /// tick until `finish`, so they lag the engine clock.
+    /// current, its action tables answer as `probe_action` does and are
+    /// rebuilt only when the probe fault set moves, and no more items are
+    /// pending than the queue bound allows. With `hold` set to
+    /// `(minute, lanes)` and helpers running, a holder thread locks each
+    /// of those lanes from that minute's tick until `finish`, so they
+    /// run nothing and lag the engine clock.
     struct Checked {
         wheel: ProbeWheel,
         hold: Option<(u64, Vec<usize>)>,
+        /// Per held lane: its index, the holder's release and the holder.
+        holders: Vec<(usize, mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
         /// The probe fault generations the ticks saw, in order.
         generations: Rc<RefCell<Vec<u64>>>,
+    }
+
+    /// Lock `lane` on a thread of its own until `release` is sent; returns
+    /// once the lane is held.
+    fn hold_lane(
+        shared: &Arc<Shared>,
+        lane: usize,
+    ) -> (mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+        let (release, released) = mpsc::channel();
+        let (held, is_held) = mpsc::channel();
+        let shared = Arc::clone(shared);
+        let holder = std::thread::spawn(move || {
+            let _lane = lock(&shared.slots[lane].lane);
+            held.send(()).expect("the test waits for the hold");
+            let _ = released.recv();
+        });
+        is_held.recv().expect("the holder locks the lane");
+        (release, holder)
     }
 
     impl Subsystem for Checked {
@@ -917,10 +886,19 @@ mod tests {
                 .collect();
             let wakeups = self.wheel.tick(world, t);
             let m = t.as_secs() / 60;
-            if let (Some((from, lanes)), Some(wheel_lanes)) = (&self.hold, &self.wheel.lanes) {
-                if *from == m && !wheel_lanes.helpers.handles.is_empty() {
-                    for &lane in lanes {
-                        wheel_lanes.shared.hold(lane);
+            let lanes = self.wheel.lanes.as_ref().expect("a tick starts the lanes");
+            let bound = if lanes.helpers.handles.is_empty() {
+                0
+            } else {
+                QUEUE_BOUND_MINUTES * lanes.shared.slots.len()
+            };
+            let pending = lanes.shared.pending.load(Ordering::SeqCst);
+            assert!(pending <= bound, "{pending} items pending at {m} min");
+            if let Some((from, held)) = &self.hold {
+                if *from == m && !lanes.helpers.handles.is_empty() {
+                    for &lane in held {
+                        let (release, holder) = hold_lane(&lanes.shared, lane);
+                        self.holders.push((lane, release, holder));
                     }
                 }
             }
@@ -962,41 +940,15 @@ mod tests {
             wakeups
         }
         fn finish(&mut self, world: &mut SimWorld) {
-            if let (Some((_, lanes)), Some(wheel_lanes)) = (&self.hold, &self.wheel.lanes) {
-                if !wheel_lanes.helpers.handles.is_empty() {
-                    for &lane in lanes {
-                        let lag = wheel_lanes.shared.resume(lane);
-                        assert!(lag >= 5, "lane {lane} lags only {lag} minutes");
-                    }
+            if let Some(lanes) = &self.wheel.lanes {
+                for (lane, release, holder) in self.holders.drain(..) {
+                    let lag = lock(&lanes.shared.slots[lane].queue).items.len();
+                    assert!(lag >= 5, "lane {lane} lags only {lag} minutes");
+                    release.send(()).expect("the holder waits");
+                    holder.join().expect("the holder releases the lane");
                 }
             }
             self.wheel.finish(world);
-        }
-    }
-
-    impl Shared {
-        /// Keep `lane` from running; its items stay queued.
-        fn hold(&self, lane: usize) {
-            let mut s = self.sched();
-            while s.claimed[lane] {
-                s = self.help(s);
-            }
-            s.claimed[lane] = true;
-            s.ready.retain(|&l| l != lane);
-        }
-
-        /// Let a held `lane` run again; the minutes it has queued.
-        fn resume(&self, lane: usize) -> usize {
-            let mut s = self.sched();
-            s.claimed[lane] = false;
-            let queued = s.queues[lane].len();
-            if queued > 0 {
-                s.ready.push_back(lane);
-                if s.parked > 0 {
-                    self.work.notify_all();
-                }
-            }
-            queued
         }
     }
 
@@ -1028,6 +980,7 @@ mod tests {
             Box::new(Checked {
                 wheel: ProbeWheel::new(&fused),
                 hold,
+                holders: Vec::new(),
                 generations: Rc::clone(&generations),
             }),
             Box::new(FaultInjector::new(
@@ -1210,12 +1163,16 @@ mod tests {
                 let result = panic::catch_unwind(AssertUnwindSafe(|| {
                     with_threads(threads, || drive(&mut world, &mut subs, cfg.horizon))
                 }));
-                let _ = done.send(result.is_err());
+                let _ = done.send(result.err().map(|payload| panic_message(&*payload)));
             });
-            let panicked = outcome
+            let msg = outcome
                 .recv_timeout(Duration::from_secs(120))
-                .expect("drive hung after a lane panicked");
-            assert!(panicked, "{threads} threads: drive returned normally");
+                .expect("drive hung after a lane panicked")
+                .unwrap_or_else(|| panic!("{threads} threads: drive returned normally"));
+            assert!(
+                msg.starts_with("a probe lane panicked: "),
+                "{threads} threads: drive panicked with {msg:?}"
+            );
         }
     }
 
