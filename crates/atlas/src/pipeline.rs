@@ -11,18 +11,26 @@
 //! Outputs maintained per letter:
 //!
 //! * successful-VP count per bin (Figure 3) and error count;
-//! * subsampled RTTs per bin (Figure 4's medians);
+//! * the median of subsampled RTTs per bin (Figure 4);
 //! * per-site VP counts per bin (Figures 5, 6, 14);
 //! * site flips per bin plus the individual flip events (Figures 8, 10);
-//! * per-server counts and RTTs for *watched* sites (Figures 12, 13);
+//! * per-server counts and median RTTs for *watched* sites (Figures 7,
+//!   12, 13);
 //! * optional full per-probe site timelines ("raster") at probe
 //!   granularity for Figures 10 and 11.
+//!
+//! RTT samples are kept only while their bin is open. A VP commits its
+//! bin when it next records in a later bin, so a bin stays open for
+//! about one probe interval after it ends, longer for a VP whose probes
+//! went missing meanwhile. [`LetterShard::close_bins`] closes the bins no
+//! VP can still commit to, reducing each to its median;
+//! [`MeasurementPipeline::finalize`] closes the rest.
 
 use crate::clean::{CleanObs, FastObs};
 use crate::probe::{PROBE_INTERVAL, UNMEASURED_RTT};
 use crate::vp::VpId;
 use rootcast_dns::Letter;
-use rootcast_netsim::{BinnedSeries, Coverage, Reduce, SampleBins, SimDuration, SimTime};
+use rootcast_netsim::{BinnedSeries, Coverage, OpenBins, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -203,10 +211,11 @@ pub struct FlipEvent {
 pub struct ServerWatch {
     /// VP count per bin, per server ordinal (1-based key).
     pub counts: BTreeMap<u16, BinnedSeries>,
-    /// RTT samples per bin, per server ordinal.
-    pub rtts: BTreeMap<u16, SampleBins>,
-    /// Site-level RTT samples (Figure 7).
-    pub site_rtt: SampleBins,
+    /// Median RTT per bin in nanoseconds, per server ordinal (NaN where
+    /// no sample).
+    pub rtts: BTreeMap<u16, BinnedSeries>,
+    /// Site-level median RTT per bin in nanoseconds (Figure 7).
+    pub site_rtt: BinnedSeries,
 }
 
 /// Everything accumulated for one letter.
@@ -219,8 +228,9 @@ pub struct LetterData {
     pub success: BinnedSeries,
     /// VPs whose best answer was an error per bin.
     pub errors: BinnedSeries,
-    /// Subsampled per-bin RTTs — Figure 4.
-    pub rtt: SampleBins,
+    /// Median of the subsampled RTTs per bin in nanoseconds (NaN where no
+    /// sample) — Figure 4.
+    pub rtt: BinnedSeries,
     /// VP count per bin for each site — Figures 5/6/14.
     pub site_counts: Vec<BinnedSeries>,
     /// Site flips per bin — Figure 8.
@@ -259,8 +269,7 @@ impl LetterData {
 
     /// Per-bin median RTT in milliseconds (NaN where no samples).
     pub fn rtt_median_ms(&self) -> BinnedSeries {
-        let s = self.rtt.reduce(Reduce::Median, f64::NAN);
-        BinnedSeries::from_values(s.bin_width(), s.values().iter().map(|v| v / 1e6).collect())
+        self.rtt.map(|ns| ns / 1e6)
     }
 }
 
@@ -334,32 +343,203 @@ pub struct LetterShard {
     outcomes: ProbeOutcomeStats,
     horizon: SimTime,
     rtt_subsample: RttSubsample,
+    /// The samples of the open RTT bins.
+    rtt_bins: RttBins,
+    /// VPs whose probes went missing since they last recorded.
+    lagging: Lagging,
 }
 
-/// Which VPs feed Figure 4's RTT bins, and how many samples a bin can
-/// therefore hold.
+/// Which VPs feed Figure 4's RTT bins.
 #[derive(Debug, Clone, Copy)]
 struct RttSubsample {
-    /// Keep RTTs from VPs whose id is a multiple of this.
+    /// Keep RTTs from VPs whose id is a multiple of this; positive, as
+    /// registration rejects zero.
     every: u32,
-    /// Subsampled VPs in the fleet: each commits a bin at most once, so
-    /// no bin holds more samples than this.
-    per_bin: usize,
 }
 
 impl RttSubsample {
-    /// `every` must be positive; registration rejects zero.
-    fn new(every: u32, n_vps: usize) -> RttSubsample {
-        RttSubsample {
-            every,
-            per_bin: n_vps.div_ceil(every as usize),
-        }
-    }
-
     /// Does `vp` feed Figure 4's RTT bins?
     #[inline]
     fn keeps(self, vp: VpId) -> bool {
         vp.0.is_multiple_of(self.every)
+    }
+}
+
+/// The samples of a shard's open RTT bins, one [`OpenBins`] per median
+/// series of its [`LetterData`], and which bins have closed. A bin
+/// closes in every series at once.
+#[derive(Debug)]
+struct RttBins {
+    /// Bins in each series; samples past the last whole bin are dropped,
+    /// as [`BinnedSeries::incr_bin`] drops counts there.
+    n_bins: usize,
+    /// For [`LetterData::rtt`].
+    letter: OpenBins,
+    /// One per watched site, as [`LetterData::watches`] lists them. A
+    /// letter watches a few sites with a few servers each, so a linear
+    /// search finds one faster than a map.
+    watches: Vec<WatchBins>,
+    /// Every bin below this is closed, except those in `held`.
+    settled: usize,
+    /// Bins below `settled` that a lagging VP may still commit to, so
+    /// still open; ascending.
+    held: Vec<usize>,
+}
+
+impl RttBins {
+    fn new(n_bins: usize, watched: impl Iterator<Item = u16>) -> RttBins {
+        RttBins {
+            n_bins,
+            letter: OpenBins::default(),
+            watches: watched
+                .map(|site| WatchBins {
+                    site,
+                    all: OpenBins::default(),
+                    servers: Vec::new(),
+                })
+                .collect(),
+            settled: 0,
+            held: Vec::new(),
+        }
+    }
+
+    fn is_closed(&self, bin: usize) -> bool {
+        bin < self.settled && self.held.binary_search(&bin).is_err()
+    }
+
+    /// Whether a sample of bin `bin` is kept: false past the last whole
+    /// bin. No sample may reach a closed bin.
+    fn takes(&self, bin: usize) -> bool {
+        debug_assert!(
+            !self.is_closed(bin),
+            "an RTT sample was committed to closed bin {bin}"
+        );
+        bin < self.n_bins
+    }
+
+    /// Add `ns` to Figure 4's bin `bin`.
+    fn push_letter(&mut self, bin: usize, ns: f64) {
+        if self.takes(bin) {
+            self.letter.push(bin, ns);
+        }
+    }
+
+    /// Add `ns` to bin `bin` of watched site `site` and of its server
+    /// `server`.
+    fn push_watch(&mut self, site: u16, server: u16, bin: usize, ns: f64) {
+        if !self.takes(bin) {
+            return;
+        }
+        let Some(watch) = self.watches.iter_mut().find(|w| w.site == site) else {
+            return;
+        };
+        watch.all.push(bin, ns);
+        match watch.servers.iter_mut().find(|(s, _)| *s == server) {
+            Some((_, open)) => open.push(bin, ns),
+            None => {
+                let mut open = OpenBins::default();
+                open.push(bin, ns);
+                watch.servers.push((server, open));
+            }
+        }
+    }
+
+    /// Reduce bin `bin` of every series to its median in `data`. A
+    /// series that took a sample has its medians in `data`: its watch
+    /// was registered, and its server's entry made before the sample.
+    fn close(&mut self, bin: usize, data: &mut LetterData) {
+        self.letter.close(bin, &mut data.rtt);
+        for open in &mut self.watches {
+            let Some(watch) = data.watches.get_mut(&open.site) else {
+                continue;
+            };
+            open.all.close(bin, &mut watch.site_rtt);
+            for (server, open) in &mut open.servers {
+                if let Some(medians) = watch.rtts.get_mut(server) {
+                    open.close(bin, medians);
+                }
+            }
+        }
+    }
+
+    /// Close every bin still open.
+    fn close_all(&mut self, data: &mut LetterData) {
+        let open: Vec<usize> = self
+            .held
+            .drain(..)
+            .chain(self.settled..self.n_bins)
+            .collect();
+        for bin in open {
+            self.close(bin, data);
+        }
+        self.settled = self.n_bins;
+    }
+
+    /// Every series' open bins, Figure 4's first.
+    fn series(&self) -> impl Iterator<Item = &OpenBins> {
+        std::iter::once(&self.letter).chain(
+            self.watches
+                .iter()
+                .flat_map(|w| std::iter::once(&w.all).chain(w.servers.iter().map(|(_, o)| o))),
+        )
+    }
+}
+
+/// The open bins of one watched site: the site's, for
+/// [`ServerWatch::site_rtt`], and each server's, for its
+/// [`ServerWatch::rtts`] entry.
+#[derive(Debug)]
+struct WatchBins {
+    site: u16,
+    all: OpenBins,
+    servers: Vec<(u16, OpenBins)>,
+}
+
+/// The VPs whose probes went missing ([`LetterShard::note_missed`]) since
+/// they last recorded: each may still commit the bin it last recorded
+/// in, however late.
+#[derive(Debug, Default)]
+struct Lagging {
+    vps: Vec<u32>,
+    /// Per VP id: one more than the bin of its last missed probe while
+    /// it is in `vps`, else 0. Empty until the first miss.
+    missed_in: Vec<u32>,
+}
+
+impl Lagging {
+    /// `vp` (below `n_vps`) missed a probe in bin `bin`.
+    fn note(&mut self, vp: usize, bin: u32, n_vps: usize) {
+        if self.missed_in.is_empty() {
+            self.missed_in = vec![0; n_vps];
+        }
+        let last = &mut self.missed_in[vp];
+        if *last == 0 {
+            self.vps.push(vp as u32);
+        }
+        *last = bin + 1;
+    }
+
+    /// Drop the VPs that have recorded in a later bin than their last
+    /// missed probe; return the bins below `settled` that a remaining VP
+    /// may still commit a site answer to, ascending.
+    fn pending_bins(&mut self, state: &[VpLetterState], settled: usize) -> Vec<usize> {
+        let missed_in = &mut self.missed_in;
+        let mut bins = Vec::new();
+        self.vps.retain(|&vp| {
+            let st = &state[vp as usize];
+            let last = &mut missed_in[vp as usize];
+            if st.cur_bin >= *last {
+                *last = 0;
+                return false;
+            }
+            if matches!(st.best, BinBest::Site { .. }) && (st.cur_bin as usize) < settled {
+                bins.push(st.cur_bin as usize);
+            }
+            true
+        });
+        bins.sort_unstable();
+        bins.dedup();
+        bins
     }
 }
 
@@ -399,15 +579,64 @@ impl LetterShard {
         self.data.letter
     }
 
-    /// Record that a scheduled probe produced no measurement at all
-    /// (the VP was disconnected or its result was discarded). Counts
-    /// toward [`LetterData::coverage`]; beyond-horizon slots are ignored
-    /// symmetrically with [`LetterShard::record`].
-    pub fn note_missed(&mut self, at: SimTime) {
+    /// Record that `vp`'s scheduled probe at `at` produced no
+    /// measurement at all (the VP was disconnected or its result was
+    /// discarded). Counts toward [`LetterData::coverage`], and keeps the
+    /// bin `vp` last recorded in open until it records again (see
+    /// [`Self::close_bins`]). Beyond-horizon slots are ignored
+    /// symmetrically with [`LetterShard::record`]; a VP beyond the fleet
+    /// is a [`PipelineError::VpOutOfRange`].
+    pub fn note_missed(&mut self, vp: VpId, at: SimTime) -> Result<(), PipelineError> {
+        let n_vps = self.state.len();
+        if vp.0 as usize >= n_vps {
+            return Err(PipelineError::VpOutOfRange { vp, n_vps });
+        }
         if at < self.horizon {
             self.data.missed_probes += 1;
             self.outcomes.missed += 1;
+            let bin = at.bin_index(BIN_WIDTH) as u32;
+            self.lagging.note(vp.0 as usize, bin, n_vps);
         }
+        Ok(())
+    }
+
+    /// Close the RTT bins no VP can still commit to, reducing each to
+    /// the median of its samples, on the probing schedule: every VP of
+    /// this letter probes once per `every`, and has recorded each of its
+    /// probes up to `now` unless one was noted missed
+    /// ([`Self::note_missed`]) since it last recorded. Such a VP last
+    /// recorded after `now - every`, so every bin that ended by then
+    /// holds its commit. A VP noted missed holds the bin it last recorded
+    /// in open until it records in a later bin or the pipeline
+    /// finalizes. Nothing records at or past the horizon, so nothing
+    /// closes there either.
+    pub fn close_bins(&mut self, now: SimTime, every: SimDuration) {
+        if now >= self.horizon {
+            return;
+        }
+        let quiet = now.saturating_since(SimTime::ZERO + every);
+        let bins = &mut self.rtt_bins;
+        let settled = ((quiet.as_nanos() / BIN_WIDTH.as_nanos()) as usize).min(bins.n_bins);
+        if settled <= bins.settled {
+            return;
+        }
+        let pending = self.lagging.pending_bins(&self.state, settled);
+        let candidates = std::mem::take(&mut bins.held);
+        for bin in candidates.into_iter().chain(bins.settled..settled) {
+            if pending.binary_search(&bin).is_ok() {
+                bins.held.push(bin);
+            } else {
+                bins.close(bin, &mut self.data);
+            }
+        }
+        bins.settled = settled;
+    }
+
+    /// The open bins of each RTT median series, Figure 4's first: how
+    /// many bins each held open at once, and how many sample buffers it
+    /// allocated.
+    pub fn rtt_series(&self) -> impl Iterator<Item = &OpenBins> {
+        self.rtt_bins.series()
     }
 
     /// Where a probe at `at` records: its bin and its raster slot,
@@ -486,7 +715,7 @@ impl LetterShard {
         let state = &mut self.state[vp.0 as usize];
         if slot.bin != state.cur_bin {
             let finished = *state;
-            commit(data, vp, finished, self.rtt_subsample);
+            commit(data, &mut self.rtt_bins, vp, finished, self.rtt_subsample);
             if let BinBest::Site { site, .. } = finished.best {
                 // The committed bin's site becomes the reference point
                 // for flip detection in later bins.
@@ -507,18 +736,34 @@ impl LetterShard {
         Ok(())
     }
 
-    /// Flush every VP's outstanding bin.
+    /// Flush every VP's outstanding bin and close every RTT bin.
     fn finalize(&mut self) {
         for (vpi, st) in self.state.iter_mut().enumerate() {
-            commit(&mut self.data, VpId(vpi as u32), *st, self.rtt_subsample);
+            let vp = VpId(vpi as u32);
+            commit(
+                &mut self.data,
+                &mut self.rtt_bins,
+                vp,
+                *st,
+                self.rtt_subsample,
+            );
             st.best = BinBest::Empty;
         }
+        self.rtt_bins.close_all(&mut self.data);
+        self.lagging = Lagging::default();
     }
 }
 
-/// Fold one VP's finished bin into the letter's aggregates. The caller
-/// updates the VP's `last_site` (it owns the mutable state).
-fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubsample) {
+/// Fold one VP's finished bin into the letter's aggregates, its RTTs into
+/// the open bins. The caller updates the VP's `last_site` (it owns the
+/// mutable state).
+fn commit(
+    data: &mut LetterData,
+    rtt_bins: &mut RttBins,
+    vp: VpId,
+    st: VpLetterState,
+    subsample: RttSubsample,
+) {
     let bin = st.cur_bin as usize;
     match st.best {
         BinBest::Empty | BinBest::Timeout => {}
@@ -534,15 +779,7 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubs
                     "VP {} reached RTT bin {bin} unmeasured",
                     vp.0
                 );
-                // Registration reserved `per_bin` samples in every bin;
-                // a push past that would reallocate the bin on a probe
-                // task's worker thread.
-                debug_assert!(
-                    data.rtt.bin_len(bin) < subsample.per_bin,
-                    "RTT bin {bin} outgrew its {} reserved samples",
-                    subsample.per_bin
-                );
-                data.rtt.push_bin(bin, rtt.as_nanos() as f64);
+                rtt_bins.push_letter(bin, rtt.as_nanos() as f64);
             }
             if let Some(prev) = st.last_site {
                 if prev != site {
@@ -561,22 +798,28 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, subsample: RttSubs
                     "VP {} reached watched site {site} unmeasured",
                     vp.0
                 );
+                // A server's RTT medians are made with its counts, so both
+                // maps hold every server seen, even one whose only
+                // answers fell past the last whole bin.
                 let n_bins = data.success.len();
-                let bw = data.success.bin_width();
+                let rtts = &mut watch.rtts;
                 watch
                     .counts
                     .entry(server)
-                    .or_insert_with(|| BinnedSeries::zeros(bw, n_bins))
+                    .or_insert_with(|| {
+                        rtts.insert(server, unmeasured(n_bins));
+                        BinnedSeries::zeros(BIN_WIDTH, n_bins)
+                    })
                     .incr_bin(bin);
-                watch
-                    .rtts
-                    .entry(server)
-                    .or_insert_with(|| SampleBins::new(bw, n_bins))
-                    .push_bin(bin, rtt.as_nanos() as f64);
-                watch.site_rtt.push_bin(bin, rtt.as_nanos() as f64);
+                rtt_bins.push_watch(site, server, bin, rtt.as_nanos() as f64);
             }
         }
     }
+}
+
+/// A median series with no bin measured yet.
+fn unmeasured(n_bins: usize) -> BinnedSeries {
+    BinnedSeries::from_values(BIN_WIDTH, vec![f64::NAN; n_bins])
 }
 
 /// The streaming pipeline: one [`LetterShard`] per registered letter,
@@ -661,14 +904,13 @@ impl MeasurementPipeline {
                             ServerWatch {
                                 counts: BTreeMap::new(),
                                 rtts: BTreeMap::new(),
-                                site_rtt: SampleBins::new(BIN_WIDTH, n_bins),
+                                site_rtt: unmeasured(n_bins),
                             },
                         )
                     })
             })
             .collect();
         let raster = rastered.then(|| Raster::new(n_probes(self.cfg.horizon), self.n_vps));
-        let rtt_subsample = RttSubsample::new(self.cfg.rtt_subsample, self.n_vps);
         let data = LetterData {
             letter,
             site_counts: site_codes
@@ -678,10 +920,7 @@ impl MeasurementPipeline {
             site_codes,
             success: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             errors: BinnedSeries::zeros(BIN_WIDTH, n_bins),
-            // Reserved here, on the engine thread, to the most a bin can
-            // hold: grown by a probe lane, every bin would live in that
-            // helper thread's malloc arena for the rest of the run.
-            rtt: SampleBins::with_bin_capacity(BIN_WIDTH, n_bins, rtt_subsample.per_bin),
+            rtt: unmeasured(n_bins),
             flips: BinnedSeries::zeros(BIN_WIDTH, n_bins),
             flip_events: Vec::new(),
             watches,
@@ -689,12 +928,17 @@ impl MeasurementPipeline {
             observed_probes: 0,
             missed_probes: 0,
         };
+        let rtt_bins = RttBins::new(n_bins, data.watches.keys().copied());
         self.shards.push(LetterShard {
             data,
             state: vec![VpLetterState::default(); self.n_vps],
             outcomes: ProbeOutcomeStats::default(),
             horizon: self.cfg.horizon,
-            rtt_subsample,
+            rtt_subsample: RttSubsample {
+                every: self.cfg.rtt_subsample,
+            },
+            rtt_bins,
+            lagging: Lagging::default(),
         });
         Ok(())
     }
@@ -951,7 +1195,11 @@ mod tests {
         let watch = d.watches.get(&fra).expect("FRA watched");
         assert_eq!(watch.counts[&1].values()[0], 1.0);
         assert_eq!(watch.counts[&2].values()[0], 1.0);
-        assert_eq!(watch.site_rtt.count_at(t(0)), 2);
+        // The site's median of 20 and 25 ms; each server's own.
+        assert_eq!(watch.site_rtt.values()[0], 22.5e6);
+        assert_eq!(watch.rtts[&1].values()[0], 20e6);
+        assert_eq!(watch.rtts[&2].values()[0], 25e6);
+        assert!(watch.site_rtt.values()[1].is_nan());
         let ams = d.site_idx("AMS").unwrap();
         assert!(!d.watches.contains_key(&ams));
     }
@@ -1118,7 +1366,7 @@ mod tests {
         let d = p.letter(Letter::K);
         assert_eq!(d.success.values()[0], 1.0);
         assert_eq!(d.site_counts[ams as usize].values()[0], 1.0);
-        assert_eq!(d.rtt.count_at(t(0)), 0);
+        assert!(d.rtt.values()[0].is_nan());
     }
 
     /// Record an unmeasured site answer from `vp` at `site` (0 = AMS,
@@ -1151,6 +1399,164 @@ mod tests {
     #[should_panic(expected = "VP 1 reached watched site 1 unmeasured")]
     fn unmeasured_rtt_at_a_watched_site_is_caught() {
         commit_unmeasured(2, 1, 1);
+    }
+
+    /// Per bin, the RTT samples a reference keeps alongside a shard.
+    type RefBins = Vec<Vec<f64>>;
+
+    /// Assert every bin of `got` holds the bits of the median of `want`'s
+    /// samples (NaN for none).
+    fn assert_medians(got: &BinnedSeries, want: &RefBins, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (bin, (g, w)) in got.values().iter().zip(want).enumerate() {
+            let w = rootcast_netsim::stats::median(w);
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} bin {bin}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn streamed_medians_match_the_median_of_every_sample() {
+        // 92 min: nine whole bins, and a partial tenth whose samples are
+        // dropped; bin 8 closes at finalize, as half its VPs' next
+        // probes fall past the horizon. Every VP probes once per 4 min
+        // on its own phase. VPs 0-9 go missing from minute 25 to 47, so
+        // the bin they last recorded in (bin 2) commits from minute 48
+        // on, long after bins 3 and 4 close.
+        const N_VPS: u32 = 40;
+        let horizon = SimTime::from_mins(92);
+        let every = PROBE_INTERVAL;
+        let mut cfg = cfg();
+        cfg.horizon = horizon;
+        cfg.rtt_subsample = 3;
+        let mut p = MeasurementPipeline::new(cfg, N_VPS as usize);
+        p.register_letter(Letter::K, vec!["AMS".into(), "FRA".into()])
+            .unwrap();
+        let n_bins = 9;
+        let (ams, fra) = (0u16, 1u16);
+        let mut letter_ref: RefBins = vec![Vec::new(); n_bins];
+        let mut site_ref: RefBins = vec![Vec::new(); n_bins];
+        let mut server_ref: BTreeMap<u16, RefBins> = BTreeMap::new();
+        // A bin's first site answer: (site, server, RTT in ns).
+        type Best = Option<(u16, u16, f64)>;
+        // Per VP: the bin it records in and its best answer there.
+        let mut pending: Vec<Option<(usize, Best)>> = vec![None; N_VPS as usize];
+        let mut commit_ref = |vp: u32, bin: usize, best: Best| {
+            let Some((site, server, ns)) = best else {
+                return;
+            };
+            if bin >= n_bins {
+                return;
+            }
+            if vp.is_multiple_of(3) {
+                letter_ref[bin].push(ns);
+            }
+            if site == fra {
+                site_ref[bin].push(ns);
+                server_ref
+                    .entry(server)
+                    .or_insert_with(|| vec![Vec::new(); n_bins])[bin]
+                    .push(ns);
+            }
+        };
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut draw = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let lagging = |vp: u32, m: u64| vp < 10 && (25..48).contains(&m);
+        let mut seen_held = false;
+        for m in 1..92u64 {
+            let at = t(m);
+            let shard = &mut p.shards_mut()[0];
+            for vp in (0..N_VPS).filter(|vp| u64::from(vp % 4) == m % 4) {
+                if lagging(vp, m) {
+                    shard.note_missed(VpId(vp), at).unwrap();
+                    continue;
+                }
+                let r = draw();
+                let obs = match r % 8 {
+                    0 => FastObs::Timeout,
+                    1 => FastObs::Error,
+                    _ => FastObs::Site {
+                        site: if r % 8 < 5 { fra } else { ams },
+                        server: 1 + (r >> 8) as u16 % 3,
+                        // Some RTTs repeat, to exercise ties.
+                        rtt: SimDuration::from_micros(10_000 + (r >> 16) % 5_000),
+                    },
+                };
+                shard.record(VpId(vp), at, obs).unwrap();
+                let bin = at.bin_index(BIN_WIDTH) as usize;
+                let slot = &mut pending[vp as usize];
+                if let Some((prev, best)) = *slot {
+                    if prev != bin {
+                        commit_ref(vp, prev, best);
+                        *slot = None;
+                    }
+                }
+                let (_, best) = slot.get_or_insert((bin, None));
+                if let (None, FastObs::Site { site, server, rtt }) = (*best, obs) {
+                    *best = Some((site, server, rtt.as_nanos() as f64));
+                }
+            }
+            // As a lane does after each minute, once it has run a whole
+            // interval of minutes.
+            if m >= every.as_secs() / 60 {
+                shard.close_bins(at, every);
+            }
+            let rtt = p.letter(Letter::K).rtt.values();
+            if m == 50 {
+                // Bins 3 and 4 closed; bin 2 waits for the lagging VPs.
+                assert!(rtt[2].is_nan() && !rtt[3].is_nan(), "minute {m}: {rtt:?}");
+                seen_held = true;
+            }
+            if m == 54 {
+                assert!(!rtt[2].is_nan(), "bin 2 closed once the VPs came back");
+            }
+        }
+        assert!(seen_held);
+        let open: usize = p.shards()[0].rtt_series().map(OpenBins::open_bins).sum();
+        assert!(open > 0, "the last bins close only at finalize");
+        p.finalize();
+        for (vp, slot) in pending.into_iter().enumerate() {
+            if let Some((bin, best)) = slot {
+                commit_ref(vp as u32, bin, best);
+            }
+        }
+        let d = p.letter(Letter::K);
+        assert_medians(&d.rtt, &letter_ref, "Figure 4");
+        let watch = &d.watches[&fra];
+        assert_medians(&watch.site_rtt, &site_ref, "FRA");
+        assert_eq!(
+            watch.rtts.keys().collect::<Vec<_>>(),
+            server_ref.keys().collect::<Vec<_>>()
+        );
+        for (server, want) in &server_ref {
+            assert_medians(&watch.rtts[server], want, &format!("FRA server {server}"));
+        }
+        // Not vacuous: most bins hold samples in every series.
+        assert!(letter_ref.iter().chain(&site_ref).all(|b| !b.is_empty()));
+        let open: usize = p.shards()[0].rtt_series().map(OpenBins::open_bins).sum();
+        assert_eq!(open, 0, "finalize closes every bin");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an RTT sample was committed to closed bin 0")]
+    fn a_commit_to_a_closed_bin_is_caught() {
+        let mut p = pipeline();
+        let shard = &mut p.shards_mut()[0];
+        let obs = FastObs::Site {
+            site: 0,
+            server: 1,
+            rtt: SimDuration::from_millis(20),
+        };
+        shard.record(VpId(0), t(1), obs).unwrap();
+        // Claims VP 0 recorded once every 4 min up to minute 20, which it
+        // did not: its bin-0 answer commits only at its next record.
+        shard.close_bins(t(20), PROBE_INTERVAL);
+        shard.record(VpId(0), t(21), obs).unwrap();
     }
 
     #[test]
@@ -1322,10 +1728,17 @@ mod tests {
         p.record(VpId(0), Letter::K, t(1), &site_obs("AMS", 1, 30))
             .unwrap();
         let shard = &mut p.shards_mut()[0];
-        shard.note_missed(t(5));
-        shard.note_missed(t(9));
+        shard.note_missed(VpId(1), t(5)).unwrap();
+        shard.note_missed(VpId(2), t(9)).unwrap();
         // Beyond-horizon slots ignored symmetrically with record().
-        shard.note_missed(SimTime::from_hours(2));
+        shard.note_missed(VpId(1), SimTime::from_hours(2)).unwrap();
+        assert_eq!(
+            shard.note_missed(VpId(9), t(5)),
+            Err(PipelineError::VpOutOfRange {
+                vp: VpId(9),
+                n_vps: 4
+            })
+        );
         p.finalize();
         let cov = p.letter(Letter::K).coverage();
         assert!((cov.fraction() - 1.0 / 3.0).abs() < 1e-12);

@@ -11,7 +11,7 @@ use crate::analysis::event_windows;
 use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
-use rootcast_netsim::{BinnedSeries, Reduce};
+use rootcast_netsim::BinnedSeries;
 use std::collections::BTreeMap;
 
 /// Per-server data for one watched site.
@@ -38,16 +38,7 @@ pub fn figures12_13(out: &SimOutput) -> Figures12And13 {
             let rtt_ms = watch
                 .rtts
                 .iter()
-                .map(|(&srv, samples)| {
-                    let nanos = samples.reduce(Reduce::Median, f64::NAN);
-                    (
-                        srv,
-                        BinnedSeries::from_values(
-                            nanos.bin_width(),
-                            nanos.values().iter().map(|v| v / 1e6).collect(),
-                        ),
-                    )
-                })
+                .map(|(&srv, nanos)| (srv, nanos.map(|ns| ns / 1e6)))
                 .collect();
             panels.push(ServerPanel {
                 letter,

@@ -9,7 +9,7 @@ use crate::analysis::{event_windows, pre_event_baseline};
 use crate::render::{num, sparkline, TextTable};
 use crate::sim::SimOutput;
 use rootcast_dns::Letter;
-use rootcast_netsim::{BinnedSeries, Reduce};
+use rootcast_netsim::BinnedSeries;
 
 /// One watched site's RTT trajectory.
 #[derive(Debug, Clone)]
@@ -33,11 +33,7 @@ pub fn figure7(out: &SimOutput) -> Figure7 {
     for &letter in &out.letters {
         let data = out.pipeline.letter(letter);
         for (&site_idx, watch) in &data.watches {
-            let nanos = watch.site_rtt.reduce(Reduce::Median, f64::NAN);
-            let series_ms = BinnedSeries::from_values(
-                nanos.bin_width(),
-                nanos.values().iter().map(|v| v / 1e6).collect(),
-            );
+            let series_ms = watch.site_rtt.map(|ns| ns / 1e6);
             let baseline_ms = pre_event_baseline(out, &series_ms);
             let event_peaks_ms = event_windows(out)
                 .into_iter()

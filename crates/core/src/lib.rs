@@ -51,4 +51,4 @@ pub use rootcast_attack::{AttackSchedule, AttackWindow};
 
 // Re-export the vocabulary types users need to consume the outputs.
 pub use rootcast_dns::Letter;
-pub use rootcast_netsim::{BinnedSeries, MetricsSnapshot, Reduce, SimDuration, SimTime};
+pub use rootcast_netsim::{BinnedSeries, MetricsSnapshot, SimDuration, SimTime};

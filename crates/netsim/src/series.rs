@@ -8,10 +8,26 @@
 use crate::time::{SimDuration, SimTime};
 
 /// A time series of f64 values over fixed-width bins starting at t=0.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two series are equal when their bins hold the same bits: a NaN bin
+/// (a median with no sample) equals a NaN bin, so series compare for
+/// bit-identical output, and `-0.0` differs from `0.0`.
+#[derive(Debug, Clone)]
 pub struct BinnedSeries {
     bin: SimDuration,
     values: Vec<f64>,
+}
+
+impl PartialEq for BinnedSeries {
+    fn eq(&self, other: &BinnedSeries) -> bool {
+        self.bin == other.bin
+            && self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 impl BinnedSeries {
@@ -82,12 +98,25 @@ impl BinnedSeries {
         }
     }
 
-    /// Element-wise ratio to a scalar (e.g. normalize to a median).
-    pub fn scaled(&self, k: f64) -> BinnedSeries {
+    /// Set bin `i` to `v`; out-of-range indices are ignored, like
+    /// [`Self::incr_bin`]'s.
+    pub fn set_bin(&mut self, i: usize, v: f64) {
+        if let Some(x) = self.values.get_mut(i) {
+            *x = v;
+        }
+    }
+
+    /// Element-wise `f` of every bin (e.g. a unit conversion).
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> BinnedSeries {
         BinnedSeries {
             bin: self.bin,
-            values: self.values.iter().map(|v| v * k).collect(),
+            values: self.values.iter().map(|&v| f(v)).collect(),
         }
+    }
+
+    /// Element-wise ratio to a scalar (e.g. normalize to a median).
+    pub fn scaled(&self, k: f64) -> BinnedSeries {
+        self.map(|v| v * k)
     }
 
     /// Minimum over bins (NaN-free series assumed).
@@ -132,105 +161,85 @@ impl BinnedSeries {
     }
 }
 
-/// Accumulates `(time, value)` samples and reduces each bin with a chosen
-/// statistic — the pattern used for per-bin median RTT (Figures 4, 7, 13).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SampleBins {
-    bin: SimDuration,
-    samples: Vec<Vec<f64>>,
+/// The samples of the bins of one median series that are still open.
+///
+/// Samples go to a bin with [`OpenBins::push`] while it is open;
+/// [`OpenBins::close`] reduces the bin to the [`crate::stats::median`] of
+/// its samples, which depends only on their set, not on their order
+/// (computed in place, by [`crate::stats::median_in_place`]).
+/// The emptied buffer is kept for the next bin to open, so a series that
+/// holds a few bins open at a time allocates only as many buffers as it
+/// ever held open at once.
+#[derive(Debug, Clone, Default)]
+pub struct OpenBins {
+    /// `(bin, samples)` per open bin, in no particular order.
+    open: Vec<(usize, Vec<f64>)>,
+    /// Emptied buffers of closed bins.
+    spare: Vec<Vec<f64>>,
+    /// Most bins open at once.
+    peak_open: usize,
+    /// Buffers allocated.
+    allocated: usize,
+    /// Bins closed with samples.
+    closed: usize,
 }
 
-/// Per-bin reduction statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reduce {
-    Median,
-    Mean,
-    Count,
-    Min,
-    Max,
-}
-
-impl SampleBins {
-    pub fn new(bin: SimDuration, n_bins: usize) -> Self {
-        assert!(!bin.is_zero());
-        SampleBins {
-            bin,
-            samples: vec![Vec::new(); n_bins],
-        }
-    }
-
-    /// Like [`SampleBins::new`], with room for `cap` samples reserved in
-    /// every bin up front, so pushes up to that many never reallocate.
-    pub fn with_bin_capacity(bin: SimDuration, n_bins: usize, cap: usize) -> Self {
-        assert!(!bin.is_zero());
-        SampleBins {
-            bin,
-            samples: (0..n_bins).map(|_| Vec::with_capacity(cap)).collect(),
-        }
-    }
-
-    /// Number of samples in bin `i` (0 out of range).
-    pub fn bin_len(&self, i: usize) -> usize {
-        self.samples.get(i).map_or(0, Vec::len)
-    }
-
-    /// Samples bin `i` holds room for without reallocating (0 out of
-    /// range).
-    pub fn bin_capacity(&self, i: usize) -> usize {
-        self.samples.get(i).map_or(0, Vec::capacity)
-    }
-
-    /// Number of bins.
-    pub fn n_bins(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Record one sample at instant `t`. Out-of-range samples are dropped.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.push_bin(t.bin_index(self.bin) as usize, v);
-    }
-
-    /// Record one sample in bin `i`. Out-of-range indices are dropped.
+impl OpenBins {
+    /// Add `v` to bin `bin`, opening the bin if it holds no samples yet.
     #[inline]
-    pub fn push_bin(&mut self, i: usize, v: f64) {
-        if let Some(bin) = self.samples.get_mut(i) {
-            bin.push(v);
+    pub fn push(&mut self, bin: usize, v: f64) {
+        if let Some((_, samples)) = self.open.iter_mut().find(|(b, _)| *b == bin) {
+            samples.push(v);
+            return;
+        }
+        let mut samples = self.spare.pop().unwrap_or_else(|| {
+            self.allocated += 1;
+            Vec::new()
+        });
+        samples.push(v);
+        self.open.push((bin, samples));
+        self.peak_open = self.peak_open.max(self.open.len());
+    }
+
+    /// Close bin `bin`: set it in `medians` to the median of its samples
+    /// and keep the emptied buffer. A bin without samples is left as
+    /// `medians` holds it.
+    pub fn close(&mut self, bin: usize, medians: &mut BinnedSeries) {
+        if let Some(at) = self.open.iter().position(|(b, _)| *b == bin) {
+            let (_, mut samples) = self.open.swap_remove(at);
+            medians.set_bin(bin, crate::stats::median_in_place(&mut samples));
+            samples.clear();
+            self.spare.push(samples);
+            self.closed += 1;
         }
     }
 
-    /// Number of samples in the bin containing `t`.
-    pub fn count_at(&self, t: SimTime) -> usize {
-        self.bin_len(t.bin_index(self.bin) as usize)
+    /// Close every open bin, as [`Self::close`] does.
+    pub fn close_all(&mut self, medians: &mut BinnedSeries) {
+        while let Some(&(bin, _)) = self.open.last() {
+            self.close(bin, medians);
+        }
     }
 
-    /// Reduce to a [`BinnedSeries`]. Empty bins yield `empty_value`
-    /// (typically `f64::NAN` for RTT series, `0.0` for counts).
-    pub fn reduce(&self, how: Reduce, empty_value: f64) -> BinnedSeries {
-        let values = self
-            .samples
-            .iter()
-            .map(|s| {
-                if s.is_empty() {
-                    if how == Reduce::Count {
-                        0.0
-                    } else {
-                        empty_value
-                    }
-                } else {
-                    match how {
-                        Reduce::Median => crate::stats::median(s),
-                        Reduce::Mean => s.iter().sum::<f64>() / s.len() as f64,
-                        Reduce::Count => s.len() as f64,
-                        Reduce::Min => s.iter().copied().fold(f64::INFINITY, f64::min),
-                        Reduce::Max => s.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    }
-                }
-            })
-            .collect();
-        BinnedSeries {
-            bin: self.bin,
-            values,
-        }
+    /// Bins holding samples now.
+    pub fn open_bins(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Most bins that held samples at once.
+    pub fn peak_open(&self) -> usize {
+        self.peak_open
+    }
+
+    /// Sample buffers allocated: no more than [`Self::peak_open`], as
+    /// a bin opens on a closed bin's buffer when there is one.
+    pub fn buffers(&self) -> usize {
+        self.allocated
+    }
+
+    /// Bins closed with samples.
+    pub fn closed_bins(&self) -> usize {
+        self.closed
     }
 }
 
@@ -253,24 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn reserved_bins_hold_their_capacity() {
-        let mut b = SampleBins::with_bin_capacity(SimDuration::from_mins(10), 3, 5);
-        assert_eq!(b.n_bins(), 3);
-        for i in 0..5 {
-            b.push_bin(1, f64::from(i));
-        }
-        assert_eq!((b.bin_len(1), b.bin_len(0), b.bin_len(7)), (5, 0, 0));
-        assert!((0..3).all(|i| b.bin_capacity(i) >= 5));
-        assert_eq!(b.bin_capacity(7), 0);
-        // Reserving changes nothing a reduction sees.
-        let mut plain = SampleBins::new(SimDuration::from_mins(10), 3);
-        for i in 0..5 {
-            plain.push_bin(1, f64::from(i));
-        }
-        assert_eq!(b, plain);
-    }
-
-    #[test]
     fn out_of_range_ignored() {
         let mut s = BinnedSeries::zeros(SimDuration::from_mins(10), 2);
         s.incr_at(mins(25));
@@ -281,17 +272,17 @@ mod tests {
     fn bin_indexed_writes_match_instant_writes() {
         let bin = SimDuration::from_mins(10);
         let (mut by_t, mut by_i) = (BinnedSeries::zeros(bin, 3), BinnedSeries::zeros(bin, 3));
-        let (mut sb_t, mut sb_i) = (SampleBins::new(bin, 3), SampleBins::new(bin, 3));
         // 35 lies past the last bin: both forms drop it.
         for m in [0, 9, 10, 25, 35] {
             by_t.incr_at(mins(m));
             by_i.incr_bin((m / 10) as usize);
-            sb_t.push(mins(m), m as f64);
-            sb_i.push_bin((m / 10) as usize, m as f64);
         }
         assert_eq!(by_i.values(), &[2.0, 1.0, 1.0]);
         assert_eq!(by_t, by_i);
-        assert_eq!(sb_t, sb_i);
+        // `set_bin` drops out-of-range indices the same way.
+        by_i.set_bin(3, 9.0);
+        by_i.set_bin(1, 9.0);
+        assert_eq!(by_i.values(), &[2.0, 9.0, 1.0]);
     }
 
     #[test]
@@ -327,15 +318,56 @@ mod tests {
     }
 
     #[test]
-    fn sample_bins_median_reduction() {
-        let mut b = SampleBins::new(SimDuration::from_mins(10), 2);
-        b.push(mins(1), 10.0);
-        b.push(mins(2), 30.0);
-        b.push(mins(3), 20.0);
-        let med = b.reduce(Reduce::Median, f64::NAN);
-        assert_eq!(med.values()[0], 20.0);
-        assert!(med.values()[1].is_nan());
-        let counts = b.reduce(Reduce::Count, 0.0);
-        assert_eq!(counts.values(), &[3.0, 0.0]);
+    fn open_bins_close_to_medians_and_reuse_buffers() {
+        let mut medians = BinnedSeries::from_values(SimDuration::from_mins(10), vec![f64::NAN; 4]);
+        let mut open = OpenBins::default();
+        for (bin, v) in [(0, 10.0), (1, 5.0), (0, 30.0), (0, 20.0), (1, 7.0)] {
+            open.push(bin, v);
+        }
+        assert_eq!(
+            (open.open_bins(), open.peak_open(), open.buffers()),
+            (2, 2, 2)
+        );
+        open.close(0, &mut medians);
+        // A bin that never opened keeps its value.
+        open.close(2, &mut medians);
+        assert_eq!(open.open_bins(), 1);
+        // Bin 3 opens on bin 0's emptied buffer.
+        open.push(3, 4.0);
+        open.push(3, 8.0);
+        assert_eq!((open.peak_open(), open.buffers()), (2, 2));
+        open.close_all(&mut medians);
+        assert_eq!(open.open_bins(), 0);
+        assert_eq!(open.closed_bins(), 3);
+        assert_eq!(medians.values()[0], 20.0);
+        assert_eq!(medians.values()[1], 6.0);
+        assert!(medians.values()[2].is_nan());
+        assert_eq!(medians.values()[3], 6.0);
+    }
+
+    #[test]
+    fn equality_is_bitwise() {
+        let bin = SimDuration::from_mins(10);
+        let nan = BinnedSeries::from_values(bin, vec![1.0, f64::NAN]);
+        assert_eq!(nan, nan.clone());
+        assert_ne!(
+            BinnedSeries::from_values(bin, vec![0.0]),
+            BinnedSeries::from_values(bin, vec![-0.0])
+        );
+        assert_ne!(nan, BinnedSeries::from_values(bin, vec![1.0]));
+        assert_ne!(
+            nan,
+            BinnedSeries::from_values(SimDuration::from_mins(4), vec![1.0, f64::NAN])
+        );
+    }
+
+    #[test]
+    fn map_applies_per_bin() {
+        let s = BinnedSeries::from_values(SimDuration::from_mins(10), vec![2e6, f64::NAN]);
+        let ms = s.map(|ns| ns / 1e6);
+        assert_eq!(ms.values()[0], 2.0);
+        assert!(ms.values()[1].is_nan());
+        assert_eq!(ms.bin_width(), s.bin_width());
+        assert_eq!(s.scaled(0.5).values()[0], 1e6);
     }
 }

@@ -11,12 +11,25 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
+/// [`median`] of `values`, computed in place: the non-finite values are
+/// removed and the rest reordered, instead of copied. The same bits as
+/// [`median`] of the original values.
+pub fn median_in_place(values: &mut Vec<f64>) -> f64 {
+    values.retain(|x| x.is_finite());
+    select_quantile(values, 0.5)
+}
+
 /// Quantile `q` in `[0, 1]` of a slice: linear interpolation between the
 /// two closest ranks of the finite values in `f64::total_cmp` order.
 /// Returns NaN when no finite values exist.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
+    select_quantile(&mut v, q)
+}
+
+/// [`quantile`] of `v`, whose values are all finite, reordering them.
+fn select_quantile(v: &mut [f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     if v.is_empty() {
         return f64::NAN;
     }
@@ -175,6 +188,12 @@ mod tests {
                     _ => PALETTE[(next() % PALETTE.len() as u64) as usize],
                 })
                 .collect();
+            let mut owned = values.clone();
+            assert_eq!(
+                median_in_place(&mut owned).to_bits(),
+                median(&values).to_bits(),
+                "in place over {values:?}"
+            );
             let random_q = (next() % 10_001) as f64 / 10_000.0;
             for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, random_q] {
                 assert_eq!(
@@ -191,6 +210,10 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert!(median(&[]).is_nan());
+        let mut v = vec![4.0, f64::NAN, 1.0, 2.0, f64::INFINITY, 3.0];
+        assert_eq!(median_in_place(&mut v), 2.5);
+        assert_eq!(v.len(), 4, "the non-finite values are gone");
+        assert!(median_in_place(&mut Vec::new()).is_nan());
     }
 
     #[test]
