@@ -54,6 +54,10 @@ pub mod keys {
     // Route-state memo (counted at observe_routes, like the BGP block).
     pub const BGP_RIB_MEMO_HITS: CounterId = CounterId(24);
     pub const BGP_RIB_MEMO_MISSES: CounterId = CounterId(25);
+    // Resolver refresh work: (AS, letter) cells observed again, and the
+    // RTT-factor `powf` evaluations their memo could not spare.
+    pub const RESOLVER_OBSERVATIONS: CounterId = CounterId(26);
+    pub const RESOLVER_RTT_FACTORS: CounterId = CounterId(27);
 
     pub const SITES_SATURATED: GaugeId = GaugeId(0);
     pub const PEAK_OFFERED_QPS: GaugeId = GaugeId(1);
@@ -94,6 +98,8 @@ pub const COUNTER_NAMES: &[&str] = &[
     "faults.recoveries",
     "bgp.rib_memo.hits",
     "bgp.rib_memo.misses",
+    "resolvers.observations",
+    "resolvers.rtt_factors",
 ];
 
 /// Gauge names, indexed by `GaugeId.0`.
@@ -187,7 +193,15 @@ mod tests {
             COUNTER_NAMES[keys::BGP_RIB_MEMO_MISSES.0],
             "bgp.rib_memo.misses"
         );
-        assert_eq!(COUNTER_NAMES.len(), keys::BGP_RIB_MEMO_MISSES.0 + 1);
+        assert_eq!(
+            COUNTER_NAMES[keys::RESOLVER_OBSERVATIONS.0],
+            "resolvers.observations"
+        );
+        assert_eq!(
+            COUNTER_NAMES[keys::RESOLVER_RTT_FACTORS.0],
+            "resolvers.rtt_factors"
+        );
+        assert_eq!(COUNTER_NAMES.len(), keys::RESOLVER_RTT_FACTORS.0 + 1);
         assert_eq!(GAUGE_NAMES[keys::VPS_DROPPED.0], "atlas.vps_dropped");
         assert_eq!(GAUGE_NAMES.len(), keys::VPS_DROPPED.0 + 1);
         assert_eq!(
