@@ -19,18 +19,18 @@
 //! * optional full per-probe site timelines ("raster") at probe
 //!   granularity for Figures 10 and 11.
 //!
-//! RTT samples are kept only while their bin is open. A VP commits its
-//! bin when it next records in a later bin, so a bin stays open for
-//! about one probe interval after it ends, longer for a VP whose probes
-//! went missing meanwhile. [`LetterShard::close_bins`] closes the bins no
-//! VP can still commit to, reducing each to its median;
-//! [`MeasurementPipeline::finalize`] closes the rest.
+//! A bin's first site answer is its best for good, as nothing outranks
+//! it, so its RTT samples are taken when it is recorded. A shard records
+//! in time order, so only the bin of its latest record is open:
+//! [`LetterShard::slot`] reduces it to its median once time moves past
+//! it, and [`MeasurementPipeline::finalize`] closes the last one.
 
 use crate::clean::{CleanObs, FastObs};
 use crate::probe::{PROBE_INTERVAL, UNMEASURED_RTT};
 use crate::vp::VpId;
 use rootcast_dns::Letter;
-use rootcast_netsim::{BinnedSeries, Coverage, OpenBins, SimDuration, SimTime};
+use rootcast_netsim::stats::median_in_place;
+use rootcast_netsim::{BinnedSeries, Coverage, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -343,10 +343,8 @@ pub struct LetterShard {
     outcomes: ProbeOutcomeStats,
     horizon: SimTime,
     rtt_subsample: RttSubsample,
-    /// The samples of the open RTT bins.
+    /// The samples of the open RTT bin.
     rtt_bins: RttBins,
-    /// VPs whose probes went missing since they last recorded.
-    lagging: Lagging,
 }
 
 /// Which VPs feed Figure 4's RTT bins.
@@ -365,54 +363,47 @@ impl RttSubsample {
     }
 }
 
-/// The samples of a shard's open RTT bins, one [`OpenBins`] per median
-/// series of its [`LetterData`], and which bins have closed. A bin
-/// closes in every series at once.
+/// The samples of a shard's open RTT bin, one buffer per median series
+/// of its [`LetterData`]. A shard records in time order, so the bin of
+/// its latest record is the only one open; it closes in every series at
+/// once.
 #[derive(Debug)]
 struct RttBins {
     /// Bins in each series; samples past the last whole bin are dropped,
     /// as [`BinnedSeries::incr_bin`] drops counts there.
     n_bins: usize,
+    /// The open bin.
+    open: usize,
     /// For [`LetterData::rtt`].
-    letter: OpenBins,
+    letter: Vec<f64>,
     /// One per watched site, as [`LetterData::watches`] lists them. A
     /// letter watches a few sites with a few servers each, so a linear
     /// search finds one faster than a map.
     watches: Vec<WatchBins>,
-    /// Every bin below this is closed, except those in `held`.
-    settled: usize,
-    /// Bins below `settled` that a lagging VP may still commit to, so
-    /// still open; ascending.
-    held: Vec<usize>,
 }
 
 impl RttBins {
     fn new(n_bins: usize, watched: impl Iterator<Item = u16>) -> RttBins {
         RttBins {
             n_bins,
-            letter: OpenBins::default(),
+            open: 0,
+            letter: Vec::new(),
             watches: watched
                 .map(|site| WatchBins {
                     site,
-                    all: OpenBins::default(),
+                    all: Vec::new(),
                     servers: Vec::new(),
                 })
                 .collect(),
-            settled: 0,
-            held: Vec::new(),
         }
     }
 
-    fn is_closed(&self, bin: usize) -> bool {
-        bin < self.settled && self.held.binary_search(&bin).is_err()
-    }
-
     /// Whether a sample of bin `bin` is kept: false past the last whole
-    /// bin. No sample may reach a closed bin.
+    /// bin. A sample lands in the open bin.
     fn takes(&self, bin: usize) -> bool {
-        debug_assert!(
-            !self.is_closed(bin),
-            "an RTT sample was committed to closed bin {bin}"
+        debug_assert_eq!(
+            bin, self.open,
+            "an RTT sample of bin {bin} missed the open bin"
         );
         bin < self.n_bins
     }
@@ -420,7 +411,7 @@ impl RttBins {
     /// Add `ns` to Figure 4's bin `bin`.
     fn push_letter(&mut self, bin: usize, ns: f64) {
         if self.takes(bin) {
-            self.letter.push(bin, ns);
+            self.letter.push(ns);
         }
     }
 
@@ -433,114 +424,50 @@ impl RttBins {
         let Some(watch) = self.watches.iter_mut().find(|w| w.site == site) else {
             return;
         };
-        watch.all.push(bin, ns);
+        watch.all.push(ns);
         match watch.servers.iter_mut().find(|(s, _)| *s == server) {
-            Some((_, open)) => open.push(bin, ns),
-            None => {
-                let mut open = OpenBins::default();
-                open.push(bin, ns);
-                watch.servers.push((server, open));
-            }
+            Some((_, samples)) => samples.push(ns),
+            None => watch.servers.push((server, vec![ns])),
         }
     }
 
-    /// Reduce bin `bin` of every series to its median in `data`. A
+    /// Reduce the open bin of every series to its median in `data`. A
     /// series that took a sample has its medians in `data`: its watch
-    /// was registered, and its server's entry made before the sample.
-    fn close(&mut self, bin: usize, data: &mut LetterData) {
-        self.letter.close(bin, &mut data.rtt);
+    /// was registered, and its server's entry made with the sample.
+    fn close(&mut self, data: &mut LetterData) {
+        let bin = self.open;
+        close_bin(&mut self.letter, bin, &mut data.rtt);
         for open in &mut self.watches {
             let Some(watch) = data.watches.get_mut(&open.site) else {
                 continue;
             };
-            open.all.close(bin, &mut watch.site_rtt);
-            for (server, open) in &mut open.servers {
+            close_bin(&mut open.all, bin, &mut watch.site_rtt);
+            for (server, samples) in &mut open.servers {
                 if let Some(medians) = watch.rtts.get_mut(server) {
-                    open.close(bin, medians);
+                    close_bin(samples, bin, medians);
                 }
             }
         }
     }
+}
 
-    /// Close every bin still open.
-    fn close_all(&mut self, data: &mut LetterData) {
-        let open: Vec<usize> = self
-            .held
-            .drain(..)
-            .chain(self.settled..self.n_bins)
-            .collect();
-        for bin in open {
-            self.close(bin, data);
-        }
-        self.settled = self.n_bins;
-    }
-
-    /// Every series' open bins, Figure 4's first.
-    fn series(&self) -> impl Iterator<Item = &OpenBins> {
-        std::iter::once(&self.letter).chain(
-            self.watches
-                .iter()
-                .flat_map(|w| std::iter::once(&w.all).chain(w.servers.iter().map(|(_, o)| o))),
-        )
+/// Set bin `bin` of `medians` to the median of `samples` and empty them,
+/// keeping their buffer; a bin without samples is left as it is.
+fn close_bin(samples: &mut Vec<f64>, bin: usize, medians: &mut BinnedSeries) {
+    if !samples.is_empty() {
+        medians.set_bin(bin, median_in_place(samples));
+        samples.clear();
     }
 }
 
-/// The open bins of one watched site: the site's, for
+/// The open bin's samples of one watched site: the site's, for
 /// [`ServerWatch::site_rtt`], and each server's, for its
 /// [`ServerWatch::rtts`] entry.
 #[derive(Debug)]
 struct WatchBins {
     site: u16,
-    all: OpenBins,
-    servers: Vec<(u16, OpenBins)>,
-}
-
-/// The VPs whose probes went missing ([`LetterShard::note_missed`]) since
-/// they last recorded: each may still commit the bin it last recorded
-/// in, however late.
-#[derive(Debug, Default)]
-struct Lagging {
-    vps: Vec<u32>,
-    /// Per VP id: one more than the bin of its last missed probe while
-    /// it is in `vps`, else 0. Empty until the first miss.
-    missed_in: Vec<u32>,
-}
-
-impl Lagging {
-    /// `vp` (below `n_vps`) missed a probe in bin `bin`.
-    fn note(&mut self, vp: usize, bin: u32, n_vps: usize) {
-        if self.missed_in.is_empty() {
-            self.missed_in = vec![0; n_vps];
-        }
-        let last = &mut self.missed_in[vp];
-        if *last == 0 {
-            self.vps.push(vp as u32);
-        }
-        *last = bin + 1;
-    }
-
-    /// Drop the VPs that have recorded in a later bin than their last
-    /// missed probe; return the bins below `settled` that a remaining VP
-    /// may still commit a site answer to, ascending.
-    fn pending_bins(&mut self, state: &[VpLetterState], settled: usize) -> Vec<usize> {
-        let missed_in = &mut self.missed_in;
-        let mut bins = Vec::new();
-        self.vps.retain(|&vp| {
-            let st = &state[vp as usize];
-            let last = &mut missed_in[vp as usize];
-            if st.cur_bin >= *last {
-                *last = 0;
-                return false;
-            }
-            if matches!(st.best, BinBest::Site { .. }) && (st.cur_bin as usize) < settled {
-                bins.push(st.cur_bin as usize);
-            }
-            true
-        });
-        bins.sort_unstable();
-        bins.dedup();
-        bins
-    }
+    all: Vec<f64>,
+    servers: Vec<(u16, Vec<f64>)>,
 }
 
 /// Whether a shard reads the RTT of a site answer, from
@@ -581,11 +508,9 @@ impl LetterShard {
 
     /// Record that `vp`'s scheduled probe at `at` produced no
     /// measurement at all (the VP was disconnected or its result was
-    /// discarded). Counts toward [`LetterData::coverage`], and keeps the
-    /// bin `vp` last recorded in open until it records again (see
-    /// [`Self::close_bins`]). Beyond-horizon slots are ignored
-    /// symmetrically with [`LetterShard::record`]; a VP beyond the fleet
-    /// is a [`PipelineError::VpOutOfRange`].
+    /// discarded). Counts toward [`LetterData::coverage`]. Beyond-horizon
+    /// slots are ignored symmetrically with [`LetterShard::record`]; a VP
+    /// beyond the fleet is a [`PipelineError::VpOutOfRange`].
     pub fn note_missed(&mut self, vp: VpId, at: SimTime) -> Result<(), PipelineError> {
         let n_vps = self.state.len();
         if vp.0 as usize >= n_vps {
@@ -594,61 +519,35 @@ impl LetterShard {
         if at < self.horizon {
             self.data.missed_probes += 1;
             self.outcomes.missed += 1;
-            let bin = at.bin_index(BIN_WIDTH) as u32;
-            self.lagging.note(vp.0 as usize, bin, n_vps);
         }
         Ok(())
-    }
-
-    /// Close the RTT bins no VP can still commit to, reducing each to
-    /// the median of its samples, on the probing schedule: every VP of
-    /// this letter probes once per `every`, and has recorded each of its
-    /// probes up to `now` unless one was noted missed
-    /// ([`Self::note_missed`]) since it last recorded. Such a VP last
-    /// recorded after `now - every`, so every bin that ended by then
-    /// holds its commit. A VP noted missed holds the bin it last recorded
-    /// in open until it records in a later bin or the pipeline
-    /// finalizes. Nothing records at or past the horizon, so nothing
-    /// closes there either.
-    pub fn close_bins(&mut self, now: SimTime, every: SimDuration) {
-        if now >= self.horizon {
-            return;
-        }
-        let quiet = now.saturating_since(SimTime::ZERO + every);
-        let bins = &mut self.rtt_bins;
-        let settled = ((quiet.as_nanos() / BIN_WIDTH.as_nanos()) as usize).min(bins.n_bins);
-        if settled <= bins.settled {
-            return;
-        }
-        let pending = self.lagging.pending_bins(&self.state, settled);
-        let candidates = std::mem::take(&mut bins.held);
-        for bin in candidates.into_iter().chain(bins.settled..settled) {
-            if pending.binary_search(&bin).is_ok() {
-                bins.held.push(bin);
-            } else {
-                bins.close(bin, &mut self.data);
-            }
-        }
-        bins.settled = settled;
-    }
-
-    /// The open bins of each RTT median series, Figure 4's first: how
-    /// many bins each held open at once, and how many sample buffers it
-    /// allocated.
-    pub fn rtt_series(&self) -> impl Iterator<Item = &OpenBins> {
-        self.rtt_bins.series()
     }
 
     /// Where a probe at `at` records: its bin and its raster slot,
     /// computed once per tick since every probe of a tick shares `at`.
     /// `None` at or past the horizon, where observations are ignored.
-    pub fn slot(&self, at: SimTime) -> Option<RecordSlot> {
+    /// A shard records in time order: when `at` falls in a later bin than
+    /// the open RTT bin, that bin has all its samples and is reduced to
+    /// its medians.
+    pub fn slot(&mut self, at: SimTime) -> Option<RecordSlot> {
         if at >= self.horizon {
             return None;
         }
+        let bin = at.bin_index(BIN_WIDTH) as usize;
+        let bins = &mut self.rtt_bins;
+        debug_assert!(
+            bin >= bins.open,
+            "{} recorded in bin {bin} after bin {}",
+            self.data.letter,
+            bins.open
+        );
+        if bin > bins.open {
+            bins.close(&mut self.data);
+            bins.open = bin;
+        }
         let probe_seq = (at.as_nanos() / PROBE_INTERVAL.as_nanos()) as usize;
         Some(RecordSlot {
-            bin: at.bin_index(BIN_WIDTH) as u32,
+            bin: bin as u32,
             raster_seq: (probe_seq < n_probes(self.horizon)).then_some(probe_seq),
         })
     }
@@ -715,7 +614,7 @@ impl LetterShard {
         let state = &mut self.state[vp.0 as usize];
         if slot.bin != state.cur_bin {
             let finished = *state;
-            commit(data, &mut self.rtt_bins, vp, finished, self.rtt_subsample);
+            commit(data, vp, finished);
             if let BinBest::Site { site, .. } = finished.best {
                 // The committed bin's site becomes the reference point
                 // for flip detection in later bins.
@@ -732,55 +631,70 @@ impl LetterShard {
         };
         if cand.rank() > state.best.rank() {
             state.best = cand;
+            if let BinBest::Site { site, server, rtt } = cand {
+                // Nothing outranks a site answer, so the bin keeps it.
+                self.sample(vp, slot.bin as usize, site, server, rtt);
+            }
         }
         Ok(())
     }
 
-    /// Flush every VP's outstanding bin and close every RTT bin.
+    /// Take the RTT samples of `vp`'s site answer, the best of its bin
+    /// `bin`: Figure 4's when `vp` is subsampled, and the site's and the
+    /// server's when the site is watched, making the server's entries in
+    /// its [`ServerWatch`] on first sight.
+    fn sample(&mut self, vp: VpId, bin: usize, site: u16, server: u16, rtt: SimDuration) {
+        let ns = rtt.as_nanos() as f64;
+        // Only a probe `RttKeep::keeps` rejects may carry an unmeasured
+        // RTT, and neither branch below reads its RTT.
+        if self.rtt_subsample.keeps(vp) {
+            debug_assert!(
+                rtt != UNMEASURED_RTT,
+                "VP {} reached RTT bin {bin} unmeasured",
+                vp.0
+            );
+            self.rtt_bins.push_letter(bin, ns);
+        }
+        let n_bins = self.data.success.len();
+        if let Some(watch) = self.data.watches.get_mut(&site) {
+            debug_assert!(
+                rtt != UNMEASURED_RTT,
+                "VP {} reached watched site {site} unmeasured",
+                vp.0
+            );
+            // A server's RTT medians are made with its counts, so both
+            // maps hold every server seen, even one whose only answers
+            // fell past the last whole bin.
+            let rtts = &mut watch.rtts;
+            watch.counts.entry(server).or_insert_with(|| {
+                rtts.insert(server, unmeasured(n_bins));
+                BinnedSeries::zeros(BIN_WIDTH, n_bins)
+            });
+            self.rtt_bins.push_watch(site, server, bin, ns);
+        }
+    }
+
+    /// Flush every VP's outstanding bin and close the open RTT bin.
     fn finalize(&mut self) {
         for (vpi, st) in self.state.iter_mut().enumerate() {
-            let vp = VpId(vpi as u32);
-            commit(
-                &mut self.data,
-                &mut self.rtt_bins,
-                vp,
-                *st,
-                self.rtt_subsample,
-            );
+            commit(&mut self.data, VpId(vpi as u32), *st);
             st.best = BinBest::Empty;
         }
-        self.rtt_bins.close_all(&mut self.data);
-        self.lagging = Lagging::default();
+        self.rtt_bins.close(&mut self.data);
     }
 }
 
-/// Fold one VP's finished bin into the letter's aggregates, its RTTs into
-/// the open bins. The caller updates the VP's `last_site` (it owns the
-/// mutable state).
-fn commit(
-    data: &mut LetterData,
-    rtt_bins: &mut RttBins,
-    vp: VpId,
-    st: VpLetterState,
-    subsample: RttSubsample,
-) {
+/// Fold one VP's finished bin into the letter's counts and flips; its
+/// RTT samples were taken when it was recorded. The caller updates the
+/// VP's `last_site` (it owns the mutable state).
+fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState) {
     let bin = st.cur_bin as usize;
     match st.best {
         BinBest::Empty | BinBest::Timeout => {}
         BinBest::Error => data.errors.incr_bin(bin),
-        BinBest::Site { site, server, rtt } => {
+        BinBest::Site { site, server, .. } => {
             data.success.incr_bin(bin);
             data.site_counts[site as usize].incr_bin(bin);
-            // Only a probe `RttKeep::keeps` rejects may carry an
-            // unmeasured RTT, and neither branch below reads its RTT.
-            if subsample.keeps(vp) {
-                debug_assert!(
-                    rtt != UNMEASURED_RTT,
-                    "VP {} reached RTT bin {bin} unmeasured",
-                    vp.0
-                );
-                rtt_bins.push_letter(bin, rtt.as_nanos() as f64);
-            }
             if let Some(prev) = st.last_site {
                 if prev != site {
                     data.flips.incr_bin(bin);
@@ -792,26 +706,11 @@ fn commit(
                     });
                 }
             }
-            if let Some(watch) = data.watches.get_mut(&site) {
-                debug_assert!(
-                    rtt != UNMEASURED_RTT,
-                    "VP {} reached watched site {site} unmeasured",
-                    vp.0
-                );
-                // A server's RTT medians are made with its counts, so both
-                // maps hold every server seen, even one whose only
-                // answers fell past the last whole bin.
-                let n_bins = data.success.len();
-                let rtts = &mut watch.rtts;
-                watch
-                    .counts
-                    .entry(server)
-                    .or_insert_with(|| {
-                        rtts.insert(server, unmeasured(n_bins));
-                        BinnedSeries::zeros(BIN_WIDTH, n_bins)
-                    })
-                    .incr_bin(bin);
-                rtt_bins.push_watch(site, server, bin, rtt.as_nanos() as f64);
+            // `LetterShard::sample` made the server's entry when the
+            // answer was recorded.
+            let watched = data.watches.get_mut(&site);
+            if let Some(counts) = watched.and_then(|w| w.counts.get_mut(&server)) {
+                counts.incr_bin(bin);
             }
         }
     }
@@ -938,7 +837,6 @@ impl MeasurementPipeline {
                 every: self.cfg.rtt_subsample,
             },
             rtt_bins,
-            lagging: Lagging::default(),
         });
         Ok(())
     }
@@ -1205,6 +1103,42 @@ mod tests {
     }
 
     #[test]
+    fn medians_close_on_the_clock_and_counts_when_each_vp_commits() {
+        // 65 min: six whole bins and a partial seventh.
+        let mut cfg = cfg();
+        cfg.horizon = SimTime::from_mins(65);
+        let mut p = MeasurementPipeline::new(cfg, 4);
+        p.register_letter(Letter::K, vec!["AMS".into(), "FRA".into()])
+            .unwrap();
+        let fra = 1;
+        // VP 0 answers from FRA in bin 0, then stays quiet while VP 1
+        // records in bin 1. Nothing could outrank VP 0's answer, so bin
+        // 0's medians are final; its counts wait for VP 0's commit.
+        p.record(VpId(0), Letter::K, t(1), &site_obs("FRA", 1, 20))
+            .unwrap();
+        p.record(VpId(1), Letter::K, t(12), &site_obs("AMS", 1, 30))
+            .unwrap();
+        let d = p.letter(Letter::K);
+        assert_eq!(d.rtt.values()[0], 20e6);
+        assert_eq!(d.watches[&fra].rtts[&1].values()[0], 20e6);
+        assert_eq!(d.success.values()[0], 0.0, "VP 0 has not committed");
+        p.record(VpId(0), Letter::K, t(41), &CleanObs::Timeout)
+            .unwrap();
+        // FRA server 2 answers only in the partial last bin.
+        p.record(VpId(2), Letter::K, t(61), &site_obs("FRA", 2, 25))
+            .unwrap();
+        p.finalize();
+        let d = p.letter(Letter::K);
+        let watch = &d.watches[&fra];
+        assert_eq!(d.success.values()[0], 1.0);
+        assert_eq!(watch.counts[&1].values()[0], 1.0);
+        assert_eq!(d.rtt.values()[0], 20e6, "a commit leaves the medians");
+        // Server 2 has entries in both maps, with no count or median.
+        assert_eq!(watch.counts[&2].values().iter().sum::<f64>(), 0.0);
+        assert!(watch.rtts[&2].values().iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
     fn raster_records_probe_level_timeline() {
         let mut p = pipeline();
         p.record(VpId(0), Letter::K, t(0), &site_obs("FRA", 1, 20))
@@ -1370,9 +1304,9 @@ mod tests {
     }
 
     /// Record an unmeasured site answer from `vp` at `site` (0 = AMS,
-    /// 1 = the watched FRA) under `rtt_subsample`, and finalize.
+    /// 1 = the watched FRA) under `rtt_subsample`.
     #[cfg(debug_assertions)]
-    fn commit_unmeasured(rtt_subsample: u32, vp: u32, site: u16) {
+    fn record_unmeasured(rtt_subsample: u32, vp: u32, site: u16) {
         let mut cfg = cfg();
         cfg.rtt_subsample = rtt_subsample;
         let mut p = MeasurementPipeline::new(cfg, 4);
@@ -1384,21 +1318,20 @@ mod tests {
             rtt: UNMEASURED_RTT,
         };
         p.shards_mut()[0].record(VpId(vp), t(1), obs).unwrap();
-        p.finalize();
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "VP 2 reached RTT bin 0 unmeasured")]
     fn unmeasured_rtt_in_a_subsampled_bin_is_caught() {
-        commit_unmeasured(2, 2, 0);
+        record_unmeasured(2, 2, 0);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "VP 1 reached watched site 1 unmeasured")]
     fn unmeasured_rtt_at_a_watched_site_is_caught() {
-        commit_unmeasured(2, 1, 1);
+        record_unmeasured(2, 1, 1);
     }
 
     /// Per bin, the RTT samples a reference keeps alongside a shard.
@@ -1417,14 +1350,14 @@ mod tests {
     #[test]
     fn streamed_medians_match_the_median_of_every_sample() {
         // 92 min: nine whole bins, and a partial tenth whose samples are
-        // dropped; bin 8 closes at finalize, as half its VPs' next
-        // probes fall past the horizon. Every VP probes once per 4 min
-        // on its own phase. VPs 0-9 go missing from minute 25 to 47, so
-        // the bin they last recorded in (bin 2) commits from minute 48
-        // on, long after bins 3 and 4 close.
+        // dropped. Every VP probes once per 4 min on its own phase. VPs
+        // 0-9 go missing from minute 25 to 47, so they commit the bin
+        // they last recorded in (bin 2) from minute 48 on; its samples
+        // were taken as they were recorded, so it closes at minute 30
+        // all the same. Half the VPs commit bin 8 only at finalize, yet
+        // it closes at minute 90.
         const N_VPS: u32 = 40;
         let horizon = SimTime::from_mins(92);
-        let every = PROBE_INTERVAL;
         let mut cfg = cfg();
         cfg.horizon = horizon;
         cfg.rtt_subsample = 3;
@@ -1466,7 +1399,7 @@ mod tests {
             x
         };
         let lagging = |vp: u32, m: u64| vp < 10 && (25..48).contains(&m);
-        let mut seen_held = false;
+        let mut seen_lag = false;
         for m in 1..92u64 {
             let at = t(m);
             let shard = &mut p.shards_mut()[0];
@@ -1500,51 +1433,48 @@ mod tests {
                     *best = Some((site, server, rtt.as_nanos() as f64));
                 }
             }
-            // As a lane does after each minute, once it has run a whole
-            // interval of minutes.
-            if m >= every.as_secs() / 60 {
-                shard.close_bins(at, every);
-            }
-            let rtt = p.letter(Letter::K).rtt.values();
             if m == 50 {
-                // Bins 3 and 4 closed; bin 2 waits for the lagging VPs.
-                assert!(rtt[2].is_nan() && !rtt[3].is_nan(), "minute {m}: {rtt:?}");
-                seen_held = true;
-            }
-            if m == 54 {
-                assert!(!rtt[2].is_nan(), "bin 2 closed once the VPs came back");
+                // VP 3 has not recorded since minute 23, yet bin 2 and
+                // every later bin that ended are closed; bin 5 is open.
+                let rtt = p.letter(Letter::K).rtt.values();
+                assert!(matches!(pending[3], Some((2, _))), "VP 3 came back");
+                assert!(rtt[..5].iter().all(|v| !v.is_nan()), "minute {m}: {rtt:?}");
+                assert!(rtt[5].is_nan(), "bin 5 closed early: {rtt:?}");
+                seen_lag = true;
             }
         }
-        assert!(seen_held);
-        let open: usize = p.shards()[0].rtt_series().map(OpenBins::open_bins).sum();
-        assert!(open > 0, "the last bins close only at finalize");
-        p.finalize();
+        assert!(seen_lag);
         for (vp, slot) in pending.into_iter().enumerate() {
             if let Some((bin, best)) = slot {
                 commit_ref(vp as u32, bin, best);
             }
         }
-        let d = p.letter(Letter::K);
-        assert_medians(&d.rtt, &letter_ref, "Figure 4");
-        let watch = &d.watches[&fra];
-        assert_medians(&watch.site_rtt, &site_ref, "FRA");
-        assert_eq!(
-            watch.rtts.keys().collect::<Vec<_>>(),
-            server_ref.keys().collect::<Vec<_>>()
-        );
-        for (server, want) in &server_ref {
-            assert_medians(&watch.rtts[server], want, &format!("FRA server {server}"));
-        }
-        // Not vacuous: most bins hold samples in every series.
+        // Not vacuous: every bin holds samples in these series.
         assert!(letter_ref.iter().chain(&site_ref).all(|b| !b.is_empty()));
-        let open: usize = p.shards()[0].rtt_series().map(OpenBins::open_bins).sum();
-        assert_eq!(open, 0, "finalize closes every bin");
+        let check = |p: &MeasurementPipeline, when: &str| {
+            let d = p.letter(Letter::K);
+            assert_medians(&d.rtt, &letter_ref, &format!("Figure 4 {when}"));
+            let watch = &d.watches[&fra];
+            assert_medians(&watch.site_rtt, &site_ref, &format!("FRA {when}"));
+            assert_eq!(
+                watch.rtts.keys().collect::<Vec<_>>(),
+                server_ref.keys().collect::<Vec<_>>()
+            );
+            for (server, want) in &server_ref {
+                assert_medians(&watch.rtts[server], want, &format!("FRA {server} {when}"));
+            }
+        };
+        // Every whole bin closed as time left it; finalize closes the
+        // partial bin, whose samples are dropped.
+        check(&p, "before finalize");
+        p.finalize();
+        check(&p, "after finalize");
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "an RTT sample was committed to closed bin 0")]
-    fn a_commit_to_a_closed_bin_is_caught() {
+    #[should_panic(expected = "K recorded in bin 0 after bin 2")]
+    fn a_record_before_the_open_bin_is_caught() {
         let mut p = pipeline();
         let shard = &mut p.shards_mut()[0];
         let obs = FastObs::Site {
@@ -1552,11 +1482,10 @@ mod tests {
             server: 1,
             rtt: SimDuration::from_millis(20),
         };
-        shard.record(VpId(0), t(1), obs).unwrap();
-        // Claims VP 0 recorded once every 4 min up to minute 20, which it
-        // did not: its bin-0 answer commits only at its next record.
-        shard.close_bins(t(20), PROBE_INTERVAL);
         shard.record(VpId(0), t(21), obs).unwrap();
+        // Bin 2 is open, so bins 0 and 1 have closed: a record in bin 0
+        // would take a sample its median can no longer hold.
+        shard.record(VpId(1), t(1), obs).unwrap();
     }
 
     #[test]

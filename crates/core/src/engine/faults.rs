@@ -219,13 +219,6 @@ impl FaultState {
     pub fn probe_generation(&self) -> u64 {
         self.probe_generation
     }
-
-    /// True when a probe-fleet fault is active, i.e. when
-    /// [`Self::probe_action`] can answer other than
-    /// [`ProbeAction::Normal`].
-    pub fn has_probe_faults(&self) -> bool {
-        !self.probe_faults.is_empty()
-    }
 }
 
 /// The fault-injection subsystem. Always seeded last, so same-instant
@@ -527,7 +520,7 @@ mod tests {
                 );
             }
             assert!(!dark.is_empty());
-            (dark, world.faults.has_probe_faults())
+            (dark, world.faults.probe_generation() > 0)
         };
         let (a, active) = run_wave();
         let (b, _) = run_wave();

@@ -24,10 +24,11 @@
 //! queue of its items; whoever holds the lock runs the queue's front
 //! items, so a lane runs its items strictly in minute order. Each item
 //! draws from the `probes-{letter}` RNG stream indexed by its minute and
-//! records in VP order, then closes the RTT bins the probing schedule
-//! has settled ([`LetterShard::close_bins`]). Lanes drain on `current_num_threads() - 1` helper
-//! threads, which take any lane no other thread holds and park when none
-//! has an item, and on the engine thread, which after each tick runs
+//! records in VP order. As a lane records in minute order, its shard
+//! closes each RTT bin once time moves past it ([`LetterShard::slot`]).
+//! Lanes drain on `current_num_threads() - 1` helper threads, which take
+//! any lane no other thread holds and park when none has an item, and on
+//! the engine thread, which after each tick runs
 //! items until at most `QUEUE_BOUND_MINUTES` of them per lane are pending
 //! (none without helpers, so one thread runs each tick's items before the
 //! next). [`Subsystem::finish`] drains every lane, joins the helpers and
@@ -265,15 +266,11 @@ struct Lane {
     stream_key: String,
     /// The last minute this lane ran.
     last_minute: Option<u64>,
-    /// The first minute of the unbroken run of minutes ending at
-    /// `last_minute`.
-    since: u64,
 }
 
 impl Lane {
     /// Execute the item's due probes in VP order, drawing from the
-    /// (letter, minute) stream, and record each into the shard; then
-    /// close the RTT bins the schedule has settled.
+    /// (letter, minute) stream, and record each into the shard.
     fn run(&mut self, item: &Item) {
         debug_assert!(
             self.last_minute.is_none_or(|last| last < item.minute),
@@ -282,9 +279,6 @@ impl Lane {
             item.minute,
             self.last_minute
         );
-        if self.last_minute.is_none_or(|last| last + 1 != item.minute) {
-            self.since = item.minute;
-        }
         self.last_minute = Some(item.minute);
         let mut rng = self.rng.indexed_stream(&self.stream_key, item.minute);
         let slot = self.shard.slot(item.t);
@@ -316,13 +310,6 @@ impl Lane {
                 debug_assert!(false, "pipeline rejected wheel observation: {err}");
                 let _ = err;
             }
-        }
-        // Once the lane has run a whole interval of minutes back to back,
-        // every due VP it did not note missed recorded within the last
-        // interval: the schedule `close_bins` relies on.
-        let every = self.due.interval();
-        if item.minute + 1 >= self.since + every {
-            self.shard.close_bins(item.t, SimDuration::from_mins(every));
         }
     }
 }
@@ -524,7 +511,6 @@ impl Lanes {
                     due: Arc::clone(due),
                     rng: rng.clone(),
                     last_minute: None,
-                    since: 0,
                 }),
             })
             .collect();
@@ -1292,46 +1278,5 @@ mod tests {
             shared.upgrade().is_none(),
             "a helper outlived the dropped wheel"
         );
-    }
-
-    #[test]
-    fn lanes_hold_few_rtt_bins_open_and_reuse_their_buffers() {
-        // Fault-free, every VP records once per probe interval, so a bin
-        // takes its last commit within an interval of its end: a series
-        // never holds more bins open than an interval spans, plus one.
-        let cfg = ScenarioConfig::small();
-        let out = with_threads(2, || crate::sim::run(&cfg)).expect("small run");
-        let bin = rootcast_atlas::BIN_WIDTH.as_nanos();
-        let (mut series, mut closed, mut buffers) = (0, 0, 0);
-        for shard in out.pipeline.shards() {
-            let letter = shard.letter();
-            let interval = if letter == Letter::A {
-                A_PROBE_INTERVAL
-            } else {
-                PROBE_INTERVAL
-            };
-            let most = interval.as_nanos().div_ceil(bin) as usize + 1;
-            for rtts in shard.rtt_series() {
-                assert!(
-                    rtts.peak_open() <= most,
-                    "{letter} held {} RTT bins open, over {most}",
-                    rtts.peak_open()
-                );
-                assert!(
-                    rtts.buffers() <= rtts.peak_open(),
-                    "{letter} allocated {} buffers for {} open bins",
-                    rtts.buffers(),
-                    rtts.peak_open()
-                );
-                assert_eq!(rtts.open_bins(), 0, "{letter} left a bin open");
-                series += 1;
-                closed += rtts.closed_bins();
-                buffers += rtts.buffers();
-            }
-        }
-        // Not vacuous: every letter's Figure 4 series and K's watches
-        // closed most of their 72 bins, each on a reused buffer.
-        assert!(series > out.letters.len(), "{series} series");
-        assert!(closed > 30 * buffers, "{closed} bins on {buffers} buffers");
     }
 }

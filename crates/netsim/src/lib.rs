@@ -18,8 +18,7 @@
 //! * [`rate`] — the fluid queue model ([`FluidQueue`]) that converts
 //!   overload into loss and bufferbloat delay;
 //! * [`series`] — fixed-width time-series bins matching the paper's
-//!   10-minute methodology ([`BinnedSeries`]), and the samples of a
-//!   median series' open bins ([`OpenBins`]);
+//!   10-minute methodology ([`BinnedSeries`]);
 //! * [`stats`] — medians, quantiles and OLS regression;
 //! * [`metrics`] — counters, gauges, and fixed-bucket histograms behind
 //!   static handles ([`MetricsRegistry`], [`MetricsSnapshot`]).
@@ -55,5 +54,5 @@ pub use metrics::{
 pub use rand_chacha::ChaCha8Rng;
 pub use rate::FluidQueue;
 pub use rng::SimRng;
-pub use series::{BinnedSeries, OpenBins};
+pub use series::BinnedSeries;
 pub use time::{SimDuration, SimTime};

@@ -161,88 +161,6 @@ impl BinnedSeries {
     }
 }
 
-/// The samples of the bins of one median series that are still open.
-///
-/// Samples go to a bin with [`OpenBins::push`] while it is open;
-/// [`OpenBins::close`] reduces the bin to the [`crate::stats::median`] of
-/// its samples, which depends only on their set, not on their order
-/// (computed in place, by [`crate::stats::median_in_place`]).
-/// The emptied buffer is kept for the next bin to open, so a series that
-/// holds a few bins open at a time allocates only as many buffers as it
-/// ever held open at once.
-#[derive(Debug, Clone, Default)]
-pub struct OpenBins {
-    /// `(bin, samples)` per open bin, in no particular order.
-    open: Vec<(usize, Vec<f64>)>,
-    /// Emptied buffers of closed bins.
-    spare: Vec<Vec<f64>>,
-    /// Most bins open at once.
-    peak_open: usize,
-    /// Buffers allocated.
-    allocated: usize,
-    /// Bins closed with samples.
-    closed: usize,
-}
-
-impl OpenBins {
-    /// Add `v` to bin `bin`, opening the bin if it holds no samples yet.
-    #[inline]
-    pub fn push(&mut self, bin: usize, v: f64) {
-        if let Some((_, samples)) = self.open.iter_mut().find(|(b, _)| *b == bin) {
-            samples.push(v);
-            return;
-        }
-        let mut samples = self.spare.pop().unwrap_or_else(|| {
-            self.allocated += 1;
-            Vec::new()
-        });
-        samples.push(v);
-        self.open.push((bin, samples));
-        self.peak_open = self.peak_open.max(self.open.len());
-    }
-
-    /// Close bin `bin`: set it in `medians` to the median of its samples
-    /// and keep the emptied buffer. A bin without samples is left as
-    /// `medians` holds it.
-    pub fn close(&mut self, bin: usize, medians: &mut BinnedSeries) {
-        if let Some(at) = self.open.iter().position(|(b, _)| *b == bin) {
-            let (_, mut samples) = self.open.swap_remove(at);
-            medians.set_bin(bin, crate::stats::median_in_place(&mut samples));
-            samples.clear();
-            self.spare.push(samples);
-            self.closed += 1;
-        }
-    }
-
-    /// Close every open bin, as [`Self::close`] does.
-    pub fn close_all(&mut self, medians: &mut BinnedSeries) {
-        while let Some(&(bin, _)) = self.open.last() {
-            self.close(bin, medians);
-        }
-    }
-
-    /// Bins holding samples now.
-    pub fn open_bins(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Most bins that held samples at once.
-    pub fn peak_open(&self) -> usize {
-        self.peak_open
-    }
-
-    /// Sample buffers allocated: no more than [`Self::peak_open`], as
-    /// a bin opens on a closed bin's buffer when there is one.
-    pub fn buffers(&self) -> usize {
-        self.allocated
-    }
-
-    /// Bins closed with samples.
-    pub fn closed_bins(&self) -> usize {
-        self.closed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,34 +233,6 @@ mod tests {
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
         assert_eq!(s.median(), 3.0);
-    }
-
-    #[test]
-    fn open_bins_close_to_medians_and_reuse_buffers() {
-        let mut medians = BinnedSeries::from_values(SimDuration::from_mins(10), vec![f64::NAN; 4]);
-        let mut open = OpenBins::default();
-        for (bin, v) in [(0, 10.0), (1, 5.0), (0, 30.0), (0, 20.0), (1, 7.0)] {
-            open.push(bin, v);
-        }
-        assert_eq!(
-            (open.open_bins(), open.peak_open(), open.buffers()),
-            (2, 2, 2)
-        );
-        open.close(0, &mut medians);
-        // A bin that never opened keeps its value.
-        open.close(2, &mut medians);
-        assert_eq!(open.open_bins(), 1);
-        // Bin 3 opens on bin 0's emptied buffer.
-        open.push(3, 4.0);
-        open.push(3, 8.0);
-        assert_eq!((open.peak_open(), open.buffers()), (2, 2));
-        open.close_all(&mut medians);
-        assert_eq!(open.open_bins(), 0);
-        assert_eq!(open.closed_bins(), 3);
-        assert_eq!(medians.values()[0], 20.0);
-        assert_eq!(medians.values()[1], 6.0);
-        assert!(medians.values()[2].is_nan());
-        assert_eq!(medians.values()[3], 6.0);
     }
 
     #[test]
