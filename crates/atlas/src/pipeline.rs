@@ -278,11 +278,7 @@ enum BinBest {
     Empty,
     Timeout,
     Error,
-    Site {
-        site: u16,
-        server: u16,
-        rtt: SimDuration,
-    },
+    Site { site: u16 },
 }
 
 impl BinBest {
@@ -304,9 +300,9 @@ struct VpLetterState {
     last_site: Option<u16>,
 }
 
-// An unmeasured RTT is a sentinel value (`UNMEASURED_RTT`), not a
-// wider `BinBest`: per-VP state stays at 24 bytes.
-const _: () = assert!(std::mem::size_of::<VpLetterState>() <= 24);
+// A bin's RTT samples and server are taken when its site answer is
+// recorded, so per-VP state keeps only sites: 12 bytes.
+const _: () = assert!(std::mem::size_of::<VpLetterState>() <= 12);
 
 impl Default for VpLetterState {
     fn default() -> Self {
@@ -627,11 +623,11 @@ impl LetterShard {
             FastObs::Timeout => BinBest::Timeout,
             FastObs::Error => BinBest::Error,
             // The site index was validated above.
-            FastObs::Site { site, server, rtt } => BinBest::Site { site, server, rtt },
+            FastObs::Site { site, .. } => BinBest::Site { site },
         };
         if cand.rank() > state.best.rank() {
             state.best = cand;
-            if let BinBest::Site { site, server, rtt } = cand {
+            if let FastObs::Site { site, server, rtt } = obs {
                 // Nothing outranks a site answer, so the bin keeps it.
                 self.sample(vp, slot.bin as usize, site, server, rtt);
             }
@@ -641,8 +637,8 @@ impl LetterShard {
 
     /// Take the RTT samples of `vp`'s site answer, the best of its bin
     /// `bin`: Figure 4's when `vp` is subsampled, and the site's and the
-    /// server's when the site is watched, making the server's entries in
-    /// its [`ServerWatch`] on first sight.
+    /// server's when the site is watched, where the answer also counts
+    /// toward its server's [`ServerWatch::counts`].
     fn sample(&mut self, vp: VpId, bin: usize, site: u16, server: u16, rtt: SimDuration) {
         let ns = rtt.as_nanos() as f64;
         // Only a probe `RttKeep::keeps` rejects may carry an unmeasured
@@ -666,10 +662,14 @@ impl LetterShard {
             // maps hold every server seen, even one whose only answers
             // fell past the last whole bin.
             let rtts = &mut watch.rtts;
-            watch.counts.entry(server).or_insert_with(|| {
-                rtts.insert(server, unmeasured(n_bins));
-                BinnedSeries::zeros(BIN_WIDTH, n_bins)
-            });
+            watch
+                .counts
+                .entry(server)
+                .or_insert_with(|| {
+                    rtts.insert(server, unmeasured(n_bins));
+                    BinnedSeries::zeros(BIN_WIDTH, n_bins)
+                })
+                .incr_bin(bin);
             self.rtt_bins.push_watch(site, server, bin, ns);
         }
     }
@@ -685,14 +685,14 @@ impl LetterShard {
 }
 
 /// Fold one VP's finished bin into the letter's counts and flips; its
-/// RTT samples were taken when it was recorded. The caller updates the
-/// VP's `last_site` (it owns the mutable state).
+/// RTT samples and watch counts were taken when it was recorded. The
+/// caller updates the VP's `last_site` (it owns the mutable state).
 fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState) {
     let bin = st.cur_bin as usize;
     match st.best {
         BinBest::Empty | BinBest::Timeout => {}
         BinBest::Error => data.errors.incr_bin(bin),
-        BinBest::Site { site, server, .. } => {
+        BinBest::Site { site } => {
             data.success.incr_bin(bin);
             data.site_counts[site as usize].incr_bin(bin);
             if let Some(prev) = st.last_site {
@@ -705,12 +705,6 @@ fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState) {
                         to_site: site,
                     });
                 }
-            }
-            // `LetterShard::sample` made the server's entry when the
-            // answer was recorded.
-            let watched = data.watches.get_mut(&site);
-            if let Some(counts) = watched.and_then(|w| w.counts.get_mut(&server)) {
-                counts.incr_bin(bin);
             }
         }
     }
@@ -1113,7 +1107,8 @@ mod tests {
         let fra = 1;
         // VP 0 answers from FRA in bin 0, then stays quiet while VP 1
         // records in bin 1. Nothing could outrank VP 0's answer, so bin
-        // 0's medians are final; its counts wait for VP 0's commit.
+        // 0's medians are final; its success count waits for VP 0's
+        // commit.
         p.record(VpId(0), Letter::K, t(1), &site_obs("FRA", 1, 20))
             .unwrap();
         p.record(VpId(1), Letter::K, t(12), &site_obs("AMS", 1, 30))
