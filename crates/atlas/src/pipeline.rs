@@ -1394,7 +1394,6 @@ mod tests {
             x
         };
         let lagging = |vp: u32, m: u64| vp < 10 && (25..48).contains(&m);
-        let mut seen_lag = false;
         for m in 1..92u64 {
             let at = t(m);
             let shard = &mut p.shards_mut()[0];
@@ -1435,10 +1434,8 @@ mod tests {
                 assert!(matches!(pending[3], Some((2, _))), "VP 3 came back");
                 assert!(rtt[..5].iter().all(|v| !v.is_nan()), "minute {m}: {rtt:?}");
                 assert!(rtt[5].is_nan(), "bin 5 closed early: {rtt:?}");
-                seen_lag = true;
             }
         }
-        assert!(seen_lag);
         for (vp, slot) in pending.into_iter().enumerate() {
             if let Some((bin, best)) = slot {
                 commit_ref(vp as u32, bin, best);
